@@ -4,13 +4,14 @@ Run directly (also wired into CI)::
 
     python benchmarks/dispatch_overhead.py              # emit BENCH_PR9.json
 
-Before the sweep-service refactor every dispatched cell crossed the
-process boundary as a fully pickled :class:`RunSpec` — machine config
-included — and the worker rebuilt its workload program from scratch.
-The layered path ships a compact JSON ``repro.job/1`` payload with the
-config *by reference* (its content id, registered once per worker), and
-workers memoize both the materialized :class:`MachineConfig` and the
-built program per ``(benchmark, params, variant)``.
+In the monolithic path every dispatched cell crossed the process
+boundary as a fully pickled :class:`RunSpec` — machine config included
+— and the worker rebuilt its workload program from scratch.  The
+layered path ships a compact JSON process-pool payload with the config
+*by reference* (its content id, registered once per worker through the
+pool initializer), and workers memoize both the materialized
+:class:`MachineConfig` and the built program per
+``(benchmark, params, variant)``.
 
 This script measures both paths over the same cell population and
 writes ``BENCH_PR9.json``:

@@ -13,9 +13,6 @@ Examples::
     python -m repro figure5 --timeout 300 --retries 2   # robust long sweep
     python -m repro figure5 --resume             # continue an interrupted sweep
     python -m repro figure5 --inject-faults 'health=transient:2'  # fault drill
-    python -m repro serve /tmp/pool-a.sock --workers 4   # long-lived worker pool
-    python -m repro submit examples/specs/figure5.toml --pool /tmp/pool-a.sock
-    python -m repro figure5 --backend service --pool /tmp/pool-a.sock
     python -m repro run treeadd --scheme software --param levels=9 --param passes=2
     python -m repro run-spec examples/specs/figure5.toml --jobs 4
     python -m repro run-spec mysweep.toml --small -o result.json
@@ -57,7 +54,6 @@ from .errors import ConfigError
 from .harness import (
     SCHEMES,
     scheme_names,
-    BackendError,
     BenchmarkRunner,
     ResultCache,
     SCHEME_REGISTRY,
@@ -81,7 +77,6 @@ from .harness import (
     tournament_summary,
     traversal_count_sweep,
 )
-from .harness.scheduler import DEFAULT_LEASE_TTL, DEFAULT_POOL_WAIT
 from .obs import (
     EventTrace,
     MetricRegistry,
@@ -340,38 +335,26 @@ def _build_executor(args, journal_name: str | None = None) -> SweepExecutor:
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir, registry=registry)
-    backend = getattr(args, "backend", None)
-    pools = list(getattr(args, "pool", None) or [])
-    if pools and backend is None:
-        backend = "service"          # --pool alone implies the backend
-    if backend == "service" and not pools:
-        raise SystemExit(
-            "error: the service backend needs at least one --pool PATH "
-            "(start one with `python -m repro serve PATH`)"
-        )
-    progress = None
-    if args.progress or args.jobs > 1 or backend == "service":
-        progress = lambda line: print(f"  {line}", file=sys.stderr)
     journal = SweepJournal(_journal_path(args, journal_name), registry=registry,
                            resume=args.resume)
     faults = parse_fault_plan(args.inject_faults)
     if faults is not None:
         print(f"  injecting faults: {faults.describe()}", file=sys.stderr)
-    return SweepExecutor(
+    executor = SweepExecutor(
         jobs=args.jobs,
         cache=cache,
-        progress=progress,
         timeout=args.timeout,
         retries=args.retries,
         backoff=args.backoff,
         journal=journal,
         faults=faults,
         registry=registry,
-        backend=backend,
-        pools=pools,
-        lease_ttl=getattr(args, "lease_ttl", DEFAULT_LEASE_TTL),
-        pool_wait=getattr(args, "pool_wait", DEFAULT_POOL_WAIT),
     )
+    # Gate on the resolved worker count, so --jobs 0 auto-detection
+    # narrates whenever it picks more than one worker.
+    if args.progress or executor.jobs > 1:
+        executor.progress = lambda line: print(f"  {line}", file=sys.stderr)
+    return executor
 
 
 def _sweep_footer(executor: SweepExecutor) -> None:
@@ -408,10 +391,6 @@ def _default_tournament_spec() -> Path:
 
 
 def cmd_run_spec(args) -> int:
-    if args.command == "submit":
-        # ``repro submit`` is ``run-spec`` pinned to the service
-        # backend: cells ship to long-lived ``repro serve`` pools.
-        args.backend = "service"
     if args.command == "tournament" and args.spec is None:
         args.spec = _default_tournament_spec()
     spec = load_spec(args.spec)
@@ -460,46 +439,6 @@ def cmd_run_spec(args) -> int:
         dump_json(doc, args.output)
         print(f"wrote {args.output}")
     _sweep_footer(executor)
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """Run one long-lived sweep worker pool on a Unix socket."""
-    import signal
-
-    from .harness.service import SweepService
-
-    name = args.name or f"pool-{os.getpid()}"
-    trace = EventTrace(limit=args.limit) if args.trace else None
-    progress = None
-    if not args.quiet:
-        progress = lambda line: print(f"  {line}", file=sys.stderr)
-    svc = SweepService(
-        args.socket,
-        args.workers or None,
-        name=name,
-        trace=trace,
-        progress=progress,
-    )
-    signal.signal(signal.SIGTERM, lambda *_: svc.stop())
-    print(
-        f"repro serve: pool {name!r}, {svc.workers} worker(s), "
-        f"socket {args.socket} (protocol repro.job/1; Ctrl-C to stop)",
-        file=sys.stderr,
-    )
-    try:
-        svc.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    if trace is not None:
-        trace.dump(args.trace)
-        print(f"wrote {args.trace}: {len(trace)} events", file=sys.stderr)
-    s = svc.stats()
-    print(
-        f"repro serve: {s['leased']} job(s) leased, {s['completed']} "
-        f"completed, {s['pool_rebuilds']} pool rebuild(s)",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -746,6 +685,16 @@ def cmd_figure(args) -> int:
     return 0
 
 
+def _job_count(text: str) -> int:
+    """``--jobs`` value: a non-negative int (0 = auto-detect)."""
+    jobs = int(text)
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = auto-detect), got {jobs}"
+        )
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -861,49 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write the repro.experiment/1 artifact "
                            "(rows + ranked summary in meta)")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run a long-lived sweep worker pool: an asyncio job queue "
-             "on a Unix socket (repro.job/1) fronting a local process "
-             "pool; sweeps connect with --backend service / `repro "
-             "submit`",
-    )
-    serve.add_argument("socket", help="Unix socket path to listen on")
-    serve.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="worker processes (default: 0 = cgroup/"
-                            "affinity-aware auto-detection)")
-    serve.add_argument("--name", default=None,
-                       help="pool name announced to clients "
-                            "(default: pool-<pid>)")
-    serve.add_argument("--trace", default=None, metavar="FILE",
-                       help="write a Chrome trace of the pool's life "
-                            "(leases, runs, results, rebuilds) on exit")
-    serve.add_argument("--limit", type=int, default=1_000_000,
-                       help="trace event-buffer cap (default 1M)")
-    serve.add_argument("--quiet", action="store_true",
-                       help="do not narrate leases/results on stderr")
-
-    submit = sub.add_parser(
-        "submit",
-        help="run an experiment spec on repro serve worker pools "
-             "(run-spec pinned to the service backend): ships compiled "
-             "cells as leased jobs, streams progress, assembles "
-             "through the shared result cache",
-    )
-    submit.add_argument("spec", help="path to the spec file")
-    submit.add_argument("--machine", choices=machine_names(), default=None,
-                        help="run on this named machine instead of the "
-                             "spec's own")
-    submit.add_argument("--small", action="store_true",
-                        help="use every workload's quick test-size "
-                             "parameters (spec params still win)")
-    submit.add_argument("--set", action="append", default=[],
-                        metavar="PATH=VALUE",
-                        help="extra dotted-path machine override "
-                             "(repeatable)")
-    submit.add_argument("-o", "--output", default=None, metavar="FILE",
-                        help="also write the repro.experiment/1 artifact")
-
     audit = sub.add_parser(
         "audit",
         help="run the simulation auditor: invariant sweep over the "
@@ -1000,11 +906,11 @@ def build_parser() -> argparse.ArgumentParser:
         "x2": "extension: creation overhead + traversal-count sweep",
     }
     for fig in ("table1", "figure4", "figure5", "figure6", "figure7", "x1",
-                "x2", "run-spec", "submit", "tournament"):
-        p = (sub.choices[fig] if fig in ("run-spec", "submit", "tournament")
+                "x2", "run-spec", "tournament"):
+        p = (sub.choices[fig] if fig in ("run-spec", "tournament")
              else sub.add_parser(
                  fig, help=figure_help.get(fig, f"reproduce {fig}")))
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
+        p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
                        help="run sweep cells across N worker processes "
                             "(default: 1, serial; 0 = cgroup/affinity-"
                             "aware auto-detection)")
@@ -1015,7 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "or .repro_cache)")
         p.add_argument("--progress", action="store_true",
                        help="narrate per-cell progress on stderr "
-                            "(implied by --jobs > 1)")
+                            "(implied whenever more than one worker runs, "
+                            "including --jobs 0 on a multi-CPU host)")
         p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                        help="per-cell wall-clock budget; a hung worker is "
                             "terminated and the cell charged a failed attempt")
@@ -1034,27 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--inject-faults", default=None, metavar="PLAN",
                        help="deterministic fault plan for robustness drills: "
                             "'bench[/variant[/engine]]=kind[:times][@sec]' "
-                            "entries (kinds: crash, hang, transient, corrupt, "
-                            "crash-pool, drop-heartbeat, dup-result) "
+                            "entries (kinds: crash, hang, transient, corrupt) "
                             "separated by commas")
-        p.add_argument("--backend", default=None, metavar="NAME",
-                       choices=("serial", "process", "service"),
-                       help="worker backend (default: serial for --jobs 1, "
-                            "the local process pool otherwise; 'service' "
-                            "leases cells to repro serve pools)")
-        p.add_argument("--pool", action="append", default=[], metavar="PATH",
-                       help="Unix socket of a repro serve worker pool "
-                            "(repeatable; implies --backend service)")
-        p.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL,
-                       metavar="SEC",
-                       help="service job lease: seconds a pool may stay "
-                            "silent before the attempt is charged "
-                            f"(default: {DEFAULT_LEASE_TTL})")
-        p.add_argument("--pool-wait", type=float, default=DEFAULT_POOL_WAIT,
-                       metavar="SEC",
-                       help="seconds the service backend waits for a worker "
-                            "pool to (re)appear before failing the remaining "
-                            f"cells (default: {DEFAULT_POOL_WAIT})")
     return parser
 
 
@@ -1073,10 +961,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_stats(args)
         if args.command == "trace":
             return cmd_trace(args)
-        if args.command in ("run-spec", "submit", "tournament"):
+        if args.command in ("run-spec", "tournament"):
             return cmd_run_spec(args)
-        if args.command == "serve":
-            return cmd_serve(args)
         if args.command == "audit":
             return cmd_audit(args)
         if args.command == "profile":
@@ -1085,9 +971,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_bench_diff(args)
         return cmd_figure(args)
     except SpecError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    except BackendError as exc:
-        # No reachable pool / unknown backend is a usage error.
         raise SystemExit(f"error: {exc}") from None
     except ConfigError as exc:
         # A bad --set path / value is a usage error, not a crash.

@@ -1,27 +1,23 @@
-"""Pluggable worker backends for the sweep scheduler.
+"""Worker backends for the sweep scheduler.
 
 The :class:`~repro.harness.scheduler.Scheduler` owns *what* to run
 (dedup, replay, retries, timeouts, assembly); a :class:`WorkerBackend`
-owns *where* it runs.  Three ship in the :data:`BACKENDS` registry:
+owns *where* it runs.  The scheduler picks one of two by ``--jobs``:
 
-``serial``
-    In-process, one cell at a time — the default for ``--jobs 1`` and
-    trivial plans, bit-identical to the historical single-process path.
-``process`` (alias ``process-pool``)
+:class:`SerialBackend`
+    In-process, one cell at a time — used for ``--jobs 1`` and plans of
+    at most one cell.
+:class:`ProcessPoolBackend`
     A local ``ProcessPoolExecutor`` fan-out with hung-worker reaping and
-    crash recovery — the historical ``--jobs N`` path, now with cheap
-    dispatch: each distinct :class:`~repro.config.MachineConfig` ships
-    once through the pool initializer (keyed by :func:`config_id`) and
-    cells travel as small JSON payloads referencing it; workers memoize
-    materialized configs and built workload programs across cells.
-``service``
-    Leases cells to one or more long-lived ``repro serve`` pools over
-    the ``repro.job/1`` protocol (registered lazily from
-    :mod:`repro.harness.service`).
+    crash recovery, with cheap dispatch: each distinct
+    :class:`~repro.config.MachineConfig` ships once through the pool
+    initializer (keyed by :func:`config_id`) and cells travel as small
+    JSON payloads referencing it; workers memoize materialized configs
+    and built workload programs across cells.
 
 Backends are stateless and constructed without arguments; everything
-they need (jobs, timeout, retries, fault plan, counters, pool
-endpoints) lives on the scheduler they are handed.
+they need (jobs, timeout, retries, fault plan, counters) lives on the
+scheduler they are handed.
 
 Also here: :func:`detect_cpus`, the cgroup/affinity-aware CPU count
 used for ``--jobs 0`` auto-detection — ``os.process_cpu_count()`` where
@@ -47,17 +43,16 @@ from typing import TYPE_CHECKING, Any
 
 from ..config import MachineConfig
 from ..errors import ReproError
-from ..registry import Registry
 from ..workloads import get_workload
 from .cells import Attempt, CellResult, RunSpec, job_payload, run_cell, spec_from_payload
-from .faults import DEFAULT_HANG_SECONDS, FaultPlan, mark_pool_worker
+from .faults import FaultPlan, mark_pool_worker
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Scheduler
 
 
 class BackendError(ReproError):
-    """A worker backend could not be resolved or could not run."""
+    """A worker backend was misconfigured or could not run a cell."""
 
 
 def detect_cpus() -> int:
@@ -115,7 +110,6 @@ def dispatch_tables(
 _worker_config_raw: dict[str, dict[str, Any]] = {}
 _worker_configs: dict[str, MachineConfig] = {}
 _worker_faults: FaultPlan | None = None
-_worker_fault_memo: dict[tuple[str, float], FaultPlan] = {}
 _worker_programs: "OrderedDict[tuple, Any]" = OrderedDict()
 
 #: Built programs kept per worker.  Sweeps cycle through a handful of
@@ -138,11 +132,11 @@ def _init_pool_worker(
     _worker_faults = faults
 
 
-def _worker_config(cid: str, data: dict[str, Any] | None = None) -> MachineConfig:
+def _worker_config(cid: str) -> MachineConfig:
     """Materialize (and memoize) the config ``cid`` references."""
     cfg = _worker_configs.get(cid)
     if cfg is None:
-        raw = data if data is not None else _worker_config_raw.get(cid)
+        raw = _worker_config_raw.get(cid)
         if raw is None:
             raise BackendError(f"job references unknown config {cid[:12]}…")
         cfg = MachineConfig.from_dict(raw)
@@ -170,40 +164,15 @@ def _worker_program(spec: RunSpec) -> Any:
     return program
 
 
-def _worker_fault_plan(
-    text: str | None, hang_seconds: float
-) -> FaultPlan | None:
-    if text is None:
-        return _worker_faults
-    if not text:
-        return None
-    key = (text, hang_seconds)
-    plan = _worker_fault_memo.get(key)
-    if plan is None:
-        plan = FaultPlan.parse(text, hang_seconds)
-        _worker_fault_memo[key] = plan
-    return plan
-
-
-def _pool_run_job(
-    payload: dict[str, Any],
-    attempt: int = 0,
-    cfg_data: dict[str, Any] | None = None,
-    fault_text: str | None = None,
-    hang_seconds: float = DEFAULT_HANG_SECONDS,
-) -> tuple[str, ...]:
+def _pool_run_job(payload: dict[str, Any], attempt: int = 0) -> tuple[str, ...]:
     """Pool-worker job entry: reconstruct the cell from its compact
     payload (config by reference, program via the per-worker memo) and
-    run it.  ``fault_text``/``cfg_data`` serve transports that cannot
-    use the initializer (the sweep service seeds per job instead);
-    local pools leave them None and fall back to initializer state."""
+    run it under the fault plan the initializer seeded."""
     try:
-        cfg = _worker_config(payload["config"], cfg_data)
-        spec = spec_from_payload(payload, cfg)
-        faults = _worker_fault_plan(fault_text, hang_seconds)
+        spec = spec_from_payload(payload, _worker_config(payload["config"]))
     except Exception as exc:
         return ("error", type(exc).__name__, traceback.format_exc())
-    return run_cell(spec, attempt, faults,
+    return run_cell(spec, attempt, _worker_faults,
                     program_factory=lambda: _worker_program(spec))
 
 
@@ -216,8 +185,6 @@ class WorkerBackend:
     every cell of ``todo`` into ``results`` (ok or error), using the
     scheduler's retry/finish/counter machinery, and return the updated
     ``done`` count."""
-
-    name = "abstract"
 
     def run(
         self,
@@ -232,8 +199,6 @@ class WorkerBackend:
 
 class SerialBackend(WorkerBackend):
     """In-process execution, one cell at a time."""
-
-    name = "serial"
 
     def run(
         self,
@@ -290,8 +255,6 @@ class SerialBackend(WorkerBackend):
 class ProcessPoolBackend(WorkerBackend):
     """Local ``ProcessPoolExecutor`` fan-out with per-cell deadlines,
     hung-worker reaping (pool abandonment), and crash recovery."""
-
-    name = "process"
 
     @staticmethod
     def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -457,26 +420,7 @@ class ProcessPoolBackend(WorkerBackend):
         return done
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-def _load_service_backend() -> None:
-    # Importing the module registers the "service" backend; deferred so
-    # plain serial/pooled sweeps never pay the asyncio import.
-    from . import service  # noqa: F401
-
-
-BACKENDS: Registry[type[WorkerBackend]] = Registry(
-    "worker backend", BackendError, loader=_load_service_backend
-)
-BACKENDS.register("serial", SerialBackend)
-BACKENDS.register("process", ProcessPoolBackend)
-BACKENDS.register("process-pool", ProcessPoolBackend)
-
-
 __all__ = [
-    "BACKENDS",
     "BackendError",
     "ProcessPoolBackend",
     "SerialBackend",

@@ -1,24 +1,19 @@
 """Sweep-cell vocabulary: the unit of work every layer above shares.
 
-A sweep — whatever drives it (the serial fallback, a local process
-pool, or a remote ``repro serve`` worker pool) — is a set of
+A sweep — serial or fanned out over a local process pool — is a set of
 :class:`RunSpec` cells, each one ``simulate()`` call.  This module owns
 the cell identity (hashable, content-addressed through
 :func:`repro.harness.cache.spec_key`), the cell outcome
 (:class:`CellResult`), the worker body that turns a spec into a result
-(:func:`run_cell`), and the wire form a cell travels in between
-processes (:func:`job_payload` / :func:`spec_from_payload`).
+(:func:`run_cell`), and the compact form a cell travels in to pool
+workers (:func:`job_payload` / :func:`spec_from_payload`).
 
 The layers stack on top:
 
-* :mod:`repro.harness.scheduler` — plan → shard → dispatch →
-  deterministic plan-order assembly, owning retries/timeouts/journal
-  replay;
-* :mod:`repro.harness.backends` — the pluggable worker backends
-  (``serial`` / ``process`` / ``service``) that execute dispatched
-  cells;
-* :mod:`repro.harness.protocol` — the versioned ``repro.job/1``
-  messages the ``service`` backend speaks to ``repro serve`` pools.
+* :mod:`repro.harness.scheduler` — plan → dispatch → deterministic
+  plan-order assembly, owning retries/timeouts/journal replay;
+* :mod:`repro.harness.backends` — the serial and process-pool worker
+  backends that execute dispatched cells.
 """
 
 from __future__ import annotations
@@ -211,17 +206,12 @@ def run_cell(
         return ("error", type(exc).__name__, traceback.format_exc())
 
 
-# Back-compat alias: PR-2/PR-3 era pool workers were submitted by this
-# private name.
-_run_cell = run_cell
-
-
 # ----------------------------------------------------------------------
-# Wire form: the compact cell identity shipped between processes
+# Job payload: the compact cell identity shipped to pool workers
 # ----------------------------------------------------------------------
 
 def job_payload(spec: RunSpec, config_id: str) -> dict[str, Any]:
-    """The JSON-safe ``repro.job/1`` body of one cell.
+    """The JSON-safe process-pool payload of one cell.
 
     The machine config travels by reference (``config_id``, the SHA-256
     of its canonical dict): workers memoize the materialized

@@ -1,33 +1,24 @@
 """Sweep execution facade: plans, the executor, and result assembly.
 
-Historically this module was an 824-line monolith owning everything
-from the worker body to the process pool.  It is now the thin public
-face of a layered sweep service:
+The thin public face of the layered sweep machinery:
 
 * :mod:`repro.harness.cells` — the cell vocabulary (:class:`RunSpec`,
-  :class:`CellResult`, the ``run_cell`` worker body, wire payloads);
+  :class:`CellResult`, the ``run_cell`` worker body, job payloads);
 * :mod:`repro.harness.scheduler` — the :class:`Scheduler` policy layer
-  (dedup, journal/cache replay, retries/timeouts/backoff, lease
-  bookkeeping, deterministic plan-order assembly);
-* :mod:`repro.harness.backends` — the pluggable worker backends
-  (``serial`` / ``process`` / ``service``) behind the ``BACKENDS``
-  registry;
-* :mod:`repro.harness.protocol` / :mod:`repro.harness.service` — the
-  ``repro.job/1`` wire format and the ``repro serve`` worker pools.
+  (dedup, journal/cache replay, retries/timeouts/backoff, deterministic
+  plan-order assembly);
+* :mod:`repro.harness.backends` — the two worker backends (serial and
+  the local process pool), chosen by ``--jobs``.
 
 :class:`SweepExecutor` *is* the scheduler (a subclass adding nothing),
 kept under its historical name because every experiment, spec, CLI
-command, and test builds one.  All semantics — ``--jobs N``,
-``--resume`` journal replay, fault drills, retry/timeout accounting —
-are preserved bit-identically; sweeps gain ``backend=``/``pools=`` for
-service execution and ``jobs=0`` for cgroup/affinity-aware
-auto-detection.
+command, and test builds one.  ``jobs=0`` requests cgroup/affinity-aware
+CPU auto-detection.
 
-Guarantees (unchanged):
+Guarantees:
 
 * **Deterministic ordering** — results are keyed by spec and assembled
-  in plan order, so serial, pooled, and service sweeps produce
-  identical rows.
+  in plan order, so serial and pooled sweeps produce identical rows.
 * **Work sharing** — identical cells are planned once; the
   :class:`~repro.harness.cache.ResultCache` extends the sharing across
   processes and sweeps, and a
@@ -49,22 +40,16 @@ from ..config import MachineConfig
 from ..cpu.stats import SimResult
 from ..workloads import get_workload
 from .cache import ResultCache
-from .cells import (  # noqa: F401  (re-exported for back-compat)
-    Attempt,
+from .cells import (  # noqa: F401  (re-exported)
     CellError,
     CellResult,
     RunSpec,
     SweepError,
-    _freeze_params,
     error_row,
     run_cell,
 )
-from .cells import _run_cell  # noqa: F401  (historical pool-worker name)
 from .runner import SchemeRun, scheme_plan
 from .scheduler import Progress, Scheduler
-
-# Back-compat: the private attempt record under its pre-refactor name.
-_Attempt = Attempt
 
 
 class SweepExecutor(Scheduler):

@@ -22,12 +22,6 @@ one failure mode for the first ``times`` attempts of every matching cell:
     Does not fire in the worker at all: the executor clobbers the cell's
     on-disk cache entry before lookup, exercising the cache's
     corrupt-entry detection and the recompute path.
-``crash-pool`` / ``drop-heartbeat`` / ``dup-result``
-    Service-layer kinds (see :data:`SERVICE_FAULT_KINDS`): evaluated by
-    the ``service`` backend per job submission and shipped to the
-    ``repro serve`` pool as directives, exercising the scheduler's
-    pool-failover, lease-expiry, and idempotent-result handling.  They
-    never fire for serial or local process-pool sweeps.
 
 Determinism: whether a fault fires depends only on ``(spec, attempt)``
 — no randomness, no wall clock — so a faulty sweep retried to success
@@ -59,16 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Kinds injected inside the worker running the cell.
 WORKER_FAULT_KINDS = ("crash", "hang", "transient")
 
-#: Kinds injected at the sweep-service layer (``repro serve`` pools):
-#: ``crash-pool`` kills the whole serving process after it leases the
-#: matching job (the client must fail over to another pool),
-#: ``drop-heartbeat`` blackholes the job after its lease (no heartbeat,
-#: no result — the client's lease TTL must expire and re-charge the
-#: cell), and ``dup-result`` delivers the job's result twice (the
-#: client's idempotent assembly must count and drop the duplicate).
-SERVICE_FAULT_KINDS = ("crash-pool", "drop-heartbeat", "dup-result")
-
-FAULT_KINDS = WORKER_FAULT_KINDS + ("corrupt",) + SERVICE_FAULT_KINDS
+FAULT_KINDS = WORKER_FAULT_KINDS + ("corrupt",)
 
 #: Default sleep for ``hang`` rules that give no ``@seconds`` — long
 #: enough to trip any sane timeout, short enough that a timeout-less
@@ -208,30 +193,13 @@ class FaultPlan:
         """Should the executor clobber this cell's cache entry?"""
         return self.rule_for(spec, attempt, ("corrupt",)) is not None
 
-    def service_rule(self, spec: "RunSpec", attempt: int) -> FaultSpec | None:
-        """The service-layer fault (crash-pool / drop-heartbeat /
-        dup-result) firing for this job submission, if any.  Evaluated by
-        the *client* (deterministically, like every other kind) and
-        shipped to the serving pool as a per-job directive — the server
-        itself needs no fault plan."""
-        return self.rule_for(spec, attempt, SERVICE_FAULT_KINDS)
-
-    def worker_specs(self) -> "FaultPlan | None":
-        """The plan restricted to worker-side kinds, for shipping into
-        pool workers (service directives and cache corruption are
-        handled before the worker ever sees the job)."""
-        rules = tuple(r for r in self.specs if r.kind in WORKER_FAULT_KINDS)
-        if not rules:
-            return None
-        return FaultPlan(rules, self.hang_seconds)
-
     def apply(self, spec: "RunSpec", attempt: int) -> None:
         """Worker-side injection point, called before the cell simulates.
 
         Raises / sleeps / exits according to the first matching rule;
         returns quietly when nothing fires.
         """
-        rule = self.rule_for(spec, attempt, ("crash", "hang", "transient"))
+        rule = self.rule_for(spec, attempt, WORKER_FAULT_KINDS)
         if rule is None:
             return
         if rule.kind == "transient":
@@ -263,7 +231,6 @@ def parse_fault_plan(text: str | None) -> FaultPlan | None:
 __all__ = [
     "DEFAULT_HANG_SECONDS",
     "FAULT_KINDS",
-    "SERVICE_FAULT_KINDS",
     "WORKER_FAULT_KINDS",
     "FaultPlan",
     "FaultPlanError",

@@ -1,4 +1,4 @@
-"""The sweep scheduler: plan → shard → dispatch → assemble.
+"""The sweep scheduler: plan → dispatch → assemble.
 
 :class:`Scheduler` is the policy layer of sweep execution.  It owns
 everything a backend must not reinvent:
@@ -10,17 +10,14 @@ everything a backend must not reinvent:
   result cache, before any worker sees a cell.
 * **Retry policy** — bounded retries with exponential backoff, timeout
   accounting, final-failure recording (:meth:`_fail_or_requeue`).
-* **Leases** — bookkeeping for backends whose workers live elsewhere
-  (the sweep service): granted leases, heartbeats, expiries, and
-  idempotent duplicate-result handling, all counted in the obs
-  registry.
 * **Persistence** — cache writes + journal checkpoints per completed
   cell (:meth:`_finish`), and narrated progress.
 
 The mechanics of *where* a cell runs live in
-:mod:`repro.harness.backends`; the scheduler picks a backend (explicit
-``backend=`` name/instance, else ``serial`` for ``--jobs 1`` or trivial
-plans, else the local process pool) and hands itself over.
+:mod:`repro.harness.backends`; the scheduler runs ``serial`` for
+``--jobs 1`` or trivial plans, else the local process pool, and hands
+itself over.  Tests may inject any :class:`WorkerBackend` instance
+through ``backend=``.
 
 :class:`~repro.harness.executor.SweepExecutor` is the historical name
 for this class and remains the public entry point.
@@ -30,23 +27,21 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from ..obs import MetricRegistry
-from .backends import BACKENDS, WorkerBackend, detect_cpus
+from .backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    WorkerBackend,
+    detect_cpus,
+)
 from .cache import ResultCache
 from .cells import Attempt, CellResult, RunSpec
 from .faults import FaultPlan
 from .journal import SweepJournal
 
 Progress = Callable[[str], None]
-
-#: Default seconds a service lease stays valid without a heartbeat.
-DEFAULT_LEASE_TTL = 15.0
-
-#: Default seconds the service backend waits for a worker pool to
-#: (re)appear before failing the remaining cells.
-DEFAULT_POOL_WAIT = 30.0
 
 
 class Scheduler:
@@ -67,10 +62,7 @@ class Scheduler:
         faults: FaultPlan | None = None,
         registry: MetricRegistry | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        backend: str | WorkerBackend | None = None,
-        pools: Sequence[str] = (),
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-        pool_wait: float = DEFAULT_POOL_WAIT,
+        backend: WorkerBackend | None = None,
     ) -> None:
         # jobs == 0 requests auto-detection (cgroup/affinity-aware).
         self.jobs = detect_cpus() if jobs == 0 else max(1, jobs)
@@ -83,9 +75,6 @@ class Scheduler:
         self.faults = faults
         self._sleep = sleep
         self.backend = backend
-        self.pools = list(pools)
-        self.lease_ttl = lease_ttl
-        self.pool_wait = pool_wait
         self.registry = (
             registry
             or (journal.registry if journal is not None else None)
@@ -111,20 +100,6 @@ class Scheduler:
         )
         self._c_executed = reg.counter(
             "sweep.executed", help="cells computed by a worker this sweep"
-        )
-        self._c_leases = reg.counter(
-            "sweep.leases", help="service jobs leased to a worker pool"
-        )
-        self._c_heartbeats = reg.counter(
-            "sweep.heartbeats", help="service lease heartbeats received"
-        )
-        self._c_lease_expiries = reg.counter(
-            "sweep.lease_expiries",
-            help="service leases expired without heartbeat or result",
-        )
-        self._c_dup_results = reg.counter(
-            "sweep.dup_results",
-            help="duplicate/stale service results dropped idempotently",
         )
 
     # ------------------------------------------------------------------
@@ -212,38 +187,17 @@ class Scheduler:
         return done
 
     # ------------------------------------------------------------------
-    # Sharding
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def shard(specs: Sequence[RunSpec], shards: int) -> list[list[RunSpec]]:
-        """Partition ``specs`` round-robin into ``shards`` disjoint
-        lists.  Deterministic in the input order, preserves relative
-        order inside each shard, and balances cell counts to within one
-        — the static partition the service backend seeds pools with."""
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        out: list[list[RunSpec]] = [[] for _ in range(shards)]
-        for i, spec in enumerate(specs):
-            out[i % shards].append(spec)
-        return out
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def _resolve_backend(self, todo: list[RunSpec]) -> WorkerBackend:
-        """An explicit ``backend=`` always wins; the legacy implicit
-        choice (serial for ``--jobs 1`` or trivial plans, local process
-        pool otherwise) is preserved bit-for-bit."""
-        choice = self.backend
-        if isinstance(choice, WorkerBackend):
-            return choice
-        if choice is None:
-            choice = (
-                "serial" if self.jobs == 1 or len(todo) <= 1 else "process"
-            )
-        return BACKENDS.get(choice)()
+        """An injected ``backend=`` instance wins; otherwise serial for
+        ``--jobs 1`` or trivial plans, the local process pool else."""
+        if self.backend is not None:
+            return self.backend
+        if self.jobs == 1 or len(todo) <= 1:
+            return SerialBackend()
+        return ProcessPoolBackend()
 
     def execute(self, specs: Iterable[RunSpec]) -> dict[RunSpec, CellResult]:
         """Run every distinct spec; returns ``spec -> CellResult``."""
@@ -287,8 +241,8 @@ class Scheduler:
             )
 
         # Every planned cell must be accounted for: a backend that lost
-        # cells (e.g. the service ran out of pools mid-retry) would
-        # otherwise surface as a KeyError deep inside row assembly.
+        # cells would otherwise surface as a KeyError deep inside row
+        # assembly.
         missing = [spec for spec in plan if spec not in results]
         for spec in missing:
             self._c_failures.inc()
@@ -313,10 +267,6 @@ class Scheduler:
             "failures": self._c_failures.value,
             "pool_breaks": self._c_pool_breaks.value,
             "faults_injected": self._c_faults.value,
-            "leases": self._c_leases.value,
-            "heartbeats": self._c_heartbeats.value,
-            "lease_expiries": self._c_lease_expiries.value,
-            "dup_results": self._c_dup_results.value,
         }
 
     def describe(self) -> str:
@@ -329,8 +279,6 @@ class Scheduler:
 
 
 __all__ = [
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_POOL_WAIT",
     "Progress",
     "Scheduler",
 ]

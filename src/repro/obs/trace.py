@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 
 #: Lane (Chrome "thread") ids per event category.
-_LANES = {"core": 1, "mem": 2, "prefetch": 3, "phase": 4, "profile": 5,
-          "service": 6}
+_LANES = {"core": 1, "mem": 2, "prefetch": 3, "phase": 4, "profile": 5}
 
 
 class EventTrace:

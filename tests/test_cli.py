@@ -174,3 +174,40 @@ def test_trace_writes_chrome_file(tmp_path, capsys):
     assert any(e["name"] == "load-issue" for e in events)
     assert any(e["name"] == "demand-miss" for e in events)
     assert "wrote" in capsys.readouterr().out
+
+
+def test_negative_jobs_is_usage_error(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["figure5", "--jobs", "-1"])
+    assert "--jobs" in capsys.readouterr().err
+    assert build_parser().parse_args(["figure5", "--jobs", "0"]).jobs == 0
+
+
+@pytest.mark.parametrize("cpus,narrates", [(1, False), (4, True)])
+def test_jobs_zero_narrates_by_resolved_worker_count(
+    tmp_path, monkeypatch, cpus, narrates
+):
+    from repro.__main__ import _build_executor
+    from repro.harness import scheduler
+
+    monkeypatch.setattr(scheduler, "detect_cpus", lambda: cpus)
+    args = build_parser().parse_args([
+        "figure5", "--jobs", "0", "--no-cache",
+        "--journal", str(tmp_path / "j.jsonl"),
+    ])
+    executor = _build_executor(args)
+    executor.journal.close()
+    assert executor.jobs == cpus
+    assert (executor.progress is not None) is narrates
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "/tmp/p.sock"],
+    ["submit", "spec.toml"],
+    ["figure5", "--backend", "process"],
+    ["figure5", "--pool", "/tmp/p.sock"],
+    ["run-spec", "spec.toml", "--pool-wait", "5"],
+])
+def test_removed_sweep_service_options_rejected(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)

@@ -30,6 +30,7 @@ from repro.harness import (
     parse_fault_plan,
     spec_key,
 )
+from repro.harness.faults import FAULT_KINDS
 from repro.harness.journal import SCHEMA as JOURNAL_SCHEMA
 from repro.obs import MetricRegistry
 from repro.workloads import workload_class
@@ -93,6 +94,11 @@ class TestFaultPlanParsing:
     def test_rejects_malformed_plans(self, bad):
         with pytest.raises(FaultPlanError):
             FaultPlan.parse(bad)
+
+    def test_only_worker_and_cache_kinds_parse(self):
+        assert FAULT_KINDS == ("crash", "hang", "transient", "corrupt")
+        with pytest.raises(FaultPlanError, match="unknown fault kind"):
+            FaultPlan.parse("treeadd=crash-pool")
 
     def test_parse_fault_plan_passthrough(self):
         assert parse_fault_plan(None) is None

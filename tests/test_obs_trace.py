@@ -99,5 +99,5 @@ def test_lane_metadata_names_and_sort_indices():
     sorts = {e["tid"]: e["args"]["sort_index"]
              for e in events if e["name"] == "thread_sort_index"}
     assert names == {1: "core", 2: "mem", 3: "prefetch", 4: "phase",
-                     5: "profile", 6: "service"}
+                     5: "profile"}
     assert sorts == {tid: tid for tid in names}

@@ -1,10 +1,11 @@
-"""Scheduler layer: sharding, backend resolution, plan-order assembly.
+"""Scheduler layer: backend resolution, backend parity, plan-order
+assembly.
 
-The refactor's core guarantee is that *assembly is a function of the
-plan, not of the backend*: whatever order results arrive in — serial,
-process pool, or a sweep service interleaving many pools — the
-assembled tables are bit-identical.  The hypothesis property here
-drives that directly by completing cells in arbitrary interleavings.
+The core guarantee is that *assembly is a function of the plan, not of
+the backend*: whatever order results arrive in — serial or from a
+process pool — the assembled tables are bit-identical.  The hypothesis
+property here drives that directly by completing cells in arbitrary
+interleavings.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from hypothesis import strategies as st
 
 from repro import small_config
 from repro.harness import (
-    BACKENDS,
-    BackendError,
     RunSpec,
     Scheduler,
     SweepExecutor,
@@ -51,31 +50,6 @@ def _specs(cfg) -> list[RunSpec]:
     ]
 
 
-class TestShard:
-    def test_round_robin_deterministic_and_balanced(self, cfg):
-        specs = [
-            RunSpec.make("treeadd", "baseline", "none", cfg, {"levels": n})
-            for n in range(10)
-        ]
-        shards = Scheduler.shard(specs, 3)
-        assert [len(s) for s in shards] == [4, 3, 3]
-        # Disjoint cover, relative order preserved inside each shard.
-        assert sorted(sum(shards, []), key=specs.index) == specs
-        for shard in shards:
-            assert shard == sorted(shard, key=specs.index)
-        # Pure function of the input order.
-        assert Scheduler.shard(specs, 3) == shards
-
-    def test_more_shards_than_specs(self, cfg):
-        specs = _specs(cfg)[:2]
-        shards = Scheduler.shard(specs, 5)
-        assert [len(s) for s in shards] == [1, 1, 0, 0, 0]
-
-    def test_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            Scheduler.shard([], 0)
-
-
 class TestBackendResolution:
     def test_implicit_serial_for_one_job(self):
         sched = Scheduler(jobs=1)
@@ -89,22 +63,10 @@ class TestBackendResolution:
         sched = Scheduler(jobs=4)
         assert isinstance(sched._resolve_backend([1, 2]), ProcessPoolBackend)
 
-    def test_explicit_backend_name_wins(self):
-        sched = Scheduler(jobs=4, backend="serial")
-        assert isinstance(sched._resolve_backend([1, 2]), SerialBackend)
-
     def test_explicit_instance_wins(self):
         backend = SerialBackend()
         sched = Scheduler(jobs=4, backend=backend)
         assert sched._resolve_backend([1, 2]) is backend
-
-    def test_process_pool_alias(self):
-        assert BACKENDS.get("process-pool") is ProcessPoolBackend
-
-    def test_unknown_backend_raises(self):
-        sched = Scheduler(backend="no-such-backend")
-        with pytest.raises(BackendError):
-            sched._resolve_backend([1, 2])
 
     def test_jobs_zero_auto_detects(self):
         assert Scheduler(jobs=0).jobs == detect_cpus()
@@ -138,11 +100,37 @@ class TestDispatchTables:
         assert config_id(cfg) != config_id(cfg.perfect())
 
 
+class TestBackendParity:
+    def test_two_backends_bit_identical(self, cfg):
+        """The golden check: serial and process-pool execution of the
+        same cells produce bit-identical full results."""
+        specs = _specs(cfg)[:3]
+        serial = SweepExecutor(jobs=1).execute(specs)
+        pooled = SweepExecutor(jobs=2).execute(specs)
+        for spec in specs:
+            assert pooled[spec].ok
+            assert pooled[spec].result.to_dict() == \
+                serial[spec].result.to_dict()
+
+    def test_worker_error_comes_back_as_error_cell(self, cfg):
+        """An unknown engine fails inside a pool worker; the sweep
+        returns an error cell for it instead of raising."""
+        good = _specs(cfg)[0]
+        bad = RunSpec.make("treeadd", "baseline", "no-such-engine", cfg,
+                           SMALL["treeadd"])
+        sched = SweepExecutor(jobs=2)
+        assert isinstance(sched._resolve_backend([good, bad]),
+                          ProcessPoolBackend)
+        cells = sched.execute([good, bad])
+        assert cells[good].ok
+        assert not cells[bad].ok
+        assert "no-such-engine" in cells[bad].error
+        assert sched.stats()["failures"] == 1
+
+
 class _ReplayBackend(WorkerBackend):
     """Completes precomputed cell outcomes in a chosen arrival order —
     the backend-side adversary for the assembly-determinism property."""
-
-    name = "replay"
 
     def __init__(self, outs, order):
         self.outs = outs
