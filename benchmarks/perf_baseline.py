@@ -70,19 +70,13 @@ REPS = 3
 SPEEDUP_TARGET = 1.3
 
 
-def _time_single(
-    name: str,
-    engine: str,
-    cfg,
-    params: dict | None = None,
-    sim_engine: str | None = None,
-) -> dict:
+def _time_single(name: str, engine: str, cfg, params: dict | None = None) -> dict:
     program = get_workload(name, **(params or {})).build("baseline").program
     best = float("inf")
     result = None
     for __ in range(REPS):
         t0 = time.perf_counter()
-        result = simulate(program, cfg, engine=engine, sim_engine=sim_engine)
+        result = simulate(program, cfg, engine=engine)
         best = min(best, time.perf_counter() - t0)
     return {
         "seconds": round(best, 3),
@@ -116,28 +110,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = small_config()
         params = {n: small_params(n) for n in SWEEP_BENCHMARKS}
 
-        # Test-size throughput, table vs the block-compiled fast path.
-        # Absolute insts/s is box-dependent (generous bench-diff
-        # tolerance required); ``fused_speedup`` is a same-box,
-        # same-run ratio and therefore a portable lower-bound gate.
+        # Test-size throughput.  Absolute insts/s is box-dependent
+        # (generous bench-diff tolerance required); cycles and
+        # instructions are exact.
         report["quick_single_runs"] = {}
         for name, engine in SINGLE_RUNS:
             key = f"{name}/{engine}"
-            p = small_params(name)
-            table = _time_single(name, engine, cfg, p, sim_engine="table")
-            fused = _time_single(name, engine, cfg, p, sim_engine="compiled")
-            assert fused["cycles"] == table["cycles"], (
-                f"{key}: compiled engine simulated {fused['cycles']} cycles, "
-                f"table engine {table['cycles']} — the fast path diverged"
-            )
-            row = dict(fused)
-            row["fused_speedup"] = round(
-                table["seconds"] / max(fused["seconds"], 1e-9), 2
-            )
+            row = _time_single(name, engine, cfg, small_params(name))
             report["quick_single_runs"][key] = row
-            print(f"{key} (quick): {fused['seconds']}s compiled "
-                  f"({row['sim_insts_per_sec']:,} sim insts/s, "
-                  f"{row['fused_speedup']}x vs table)")
+            print(f"{key} (quick): {row['seconds']}s "
+                  f"({row['sim_insts_per_sec']:,} sim insts/s)")
     else:
         cfg = bench_config()
         params = None

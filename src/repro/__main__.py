@@ -88,7 +88,7 @@ from .obs import (
     hot_site_rows,
     latency_rows,
 )
-from .isa.engines import SIM_ENGINE_ENV, SIM_ENGINES
+from .isa.engines import SIM_ENGINE_ENV, SIM_ENGINES, default_sim_engine
 from .prefetch.engines import ENGINES
 from .workloads import workload_class
 
@@ -710,9 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--engine", default=None, metavar="NAME",
                         choices=SIM_ENGINES.names(),
                         help="simulation engine executing every cell "
-                             "(table/reference/compiled; bit-identical "
-                             "results, different speed). Equivalent to "
-                             "setting $REPRO_SIM_ENGINE")
+                             "(table/reference; bit-identical results, "
+                             "different speed). Equivalent to setting "
+                             "$REPRO_SIM_ENGINE")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lst = sub.add_parser("list", help="list the experiment-axis registries")
@@ -953,6 +953,9 @@ def main(argv: list[str] | None = None) -> int:
         # default (harness workers inherit it), so the flag just sets it.
         os.environ[SIM_ENGINE_ENV] = args.engine
     try:
+        # A stale $REPRO_SIM_ENGINE is a usage error: report it before
+        # any cell runs rather than from deep inside the first one.
+        default_sim_engine()
         if args.command == "list":
             return cmd_list(args)
         if args.command == "run":

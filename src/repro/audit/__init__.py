@@ -30,7 +30,6 @@ from .diff import (
     Divergence,
     FieldDiff,
     ReferenceInterpreter,
-    diff_all_engines,
     diff_commit_streams,
     diff_results,
     reference_simulate,
@@ -77,7 +76,6 @@ __all__ = [
     "compare_benchmarks",
     "corrupt_mshr_tracker",
     "corrupt_outcome_tracker",
-    "diff_all_engines",
     "diff_commit_streams",
     "diff_results",
     "differential_check",

@@ -258,22 +258,15 @@ _SENTINEL = object()
 
 
 def diff_commit_streams(
-    program: Program,
-    max_steps: int | None = None,
-    interpreter_factory=None,
+    program: Program, max_steps: int | None = None
 ) -> Divergence | None:
-    """Run a candidate interpreter and the reference in lockstep.
+    """Run the decode-table and reference interpreters in lockstep.
 
-    The candidate defaults to the decode-table :class:`Interpreter`;
-    pass any drop-in factory (e.g. the block-JIT
-    :class:`~repro.isa.blockjit.CompiledInterpreter`) to pin another
-    execution engine against the same independently written semantics.
     Returns None when the committed-instruction streams and the final
     architectural state (registers, memory, step count) are
     bit-identical, else the first :class:`Divergence`.
     """
-    make = interpreter_factory or Interpreter
-    fast = make(program, max_steps=max_steps)
+    fast = Interpreter(program, max_steps=max_steps)
     ref = ReferenceInterpreter(program, max_steps=max_steps)
     fast_stream = fast.run()
     ref_stream = ref.run()
@@ -310,27 +303,6 @@ def diff_commit_streams(
     if fast.steps != ref.steps:
         return Divergence(index, "steps", fast.steps, ref.steps)
     return None
-
-
-def diff_all_engines(
-    program: Program, max_steps: int | None = None
-) -> dict[str, "Divergence | None"]:
-    """Lockstep-diff every registered simulation engine vs the reference.
-
-    One :func:`diff_commit_streams` per non-reference entry of
-    :data:`repro.isa.engines.SIM_ENGINES`, keyed by engine name — the
-    single check that pins the table interpreter *and* the block-JIT
-    fast path to the reference semantics at once.
-    """
-    from ..isa.engines import SIM_ENGINES
-
-    return {
-        name: diff_commit_streams(
-            program, max_steps=max_steps, interpreter_factory=se.factory()
-        )
-        for name, se in SIM_ENGINES.items()
-        if name != "reference"
-    }
 
 
 # ----------------------------------------------------------------------

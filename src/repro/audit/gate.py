@@ -35,7 +35,7 @@ from ..harness.runner import BenchmarkRunner
 from ..harness.schemes import scheme_names, scheme_plan
 from ..obs import Telemetry
 from ..workloads import get_workload, workload_class, workload_names
-from .diff import Divergence, diff_all_engines, diff_results, reference_simulate
+from .diff import diff_commit_streams, diff_results, reference_simulate
 from .invariants import Auditor, corrupt_mshr_tracker, corrupt_outcome_tracker
 
 #: Default golden pin file (the repo's timing contract).
@@ -175,13 +175,12 @@ def differential_check(
     """Engine vs reference-path diff for every golden-pinned cell.
 
     Every distinct program variant in the golden file gets a lockstep
-    committed-instruction stream diff for *each* registered simulation
-    engine (table interpreter and block-compiled fast path alike); the
-    first ``full_stats_sample`` cells also re-run the complete timing
-    simulation with the reference interpreter and with the fused
-    compiled engine, diffing the resulting stats field-by-field against
-    the table run.  ``mshr_model`` overrides the machine's MSHR model
-    for the stats sample (the commit-stream diff is architectural and
+    committed-instruction stream diff of the table interpreter against
+    the reference; the first ``full_stats_sample`` cells also re-run the
+    complete timing simulation with the reference interpreter, diffing
+    the resulting stats field-by-field against the table run.
+    ``mshr_model`` overrides the machine's MSHR model for the stats
+    sample (the commit-stream diff is architectural and
     timing-independent).  Returns one row per cell; ``ok`` is False on
     any divergence.
     """
@@ -192,33 +191,24 @@ def differential_check(
     sampled = 0
     for name, variant, params, label in _golden_cells(load_golden(golden_path)):
         program = get_workload(name, **params).build(variant).program
-        divergence: Divergence | None = None
-        div_engine = ""
-        for ename, div in diff_all_engines(program, max_steps=max_steps).items():
-            if div is not None:
-                divergence, div_engine = div, ename
-                break
+        divergence = diff_commit_streams(program, max_steps=max_steps)
         stat_diffs = []
         mode = "stream"
         if divergence is None and sampled < full_stats_sample:
             sampled += 1
             mode = "stream+stats"
-            fast = simulate(program, cfg, engine="none", max_steps=max_steps)
+            fast = simulate(program, cfg, engine="none", max_steps=max_steps,
+                            sim_engine="table")
             ref = reference_simulate(
                 program, cfg, engine="none", max_steps=max_steps
             )
             stat_diffs = diff_results(fast, ref, ignore=("telemetry",))
-            fused = simulate(program, cfg, engine="none", max_steps=max_steps,
-                             sim_engine="compiled")
-            stat_diffs += diff_results(fast, fused, ignore=("telemetry",))
         rows.append({
             "cell": label,
             "variant": variant,
             "mode": mode,
             "ok": divergence is None and not stat_diffs,
-            "divergence": (
-                f"[{div_engine}] {divergence.describe()}" if divergence else "-"
-            ),
+            "divergence": divergence.describe() if divergence else "-",
             "stat_diffs": [
                 f"{d.path}: {d.a!r} != {d.b!r}" for d in stat_diffs[:8]
             ],

@@ -44,8 +44,8 @@ def simulate(
     profile lands in ``SimResult.profile``); ``interpreter_factory``
     substitutes the functional interpreter (the differential validator
     passes :class:`repro.audit.diff.ReferenceInterpreter` here);
-    ``sim_engine`` selects the execution implementation by registry name
-    (``table``/``reference``/``compiled``, :mod:`repro.isa.engines`) —
+    ``sim_engine`` selects the functional interpreter by registry name
+    (``table``/``reference``, :mod:`repro.isa.engines`) —
     ``None`` defers to ``$REPRO_SIM_ENGINE`` and then the ``table``
     default, and every engine is bit-identical."""
     cfg = cfg or MachineConfig()

@@ -88,28 +88,20 @@ class TimingModel:
     ) -> None:
         self.attribute_stalls = attribute_stalls
         self.auditor = audit
-        self._interpreter_factory = interpreter_factory
         if profile is None and attribute_stalls:
             from ..obs.profile import Profiler
 
             profile = Profiler()
         self.profiler = profile
-        # Simulation-engine dispatch: ``table``/``reference``/``compiled``
-        # (or $REPRO_SIM_ENGINE when unset) pick how the program executes;
-        # results are bit-identical either way.  The fused fast path only
-        # engages when nothing observes per-instruction state and the
-        # caller has not substituted its own interpreter.
+        # Simulation-engine dispatch: ``table``/``reference`` (or
+        # $REPRO_SIM_ENGINE when unset) pick the functional interpreter;
+        # results are bit-identical either way.  An explicit
+        # ``interpreter_factory`` wins over the engine.
         se = resolve_sim_engine(sim_engine)
         self.sim_engine = se.name
-        self._fused = (
-            se.fused
-            and interpreter_factory is None
-            and telemetry is None
-            and audit is None
-            and self.profiler is None
+        self._interpreter_factory = (
+            interpreter_factory or se.factory() or Interpreter
         )
-        if not self._fused and interpreter_factory is None and se.name != "table":
-            self._interpreter_factory = se.factory()
         self.program = program
         self.cfg = cfg
         self.telemetry = telemetry
@@ -220,11 +212,6 @@ class TimingModel:
         return meta
 
     def run(self) -> SimResult:
-        if self._fused:
-            # Import here: repro.cpu.compiled imports this module.
-            from .compiled import run_compiled
-
-            return run_compiled(self)
         cfg = self.cfg
         engine = self.engine
         hierarchy = self.hierarchy
@@ -232,8 +219,9 @@ class TimingModel:
         bpred = self.bpred
         fu_cfg = cfg.func_units
 
-        make_interp = self._interpreter_factory or Interpreter
-        interp = make_interp(self.program, max_steps=self._max_steps)
+        interp = self._interpreter_factory(
+            self.program, max_steps=self._max_steps
+        )
 
         auditor = self.auditor
         audit_every = 0

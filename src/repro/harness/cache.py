@@ -8,7 +8,7 @@ SHA-256 key over the *complete* set of inputs that determine its outcome:
   overrides from experiment spec files just like hand-built configs,
 * the workload name, its parameters, and the program variant,
 * the prefetch engine name,
-* the simulation-engine name (``table``/``reference``/``compiled``) —
+* the simulation-engine name (``table``/``reference``) —
   engines are bit-identical, but the key stays honest about which
   implementation produced an entry,
 * a fingerprint of the simulator source code (every ``.py`` file in the

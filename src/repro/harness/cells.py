@@ -80,8 +80,7 @@ class RunSpec:
     a ``sim`` cell: the serialized metric registry and per-prefetch
     outcome counts ride along in ``SimResult.telemetry`` (and into the
     result cache — the flag is part of the cache key, like ``profile``).
-    Cycle counts are unaffected: a telemetry-attached run only forgoes
-    the fused compiled fast path, which is bit-identical anyway.
+    Cycle counts are unaffected: telemetry is a pure observer.
     """
 
     benchmark: str

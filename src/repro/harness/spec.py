@@ -22,7 +22,7 @@ Spec documents have this shape (TOML shown; JSON is isomorphic)::
     machine = "bench"                # a repro.config.MACHINES name
     # overrides = {"dl1.size" = 16384}   # dotted-path machine tweaks
     # profile = true                 # CPI-stack profiler on every timing cell
-    # engine = "compiled"            # simulation engine (table/reference/compiled)
+    # engine = "reference"           # simulation engine (table/reference)
 
     workloads = ["health"]           # strings or [[workloads]] tables
     schemes = ["base", "software", "cooperative", "hardware", "dbp"]
@@ -274,7 +274,7 @@ class ExperimentSpec:
     cell's CPI stack / hot-site table rides into the result cache with
     its ``SimResult`` (``profile = true`` in the spec file)."""
     engine: str = ""
-    """Simulation engine executing every cell (``engine = "compiled"``
+    """Simulation engine executing every cell (``engine = "reference"``
     in the spec file): a :data:`repro.isa.engines.SIM_ENGINES` name, or
     empty to defer to ``$REPRO_SIM_ENGINE`` / the ``table`` default.
     Orthogonal to ``schemes`` (which pick *prefetch* engines) — every

@@ -2,29 +2,22 @@
 
 Orthogonal to the *prefetch*-engine axis (``repro.prefetch.engines``),
 which selects the scheme being studied, this registry selects the
-*implementation* that produces the numbers.  Every entry is required to
-be bit-identical to every other — same commit stream, same cycle counts,
-same stats — so the choice is purely a speed/validation trade-off:
+functional interpreter that feeds the one timing loop,
+:meth:`~repro.cpu.timing.TimingModel.run`.  Both entries must be
+bit-identical — same commit stream, same cycle counts, same stats — so
+the choice is purely a speed/validation trade-off:
 
-* ``table`` — the decode-table functional interpreter driving the plain
-  :class:`~repro.cpu.timing.TimingModel` loop (the historical default).
+* ``table`` — the decode-table :class:`~repro.isa.interpreter.Interpreter`
+  (the default).
 * ``reference`` — the naive per-opcode interpreter from
-  :mod:`repro.audit.diff` under the same timing loop; slow, exists to
-  give differential validation an independently written semantics.
-* ``compiled`` — the block-compiled fast path: hot basic blocks are
-  fused into generated Python superinstructions executing functional
-  *and* timing semantics with locals-bound state
-  (:mod:`repro.cpu.compiled`), falling back to the table interpreter for
-  cold code and observed runs.
+  :mod:`repro.audit.diff`; slow, exists to give differential validation
+  an independently written semantics.
 
 ``REPRO_SIM_ENGINE`` overrides the default for anything that does not
-pass an explicit engine (CLI runs, sweeps, tests), which is how CI pins
-a whole golden-variant sweep to ``compiled`` without touching call
-sites.
+pass an explicit engine (CLI runs, sweeps, tests).
 
-The loaders are deferred: ``reference`` lives in the audit package and
-``compiled`` imports the timing model, so resolving them at import time
-would cycle.
+The ``reference`` loader is deferred: it lives in the audit package,
+which imports the simulator, so resolving it at import time would cycle.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..errors import ReproError
+from ..errors import ConfigError
 from ..registry import Registry
 
 #: Environment override consulted when no explicit engine is requested.
@@ -49,15 +42,11 @@ class SimEngine:
 
     ``factory`` returns the ``interpreter_factory`` to hand the timing
     model (``None`` means its built-in decode-table interpreter).
-    ``fused`` marks engines that can replace the whole timing loop when
-    no observer (telemetry/auditor/profiler) needs per-instruction
-    hooks.
     """
 
     name: str
     description: str
     factory: Callable[[], Any]
-    fused: bool = False
 
 
 def _table_factory() -> Any:
@@ -70,28 +59,16 @@ def _reference_factory() -> Any:
     return ReferenceInterpreter
 
 
-def _compiled_factory() -> Any:
-    from .blockjit import CompiledInterpreter
-
-    return CompiledInterpreter
-
-
 SIM_ENGINES: Registry[SimEngine] = Registry("simulation engine")
 SIM_ENGINES.register("table", SimEngine(
     "table",
-    "decode-table functional interpreter under the plain timing loop",
+    "decode-table functional interpreter (default)",
     _table_factory,
 ))
 SIM_ENGINES.register("reference", SimEngine(
     "reference",
     "independent per-opcode reference interpreter (slow; validation)",
     _reference_factory,
-))
-SIM_ENGINES.register("compiled", SimEngine(
-    "compiled",
-    "block-compiled fused fast path (bit-identical, fastest)",
-    _compiled_factory,
-    fused=True,
 ))
 
 
@@ -101,7 +78,7 @@ def default_sim_engine() -> str:
     if not name:
         return DEFAULT_SIM_ENGINE
     if name not in SIM_ENGINES:
-        raise ReproError(
+        raise ConfigError(
             f"${SIM_ENGINE_ENV}={name!r} is not a simulation engine; "
             f"available: {SIM_ENGINES.names()}"
         )

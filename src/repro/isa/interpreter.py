@@ -80,32 +80,9 @@ _DecodedInst = tuple[
 ]
 
 
-def decode_memo(program: Program, key) -> dict:
-    """Keyed per-program decode/compile cache slot for ``key``.
-
-    Every consumer of predigested program forms — the decode-table
-    interpreter (key ``"table"``), the block-JIT's per-block code objects
-    (key ``("blockjit", max_block)``), the fused timing blocks (key
-    ``("fused", signature)``) — memoizes under its own key so two engine
-    kinds can never alias each other's decodings after a hot-swap.  The
-    whole memo is invalidated when the program's instruction count
-    changes (the pre-existing staleness guard, now shared by every key).
-    """
-    n = len(program.instructions)
-    memo = getattr(program, "_decode_memo", None)
-    if memo is None or memo.get("_n") != n:
-        memo = {"_n": n}
-        try:
-            program._decode_memo = memo
-        except AttributeError:  # pragma: no cover - slotted Program
-            return {}
-    return memo.setdefault(key, {})
-
-
 def decode_program(program: Program) -> list[_DecodedInst]:
     """Predigest ``program`` for the dispatch loop (memoized per program)."""
-    slot = decode_memo(program, "table")
-    cached = slot.get("decoded")
+    cached = getattr(program, "_decoded_insts", None)
     if cached is not None and len(cached) == len(program.instructions):
         return cached
     decoded = []
@@ -120,7 +97,10 @@ def decode_program(program: Program) -> list[_DecodedInst]:
             (hid, inst.rd, inst.rs1, inst.rs2, inst.imm, inst.target,
              clears, inst)
         )
-    slot["decoded"] = decoded
+    try:
+        program._decoded_insts = decoded
+    except AttributeError:  # pragma: no cover - slotted Program
+        pass
     return decoded
 
 

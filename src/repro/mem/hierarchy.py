@@ -47,9 +47,7 @@ mshr_model=coalescing``):
 
 The instruction side keeps the blocking model throughout (I-fetch misses
 do not coalesce into data MSHRs).  Every model shares the same L1-hit
-path, so the block-compiled engine's inlined hit fast path
-(:mod:`repro.cpu.compiled`) stays bit-identical to the table engine under
-every model; all model-specific behavior lives on the miss/merge paths.
+path; all model-specific behavior lives on the miss/merge paths.
 
 MSHR bookkeeping is audited (:meth:`MemoryHierarchy.audit_check`):
 ``allocated == retired + outstanding``, target-list conservation,
@@ -337,8 +335,7 @@ class MemoryHierarchy:
         primary miss issued at ``now`` (retiring entries whose fills have
         completed), recording the demand-priority and first-beat times
         :meth:`_l2_path` just computed.  Only ever called on miss paths —
-        never on L1 hits — so the table- and block-compiled engines see
-        identical bookkeeping."""
+        never on L1 hits."""
         st = self.stats
         entries = self._mshr_entries
         if entries:
@@ -604,14 +601,11 @@ class MemoryHierarchy:
                                line=line, lds=lds)
                 trace.instant("fill", ready, cat="mem", line=line)
         self._fill_l1(addr, dirty=write)
-        inflight_map = self._inflight
-        inflight_map[line] = ready
-        if len(inflight_map) > 4096:
-            # In place (not rebound): the block-compiled fast path holds a
-            # direct reference to this dict across the whole run.
-            live = [(ln, rt) for ln, rt in inflight_map.items() if rt > time]
-            inflight_map.clear()
-            inflight_map.update(live)
+        self._inflight[line] = ready
+        if len(self._inflight) > 4096:
+            self._inflight = {
+                ln: rt for ln, rt in self._inflight.items() if rt > time
+            }
         if st.miss_intervals is not None and not write:
             st.miss_intervals.append((time, ret))
         return ret

@@ -126,6 +126,16 @@ def test_run_spec_bad_file_is_clean_error(tmp_path):
               "--journal", str(tmp_path / "j.jsonl")])
 
 
+def test_unknown_env_sim_engine_is_clean_error(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "treeadd", "--small"])
+    message = str(exc.value.code)
+    assert message.startswith("error:")
+    assert "'compiled'" in message
+    assert "'table'" in message and "'reference'" in message
+
+
 def test_stats_text(capsys):
     assert main(["stats", "health", "--small", "--scheme", "hardware"]) == 0
     out = capsys.readouterr().out

@@ -128,7 +128,7 @@ class TestDescribeRegistries:
         assert desc["machines"] == ["table2", "bench", "small"]
         assert desc["schemes"] == scheme_names()  # full registry, zoo too
         assert "software" in desc["engines"]
-        assert desc["sim_engines"] == ["table", "reference", "compiled"]
+        assert desc["sim_engines"] == ["table", "reference"]
         assert desc["mshr_models"] == ["blocking", "coalescing", "full"]
         assert desc["workloads"] == sorted(desc["workloads"])
         assert "health" in desc["workloads"]

@@ -1,4 +1,4 @@
-"""The scheme zoo: engine behavior, bounded memory, 3-engine lockstep.
+"""The scheme zoo: engine behavior, bounded memory, sim-engine lockstep.
 
 Three layers of coverage for the four zoo engines (pointer-chase,
 stride, cdp, foresight):
@@ -10,12 +10,10 @@ stride, cdp, foresight):
   through each engine's hooks must leave every per-address structure
   under its declared capacity (the PR-5 ``_recent_chase`` failure mode,
   now guarded by :class:`repro.prefetch.bounded.BoundedClockMap`);
-* simulation-engine lockstep — table, reference, and compiled timing
-  must stay bit-identical with each zoo engine attached (the same
-  property :mod:`tests.test_blockjit` pins for the paper's engines).
+* simulation-engine lockstep — table and reference timing must stay
+  bit-identical with each zoo engine attached (the same property
+  :mod:`tests.test_sim_engines` pins for the paper's engines).
 """
-
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -331,21 +329,8 @@ class TestBoundedMemoryFlood:
 
 
 # ----------------------------------------------------------------------
-# Three-simulation-engine lockstep with each zoo engine attached
+# Table-vs-reference lockstep with each zoo engine attached
 # ----------------------------------------------------------------------
-
-@pytest.fixture(autouse=True, scope="module")
-def _compile_everything():
-    """Force block compilation on first touch so the compiled paths of
-    short property programs are actually exercised."""
-    old = os.environ.get("REPRO_JIT_THRESHOLD")
-    os.environ["REPRO_JIT_THRESHOLD"] = "1"
-    yield
-    if old is None:
-        os.environ.pop("REPRO_JIT_THRESHOLD", None)
-    else:
-        os.environ["REPRO_JIT_THRESHOLD"] = old
-
 
 def _mixed_program(n_nodes, arr_passes, seed):
     """Array sweep (feeds stride) + double list walk (feeds the pointer
