@@ -93,6 +93,13 @@ DEFAULT_RULES: tuple[BenchRule, ...] = (
     BenchRule("bytes_ratio", "exact"),
     BenchRule("*us_per_cell", "lower"),
     BenchRule("speedup", "higher", 0.5),
+    # Layer-budget reports (BENCH_LAYERS): isa is timed directly and cpu
+    # is the difference of two large runs, so both gate like wall-clock.
+    # mem and prefetch are differences of near-equal runs on the
+    # compute-bound kernels and are noise-dominated there: report only.
+    BenchRule("isa_ns_per_inst", "lower"),
+    BenchRule("cpu_ns_per_inst", "lower"),
+    BenchRule("*ns_per_inst", "info"),
 )
 
 

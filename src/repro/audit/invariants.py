@@ -159,7 +159,14 @@ class Auditor:
         lsq=None,
         issued_at=None,
     ) -> None:
-        """Periodic sweep: core-loop structures plus every component."""
+        """Periodic sweep: core-loop structures plus every component.
+
+        ``rob``/``lsq`` hold the commit cycles of the instructions (memory
+        instructions) in flight when the latest one dispatched.
+        ``TimingModel`` draws them from its ``window``/``lsq_entries``
+        rings, so these checks guard the ring sizing; they are not an
+        independent proof that dispatch honours the window.
+        """
         self.checks += 1
         telemetry = getattr(self._model, "telemetry", None)
         if telemetry is not None:

@@ -23,28 +23,6 @@ class BranchStats:
         return self.cond_mispredicts / self.cond_branches
 
 
-class _CounterTable:
-    """Array of saturating 2-bit counters, initialized weakly taken."""
-
-    __slots__ = ("_table", "_mask")
-
-    def __init__(self, entries: int) -> None:
-        self._table = [2] * entries
-        self._mask = entries - 1
-
-    def lookup(self, index: int) -> bool:
-        return self._table[index & self._mask] >= 2
-
-    def update(self, index: int, taken: bool) -> None:
-        i = index & self._mask
-        c = self._table[i]
-        if taken:
-            if c < 3:
-                self._table[i] = c + 1
-        elif c > 0:
-            self._table[i] = c - 1
-
-
 class BranchPredictor:
     """See module docstring.
 
@@ -52,42 +30,42 @@ class BranchPredictor:
     fetch time with the *actual* outcome; the predictor returns whether its
     prediction was correct and trains itself, so prediction accuracy is
     modelled without simulating wrong-path instructions.
+
+    The three direction tables are plain lists of saturating 2-bit
+    counters (initialized weakly taken, >= 2 predicts taken); each BTB set
+    is a dict kept in LRU order, oldest entry first.
     """
 
     def __init__(self, cfg: BranchPredConfig) -> None:
         self.cfg = cfg
         self.stats = BranchStats()
-        self._bimodal = _CounterTable(cfg.bimodal_entries)
-        self._gshare = _CounterTable(cfg.gshare_entries)
-        self._meta = _CounterTable(cfg.meta_entries)
+        self._bimodal = [2] * cfg.bimodal_entries
+        self._gshare = [2] * cfg.gshare_entries
+        self._meta = [2] * cfg.meta_entries
+        self._bimodal_mask = cfg.bimodal_entries - 1
+        self._gshare_mask = cfg.gshare_entries - 1
+        self._meta_mask = cfg.meta_entries - 1
         self._history = 0
         self._history_mask = (1 << cfg.history_bits) - 1
-        self._btb: dict[int, dict[int, tuple[int, int]]] = {}
         self._btb_sets = cfg.btb_entries // cfg.btb_assoc
-        self._btb_seq = 0
+        self._btb: list[dict[int, int]] = [{} for __ in range(self._btb_sets)]
+        self._btb_assoc = cfg.btb_assoc
         self._ras: list[int] = []
 
     # ------------------------------------------------------------------
     # BTB
     # ------------------------------------------------------------------
 
-    def _btb_lookup(self, pc: int) -> int | None:
-        s = self._btb.get(pc % self._btb_sets)
-        if s and pc in s:
-            target, __ = s[pc]
-            self._btb_seq += 1
-            s[pc] = (target, self._btb_seq)
-            return target
-        return None
-
-    def _btb_insert(self, pc: int, target: int) -> None:
-        idx = pc % self._btb_sets
-        s = self._btb.setdefault(idx, {})
-        self._btb_seq += 1
-        if pc not in s and len(s) >= self.cfg.btb_assoc:
-            victim = min(s, key=lambda k: s[k][1])
-            del s[victim]
-        s[pc] = (target, self._btb_seq)
+    def _btb_access(self, pc: int, target: int) -> bool:
+        """Look ``pc`` up and install ``target`` as its most recent entry
+        (evicting the set's least recently used one if full); True if the
+        BTB already held ``target`` for ``pc``."""
+        s = self._btb[pc % self._btb_sets]
+        old = s.pop(pc, None)
+        if old is None and len(s) >= self._btb_assoc:
+            del s[next(iter(s))]
+        s[pc] = target
+        return old == target
 
     # ------------------------------------------------------------------
     # Prediction interfaces (predict + train in one call)
@@ -99,37 +77,52 @@ class BranchPredictor:
         is predicted taken."""
         st = self.stats
         st.cond_branches += 1
-        gidx = pc ^ (self._history << 2)
-        bim = self._bimodal.lookup(pc)
-        gsh = self._gshare.lookup(gidx)
-        use_gshare = self._meta.lookup(pc)
-        prediction = gsh if use_gshare else bim
+        history = self._history
+        bimodal, gshare, meta = self._bimodal, self._gshare, self._meta
+        bi = pc & self._bimodal_mask
+        gi = (pc ^ (history << 2)) & self._gshare_mask
+        b = bimodal[bi]
+        g = gshare[gi]
+        bim = b >= 2
+        gsh = g >= 2
+        mi = pc & self._meta_mask
+        m = meta[mi]
+        prediction = gsh if m >= 2 else bim
         # Train meta toward the component that was right.
         if gsh != bim:
-            self._meta.update(pc, gsh == taken)
-        self._bimodal.update(pc, taken)
-        self._gshare.update(gidx, taken)
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
+            if gsh == taken:
+                if m < 3:
+                    meta[mi] = m + 1
+            elif m > 0:
+                meta[mi] = m - 1
+        if taken:
+            if b < 3:
+                bimodal[bi] = b + 1
+            if g < 3:
+                gshare[gi] = g + 1
+            self._history = ((history << 1) | 1) & self._history_mask
+        else:
+            if b > 0:
+                bimodal[bi] = b - 1
+            if g > 0:
+                gshare[gi] = g - 1
+            self._history = (history << 1) & self._history_mask
 
         correct = prediction == taken
         if not correct:
             st.cond_mispredicts += 1
-        target_known = True
-        if taken:
-            btb_target = self._btb_lookup(pc)
-            target_known = btb_target == target
-            if not target_known:
-                st.btb_misses += 1
-            self._btb_insert(pc, target)
+        if not taken:
+            return correct, True
+        target_known = self._btb_access(pc, target)
+        if not target_known:
+            st.btb_misses += 1
         return correct, target_known
 
     def predict_jump(self, pc: int, target: int) -> bool:
         """Direct jump/call: returns True if the BTB knew the target."""
-        btb_target = self._btb_lookup(pc)
-        known = btb_target == target
+        known = self._btb_access(pc, target)
         if not known:
             self.stats.btb_misses += 1
-        self._btb_insert(pc, target)
         return known
 
     def on_call(self, return_pc: int) -> None:

@@ -24,10 +24,11 @@ by the redirect penalty); see DESIGN.md for the substitution note.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapreplace
 
 from ..config import MachineConfig
 from ..isa.engines import resolve_sim_engine
-from ..isa.instruction import Instruction
+from ..isa.instruction import TEXT_BASE
 from ..isa.interpreter import Interpreter
 from ..isa.opcodes import FU_CLASS, FuClass, Op
 from ..isa.program import Program
@@ -52,11 +53,24 @@ def periodic_due(n_committed: int, interval: int) -> bool:
     """True on every ``interval``-th commit, and never at commit zero.
 
     ``n % interval == 0`` alone is truthy at ``n == 0``, which made the
-    periodic maintenance hook fire before the first commit; every
-    every-N-commits check (the ``issued_at`` prune, the audit cadence)
-    goes through this predicate or an inline copy of it.
+    periodic maintenance hook fire before the first commit.  The timing
+    loop precomputes its due points with :func:`_next_periodic`, which
+    must agree with this predicate.
     """
     return bool(n_committed) and n_committed % interval == 0
+
+
+def _next_periodic(n_committed: int, audit_every: int) -> int:
+    """The first commit count after ``n_committed`` at which the timing
+    loop's periodic work is due: an ``issued_at`` prune check or (when
+    ``audit_every`` is non-zero) an audit sweep.  Never zero, matching
+    :func:`periodic_due`."""
+    due = (n_committed // _ISSUED_AT_PRUNE_INTERVAL + 1) * _ISSUED_AT_PRUNE_INTERVAL
+    if audit_every:
+        audit_due = (n_committed // audit_every + 1) * audit_every
+        if audit_due < due:
+            due = audit_due
+    return due
 
 
 def heap_range(heap_base: int) -> tuple[int, int]:
@@ -131,23 +145,28 @@ class TimingModel:
 
     # ------------------------------------------------------------------
 
-    # Execute-stage categories (meta field ``excat``).
-    _EX_LW, _EX_SW, _EX_PF, _EX_ALLOC, _EX_HALT, _EX_OTHER = range(6)
-    # Control-resolution kinds (meta field ``ctl``).
-    _CTL_NONE, _CTL_J, _CTL_JAL, _CTL_JR, _CTL_COND = range(5)
-    # Register-write kinds (meta field ``wrkind``).
+    # Per-instruction kinds (meta field ``kind``), numbered in the order
+    # the hot loop tests them: most frequent first.
+    (_K_ALU, _K_LW, _K_SW, _K_BR, _K_JR, _K_J, _K_JAL, _K_PF, _K_ALLOC,
+     _K_HALT) = range(10)
+    # Register-write kinds (meta field ``wrkind``) of ALU-style writes;
+    # loads write their destination in their own execute branch.
     _WR_NONE, _WR_PLAIN, _WR_ADDI, _WR_ADD = range(4)
+    #: Index of a scoreboard slot no instruction writes: the second
+    #: source of instructions that read only one register.
+    _NO_REG = NUM_REGS
 
     def _instruction_meta(
         self, fu_free: dict, fu_latency: dict, iline_mask: int
     ) -> list[tuple]:
         """Per-static-instruction tuples precomputing everything the hot
-        loop would otherwise re-derive per dynamic instruction: the I-cache
-        line, FU binding, execute/control/write dispatch categories, and
-        the operand fields.  Indexed by ``inst.index``."""
-        text_base = 0x0040_0000
+        loop would otherwise re-derive per dynamic instruction: the kind,
+        I-cache line, FU binding and latencies, and the operand fields.
+        Indexed by ``inst.index``."""
         unpipelined = (FuClass.INT_DIV, FuClass.FP_DIV)
-        no_rs2 = (Op.ADDI, Op.LW, Op.PF, Op.JPF, Op.SW)
+        one_source = (Op.ADDI, Op.LW, Op.PF, Op.JPF, Op.SW)
+        mem_kinds = {Op.LW: self._K_LW, Op.SW: self._K_SW,
+                     Op.PF: self._K_PF, Op.JPF: self._K_PF}
         insts = self.program.instructions
         meta: list[tuple] = [()] * len(insts)
         for si in insts:
@@ -157,57 +176,45 @@ class TimingModel:
             lat = fu_latency.get(fu, 1)
             fu_occ = lat if fu in unpipelined else 1
             cdelta = lat if frees is not None else 1
-            is_mem = op is Op.LW or op is Op.SW or op is Op.PF or op is Op.JPF
-            needs_rs2 = op not in no_rs2
-            if op is Op.LW:
-                excat = self._EX_LW
-            elif op is Op.SW:
-                excat = self._EX_SW
-            elif op is Op.PF or op is Op.JPF:
-                excat = self._EX_PF
+            if op in mem_kinds:
+                kind = mem_kinds[op]
             elif op is Op.ALLOC:
-                excat = self._EX_ALLOC
+                kind = self._K_ALLOC
             elif op is Op.HALT:
-                excat = self._EX_HALT
-            else:
-                excat = self._EX_OTHER
-            if op is Op.JR:
-                ctl = self._CTL_JR
+                kind = self._K_HALT
+            elif op is Op.JR:
+                kind = self._K_JR
             elif si.target is None:
-                ctl = self._CTL_NONE
+                kind = self._K_ALU
             elif op is Op.J:
-                ctl = self._CTL_J
+                kind = self._K_J
             elif op is Op.JAL:
-                ctl = self._CTL_JAL
+                kind = self._K_JAL
             else:
-                ctl = self._CTL_COND
-            if op is Op.LW or op is Op.SW or op is Op.PF or op is Op.JPF:
-                wrkind = self._WR_NONE  # handled by their own excat branches
-            elif si.rd and fu is not FuClass.NONE:
-                if op is Op.ADDI:
-                    wrkind = self._WR_ADDI
-                elif op is Op.ADD:
-                    wrkind = self._WR_ADD
-                else:
-                    wrkind = self._WR_PLAIN
-            else:
+                kind = self._K_BR
+            if op in mem_kinds or not si.rd or fu is FuClass.NONE:
                 wrkind = self._WR_NONE
+            elif op is Op.ADDI:
+                wrkind = self._WR_ADDI
+            elif op is Op.ADD:
+                wrkind = self._WR_ADD
+            else:
+                wrkind = self._WR_PLAIN
             meta[si.index] = (
-                (text_base + 4 * si.index) & iline_mask,  # 0: I-cache line
-                is_mem,                                   # 1
-                needs_rs2,                                # 2
-                frees,                                    # 3: FU scoreboard
-                fu_occ,                                   # 4: FU occupancy
-                cdelta,                                   # 5: issue->complete
-                excat,                                    # 6
-                si.rs1,                                   # 7
-                si.rs2,                                   # 8
-                si.rd,                                    # 9
-                ctl,                                      # 10
-                si.target,                                # 11
-                si.tag == "lds",                          # 12
-                si.index,                                 # 13
-                wrkind,                                   # 14
+                kind,                                     # 0
+                (TEXT_BASE + 4 * si.index) & iline_mask,  # 1: I-cache line
+                op in mem_kinds,                          # 2: holds an LSQ slot
+                si.rs1,                                   # 3
+                self._NO_REG if op in one_source else si.rs2,  # 4: 2nd source
+                frees,                                    # 5: FU free-time heap
+                fu_occ,                                   # 6: FU occupancy
+                cdelta,                                   # 7: issue->complete
+                si.rd,                                    # 8
+                si.rs2,                                   # 9
+                si.target,                                # 10
+                si.tag == "lds",                          # 11
+                si.index,                                 # 12
+                wrkind,                                   # 13
             )
         return meta
 
@@ -215,7 +222,8 @@ class TimingModel:
         cfg = self.cfg
         engine = self.engine
         hierarchy = self.hierarchy
-        timing_mem_store = self.timing_mem.store
+        # Store addresses were alignment-checked by the interpreter.
+        timing_words = self.timing_mem._words
         bpred = self.bpred
         fu_cfg = cfg.func_units
 
@@ -229,20 +237,23 @@ class TimingModel:
             auditor.attach(self)
             audit_every = auditor.interval
 
-        # Register scoreboard and (optional) load provenance.
-        reg_ready = [0] * NUM_REGS
+        # Register scoreboard (plus the never-written ``_NO_REG`` slot)
+        # and (optional) load provenance.
+        reg_ready = [0] * (NUM_REGS + 1)
         track_dataflow = engine.needs_dataflow
         src_pc: list[int | None] = [None] * NUM_REGS
         src_val: list[int | float | None] = [None] * NUM_REGS
         issue_hook = engine.needs_issue_hook
 
-        # Window / LSQ occupancy (commit times of in-flight instructions).
-        rob: deque[int] = deque()
-        lsq: deque[int] = deque()
-        rob_append, rob_popleft = rob.append, rob.popleft
-        lsq_append, lsq_popleft = lsq.append, lsq.popleft
+        # Window / LSQ: commit times of the last ``window`` instructions
+        # (of the last ``lsq_entries`` memory instructions), oldest first.
+        # Zero-filled, so the head is always the entry that must have
+        # committed before the next one dispatches.
         window = cfg.window
         lsq_entries = cfg.lsq_entries
+        rob: deque[int] = deque([0] * window, maxlen=window)
+        lsq: deque[int] = deque([0] * lsq_entries, maxlen=lsq_entries)
+        rob_append, lsq_append = rob.append, lsq.append
 
         # Fetch state.
         fetch_cycle = 0
@@ -250,14 +261,16 @@ class TimingModel:
         fetch_width = cfg.fetch_width
         redirect_floor = 0
         cur_line = -1
-        line_ready = 0
+        redirected_at = -1  # commit index of the last redirected fetch
         iline_mask = ~(cfg.il1.line - 1)
         front = cfg.front_pipeline_depth
         il1_latency = cfg.il1.latency
         inst_fetch = hierarchy.inst_fetch
         data_access = hierarchy.data_access
 
-        # Issue bandwidth and functional units.
+        # Issue bandwidth and functional units.  Each class's units are
+        # interchangeable, so a min-heap of their free times stands in
+        # for "pick the earliest-free unit".
         issue_width = cfg.issue_width
         issued_at: dict[int, int] = {}
         issued_get = issued_at.get
@@ -288,7 +301,6 @@ class TimingModel:
 
         # Commit state.
         last_commit = 0
-        commit_cycle = 0
         commit_count = 0
         commit_width = cfg.commit_width
 
@@ -297,7 +309,7 @@ class TimingModel:
         trace = self.telemetry.trace if self.telemetry is not None else None
 
         # Optional profiler: when detached the hot loop pays only the
-        # ``profiling`` truth checks (same contract as telemetry/audit).
+        # ``profiling`` truth check (same contract as telemetry/audit).
         profiler = self.profiler
         profiling = profiler is not None
         if profiling:
@@ -306,7 +318,6 @@ class TimingModel:
             prof_on_load = profiler.on_load
             prof_on_forward = profiler.on_forward
         load_reason = "load.l1"
-        dep_ready = 0
 
         predict_cond = bpred.predict_cond
         predict_jump = bpred.predict_jump
@@ -320,88 +331,82 @@ class TimingModel:
         n_loads = 0
         n_stores = 0
         n_lds_loads = 0
+        # The commit count at which the periodic work (issued_at prune,
+        # audit sweep) is next due.
+        next_check = _next_periodic(0, audit_every)
 
-        _EX_LW, _EX_SW, _EX_PF = self._EX_LW, self._EX_SW, self._EX_PF
-        _EX_ALLOC, _EX_HALT = self._EX_ALLOC, self._EX_HALT
-        _CTL_J, _CTL_JAL, _CTL_JR, _CTL_COND = (
-            self._CTL_J, self._CTL_JAL, self._CTL_JR, self._CTL_COND
+        _K_ALU, _K_LW, _K_SW, _K_BR = (
+            self._K_ALU, self._K_LW, self._K_SW, self._K_BR
         )
-        _WR_NONE, _WR_ADDI, _WR_ADD = self._WR_NONE, self._WR_ADDI, self._WR_ADD
+        _K_JR, _K_J, _K_JAL, _K_PF, _K_ALLOC = (
+            self._K_JR, self._K_J, self._K_JAL, self._K_PF, self._K_ALLOC
+        )
+        _WR_ADDI, _WR_ADD = self._WR_ADDI, self._WR_ADD
 
         for inst, addr, value, taken in interp.run():
-            (line, is_mem, needs_rs2, frees, fu_occ, cdelta, excat,
-             rs1, rs2, rd, ctl, target, is_lds, idx,
-             wrkind) = meta[inst.index]
+            (kind, line, is_mem, rs1, src2, frees, fu_occ, cdelta, rd, rs2,
+             target, is_lds, idx, wrkind) = meta[inst.index]
 
             # ---------------- fetch ----------------
-            t = fetch_cycle
-            redirected = redirect_floor > t
-            if redirected:
-                t = redirect_floor
-            if line != cur_line:
-                cur_line = line
-                line_ready = inst_fetch(line, t) - il1_latency
-            if line_ready > t:
-                t = line_ready
-            if t > fetch_cycle:
-                fetch_cycle = t
+            # The instruction's fetch time ends up in ``fetch_cycle``.  A
+            # line already being fetched from is ready by ``fetch_cycle``,
+            # so only a redirect or a new line can move the fetch group.
+            if redirect_floor > fetch_cycle or line != cur_line:
+                t = fetch_cycle
+                if redirect_floor > t:
+                    t = redirect_floor
+                    redirected_at = n_committed
+                if line != cur_line:
+                    cur_line = line
+                    t2 = inst_fetch(line, t) - il1_latency
+                    if t2 > t:
+                        t = t2
+                if t > fetch_cycle:
+                    fetch_cycle = t
+                    fetch_count = 0
+            fetch_count += 1
+            if fetch_count > fetch_width:
+                fetch_cycle += 1
                 fetch_count = 1
-            else:
-                fetch_count += 1
-                if fetch_count > fetch_width:
-                    fetch_cycle += 1
-                    fetch_count = 1
-                    t = fetch_cycle
-                    if line_ready > t:  # pragma: no cover - defensive
-                        t = line_ready
-
-            fetch_time = t
 
             # ---------------- dispatch ----------------
-            dispatch = fetch_time + front
-            if len(rob) >= window:
-                head = rob_popleft()
-                if head > dispatch:
-                    dispatch = head
-            if is_mem and len(lsq) >= lsq_entries:
-                head = lsq_popleft()
-                if head > dispatch:
-                    dispatch = head
+            dispatch = fetch_cycle + front
+            t = rob[0]
+            if t > dispatch:
+                dispatch = t
+            if is_mem:
+                t = lsq[0]
+                if t > dispatch:
+                    dispatch = t
 
             # ---------------- operand readiness ----------------
-            ready = dispatch + _DISPATCH_EXTRA
-            r = reg_ready[rs1]
-            if r > ready:
-                ready = r
-            if needs_rs2:
-                r = reg_ready[rs2]
-                if r > ready:
-                    ready = r
             # A store's address generation does not wait for its data; the
             # data register is folded in at completion below.
-            if profiling:
-                dep_ready = ready  # operand readiness before FU/width waits
+            issue = dispatch + _DISPATCH_EXTRA
+            t = reg_ready[rs1]
+            if t > issue:
+                issue = t
+            t = reg_ready[src2]
+            if t > issue:
+                issue = t
+            dep_ready = issue  # operand readiness before FU/width waits
 
             # ---------------- issue (width + FU) ----------------
             if frees is not None:
-                best = 0
-                best_t = frees[0]
-                for k in range(1, len(frees)):
-                    if frees[k] < best_t:
-                        best_t = frees[k]
-                        best = k
-                if best_t > ready:
-                    ready = best_t
-                cnt = issued_get(ready, 0)
-                while cnt >= issue_width:
-                    ready += 1
-                    cnt = issued_get(ready, 0)
-                issued_at[ready] = cnt + 1
-                frees[best] = ready + fu_occ
-            issue = ready
+                t = frees[0]
+                if t > issue:
+                    issue = t
+                t = issued_get(issue, 0)
+                while t >= issue_width:
+                    issue += 1
+                    t = issued_get(issue, 0)
+                issued_at[issue] = t + 1
+                heapreplace(frees, issue + fu_occ)
 
-            # ---------------- execute ----------------
-            if excat == _EX_LW:
+            # ---------------- execute + control resolution ----------------
+            if kind == _K_ALU:
+                complete = issue + cdelta
+            elif kind == _K_LW:
                 n_loads += 1
                 if is_lds:
                     n_lds_loads += 1
@@ -417,117 +422,58 @@ class TimingModel:
                     on_load_issue(inst, addr, start)
                 fwd = ps_get(addr)
                 if fwd is not None and fwd[1] > start:
-                    complete = max(start, fwd[0]) + 1
+                    complete = (start if start > fwd[0] else fwd[0]) + 1
                     if profiling:
                         load_reason = prof_on_forward(idx, complete - start)
                 else:
-                    complete = data_access(addr, start, write=False, lds=is_lds)
+                    complete = data_access(addr, start, False, is_lds)
                     if profiling:
                         load_reason = prof_on_load(idx, complete - start)
-            elif excat == _EX_SW:
+                reg_ready[rd] = complete
+            elif kind == _K_SW:
                 n_stores += 1
                 # Address is known at issue (AGU); later loads wait only for
                 # the address, not the data.
                 if issue > store_addr_floor:
                     store_addr_floor = issue
-                data_ready = reg_ready[rs2]
-                complete = (data_ready if data_ready > issue else issue) + 1
-            elif excat == _EX_PF:
+                t = reg_ready[rs2]
+                complete = (t if t > issue else issue) + 1
+            elif kind == _K_BR:
+                complete = issue + cdelta
+                dir_ok, tgt_ok = predict_cond(idx, taken, target)
+                if not dir_ok:
+                    t = complete + mispredict_penalty
+                    if t > redirect_floor:
+                        redirect_floor = t
+                elif taken and not tgt_ok:
+                    t = fetch_cycle + front
+                    if t > redirect_floor:
+                        redirect_floor = t
+            elif kind == _K_JR:
+                complete = issue + cdelta
+                if not predict_return(value):
+                    t = complete + mispredict_penalty
+                    if t > redirect_floor:
+                        redirect_floor = t
+            elif kind == _K_J or kind == _K_JAL:
+                complete = issue + cdelta
+                known = predict_jump(idx, target)
+                if kind == _K_JAL:
+                    on_call(idx + 1)
+                if not known:
+                    t = fetch_cycle + front
+                    if t > redirect_floor:
+                        redirect_floor = t
+            elif kind == _K_PF:
                 on_sw_prefetch(inst, addr, issue)
                 complete = issue + 1
-            elif excat == _EX_ALLOC:
+            elif kind == _K_ALLOC:
                 complete = issue + alloc_latency
-            elif excat == _EX_HALT:
+            else:  # _K_HALT
                 complete = dispatch
-            else:
-                complete = issue + cdelta
 
-            # ---------------- control resolution ----------------
-            if ctl:
-                if ctl == _CTL_COND:
-                    dir_ok, tgt_ok = predict_cond(idx, taken, target)
-                    if not dir_ok:
-                        rf = complete + mispredict_penalty
-                        if rf > redirect_floor:
-                            redirect_floor = rf
-                    elif taken and not tgt_ok:
-                        df = fetch_time + front
-                        if df > redirect_floor:
-                            redirect_floor = df
-                elif ctl == _CTL_J:
-                    if not predict_jump(idx, target):
-                        df = fetch_time + front
-                        if df > redirect_floor:
-                            redirect_floor = df
-                elif ctl == _CTL_JAL:
-                    known = predict_jump(idx, target)
-                    on_call(idx + 1)
-                    if not known:
-                        df = fetch_time + front
-                        if df > redirect_floor:
-                            redirect_floor = df
-                else:  # _CTL_JR
-                    if not predict_return(value):
-                        rf = complete + mispredict_penalty
-                        if rf > redirect_floor:
-                            redirect_floor = rf
-
-            # ---------------- commit (in order, width-limited) ----------------
-            prev_commit = last_commit
-            ct = complete if complete > last_commit else last_commit
-            if ct > commit_cycle:
-                commit_cycle = ct
-                commit_count = 1
-            else:
-                commit_count += 1
-                if commit_count > commit_width:
-                    commit_cycle += 1
-                    commit_count = 1
-                ct = commit_cycle
-            last_commit = ct
-            rob_append(ct)
-            if is_mem:
-                lsq_append(ct)
-            if profiling:
-                delta = ct - prev_commit
-                if delta:
-                    # Charge the commit-front advance to the latest
-                    # pipeline stage that lifted it (see obs.profile).
-                    if complete <= prev_commit:
-                        reason = "base"  # commit width, not this inst
-                    elif excat == _EX_LW:
-                        reason = load_reason
-                    elif frees is not None and issue > dep_ready:
-                        reason = "fu"
-                    elif dispatch > fetch_time + front:
-                        reason = "window"
-                    elif redirected:
-                        reason = "branch"
-                    else:
-                        reason = "base"
-                    prof_charge(idx, reason, delta, ct)
-
-            # ---------------- post-commit effects ----------------
-            if excat == _EX_SW:
-                timing_mem_store(addr, value)
-                pending_stores[addr] = (complete, ct)
-                if len(pending_stores) > 8192:
-                    pending_stores = {
-                        a: v for a, v in pending_stores.items() if v[1] > ct
-                    }
-                    ps_get = pending_stores.get
-                data_access(addr, ct, write=True)
-            elif excat == _EX_LW:
-                if track_dataflow:
-                    # The engine reacts when the value arrives (completion);
-                    # DBP launches chained prefetches off completed loads.
-                    on_load_commit(
-                        inst, addr, value, complete, src_pc[rs1], src_val[rs1]
-                    )
-                    src_pc[rd] = idx
-                    src_val[rd] = value
-                reg_ready[rd] = complete
-            elif wrkind != _WR_NONE:
+            # ---------------- register write-back ----------------
+            if wrkind:
                 reg_ready[rd] = complete
                 if track_dataflow:
                     if wrkind == _WR_ADDI:
@@ -544,25 +490,81 @@ class TimingModel:
                         src_pc[rd] = None
                         src_val[rd] = None
 
+            # ---------------- commit (in order, width-limited) ----------------
+            # ``last_commit`` is also the cycle of the current commit group.
+            prev_commit = last_commit
+            if complete > last_commit:
+                last_commit = complete
+                commit_count = 1
+            else:
+                commit_count += 1
+                if commit_count > commit_width:
+                    last_commit += 1
+                    commit_count = 1
+            rob_append(last_commit)
+            if profiling:
+                delta = last_commit - prev_commit
+                if delta:
+                    # Charge the commit-front advance to the latest
+                    # pipeline stage that lifted it (see obs.profile).
+                    if complete <= prev_commit:
+                        reason = "base"  # commit width, not this inst
+                    elif kind == _K_LW:
+                        reason = load_reason
+                    elif frees is not None and issue > dep_ready:
+                        reason = "fu"
+                    elif dispatch > fetch_cycle + front:
+                        reason = "window"
+                    elif redirected_at == n_committed:
+                        reason = "branch"
+                    else:
+                        reason = "base"
+                    prof_charge(idx, reason, delta, last_commit)
+
+            # ---------------- post-commit effects ----------------
+            if is_mem:
+                lsq_append(last_commit)
+                if kind == _K_SW:
+                    timing_words[addr] = value
+                    pending_stores[addr] = (complete, last_commit)
+                    if len(pending_stores) > 8192:
+                        pending_stores = {
+                            a: v for a, v in pending_stores.items()
+                            if v[1] > last_commit
+                        }
+                        ps_get = pending_stores.get
+                    data_access(addr, last_commit, True)
+                elif kind == _K_LW and track_dataflow:
+                    # The engine reacts when the value arrives (completion);
+                    # DBP launches chained prefetches off completed loads.
+                    on_load_commit(
+                        inst, addr, value, complete, src_pc[rs1], src_val[rs1]
+                    )
+                    src_pc[rd] = idx
+                    src_val[rd] = value
+
             n_committed += 1
-            # Inline periodic_due(): the n_committed guard keeps the prune
-            # (and anything hung off this cadence) from firing at commit 0.
-            if (
-                n_committed
-                and not n_committed % _ISSUED_AT_PRUNE_INTERVAL
-                and len(issued_at) > _ISSUED_AT_PRUNE_THRESHOLD
-            ):
-                floor = dispatch - 4 * window
-                issued_at = {c: k for c, k in issued_at.items() if c >= floor}
-                issued_get = issued_at.get
-            if audit_every and not n_committed % audit_every:
-                auditor.on_commit(
-                    n_committed,
-                    last_commit,
-                    rob=rob,
-                    lsq=lsq,
-                    issued_at=issued_at,
-                )
+            if n_committed == next_check:
+                if (
+                    not n_committed % _ISSUED_AT_PRUNE_INTERVAL
+                    and len(issued_at) > _ISSUED_AT_PRUNE_THRESHOLD
+                ):
+                    floor = dispatch - 4 * window
+                    issued_at = {
+                        c: k for c, k in issued_at.items() if c >= floor
+                    }
+                    issued_get = issued_at.get
+                if audit_every and not n_committed % audit_every:
+                    # In flight alongside the instruction just committed:
+                    # the ring entries that commit after it dispatched.
+                    auditor.on_commit(
+                        n_committed,
+                        last_commit,
+                        rob=[t for t in rob if t > dispatch],
+                        lsq=[t for t in lsq if t > dispatch],
+                        issued_at=issued_at,
+                    )
+                next_check = _next_periodic(n_committed, audit_every)
 
         # ------------------------------------------------------------------
         cycles = last_commit

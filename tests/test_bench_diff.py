@@ -135,6 +135,26 @@ class TestRules:
         bad = regressions(compare_benchmarks(REPORT, cur, rules=rules))
         assert any(r["metric"] == "sweep.serial_seconds" for r in bad)
 
+    def test_layer_budget_leaves(self):
+        base = {"kernels": {"treeadd": {
+            "instructions": 100,
+            "perfect": {"cycles": 90, "seconds": 1.0},
+            "layers": {"isa_ns_per_inst": 300.0, "cpu_ns_per_inst": 1000.0,
+                       "mem_ns_per_inst": 5.0, "prefetch_ns_per_inst": -3.0},
+        }}}
+        cur = json.loads(json.dumps(base))
+        layers = cur["kernels"]["treeadd"]["layers"]
+        layers["cpu_ns_per_inst"] = 2000.0
+        layers["mem_ns_per_inst"] = 500.0  # noise-dominated: never gates
+        rows = compare_benchmarks(base, cur)
+        by = {r["metric"].rsplit(".", 1)[-1]: r for r in rows}
+        assert by["isa_ns_per_inst"]["mode"] == "lower"
+        assert by["mem_ns_per_inst"]["mode"] == "info"
+        assert by["cycles"]["mode"] == "exact"
+        assert [r["metric"] for r in regressions(rows)] == [
+            "kernels.treeadd.layers.cpu_ns_per_inst"
+        ]
+
     def test_wildcard_rule_matching(self):
         rule = BenchRule("*seconds", "lower")
         assert rule.matches("serial_seconds")

@@ -87,3 +87,14 @@ class TestJumpsAndReturns:
         for pc in (0, 4, 8):
             bp.predict_jump(pc, pc + 100)
         assert not bp.predict_jump(0, 100)  # evicted (LRU was pc=0)
+
+    def test_btb_evicts_least_recently_used(self):
+        bp = BranchPredictor(BranchPredConfig(btb_entries=8, btb_assoc=2))
+        # pcs 0, 4 and 8 share a set; a hit on 0 makes 4 the LRU entry.
+        bp.predict_jump(0, 100)
+        bp.predict_jump(4, 104)
+        assert bp.predict_jump(0, 100)
+        bp.predict_jump(8, 108)
+        assert bp.predict_jump(0, 100)
+        assert bp.predict_jump(8, 108)
+        assert not bp.predict_jump(4, 104)  # evicted

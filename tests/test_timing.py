@@ -1,7 +1,11 @@
 """Out-of-order timing model behaviour on controlled programs."""
 
-from repro import Assembler, simulate, simulate_decomposed
-from repro.cpu.timing import TimingModel, heap_range
+import pytest
+
+from repro import Assembler, get_workload, simulate, simulate_decomposed, small_config
+from repro.audit import Auditor
+from repro.cpu.timing import TimingModel, _next_periodic, heap_range, periodic_due
+from repro.harness import small_params
 from repro.isa.program import HEAP_BASE
 from repro.isa.registers import A0, T0, T1, T2, T3, T4, T5, ZERO
 
@@ -259,3 +263,98 @@ class TestPeriodicDue:
         auditor = Auditor(interval=256, strict=True)
         simulate(program, tiny_cfg, audit=auditor)
         assert auditor.ok  # includes the issued-at-bound invariant
+
+
+class TestNextPeriodic:
+    """The hot loop tests one precomputed commit count per instruction
+    instead of two modulus checks; the due points must be exactly the
+    union of the prune cadence and the audit cadence."""
+
+    @pytest.mark.parametrize("audit_every", [0, 1, 7, 64, 65536, 100_000])
+    def test_due_points_match_periodic_due(self, audit_every):
+        from repro.cpu.timing import _ISSUED_AT_PRUNE_INTERVAL as prune
+
+        horizon = 3 * prune + 5
+        expected = [
+            n for n in range(horizon)
+            if periodic_due(n, prune)
+            or (audit_every and periodic_due(n, audit_every))
+        ]
+        got, n = [], 0
+        while True:
+            n = _next_periodic(n, audit_every)
+            if n >= horizon:
+                break
+            got.append(n)
+        assert got == expected
+
+    def test_audit_sweeps_on_its_cadence(self, cfg):
+        program, __ = assemble_loop_sum(200)
+        auditor = Auditor(interval=97)
+        res = simulate(program, cfg, audit=auditor)
+        # One sweep per 97 commits, plus the end-of-run sweep.
+        assert auditor.checks == res.instructions // 97 + 1
+
+    def test_audit_sees_in_flight_occupancy(self, cfg):
+        """The sweep gets the in-flight entries, not the fixed-length
+        window/LSQ rings (whose length never changes)."""
+        program = get_workload("health", **small_params("health")).build(
+            "baseline").program
+        auditor = Auditor(interval=97, strict=True)
+        seen = []
+        real_on_commit = auditor.on_commit
+
+        def spy(n, cycle, rob=None, lsq=None, issued_at=None):
+            seen.append((len(rob), len(lsq)))
+            real_on_commit(n, cycle, rob=rob, lsq=lsq, issued_at=issued_at)
+
+        auditor.on_commit = spy
+        simulate(program, cfg, audit=auditor)
+        robs, lsqs = zip(*seen)
+        assert 0 < min(robs) < max(robs) <= cfg.window
+        assert min(lsqs) < max(lsqs) <= cfg.lsq_entries
+
+
+#: Cycle pins for machine shapes the golden table does not cover: 1-wide
+#: and 8-wide pipelines with a tiny or huge window/LSQ, a single ALU and
+#: memory port, slower FUs with a deeper front end and a larger
+#: misprediction penalty, and the full MSHR model under window pressure.
+#: Each stresses a different stage of the timing core's per-instruction
+#: path (fetch groups, window/LSQ heads, FU heaps, issue slots, commit
+#: width, redirects).
+SHAPES = {
+    "narrow": {"fetch_width": 1, "issue_width": 1, "commit_width": 1,
+               "window": 8, "lsq_entries": 4},
+    "wide": {"fetch_width": 8, "issue_width": 8, "commit_width": 8,
+             "window": 128, "lsq_entries": 64, "func_units.int_alu": 1,
+             "func_units.mem_ports": 1, "func_units.fp_add": 3},
+    "slow-fu": {"func_units.int_alu_latency": 2, "func_units.mem_ports": 3,
+                "func_units.fp_mul": 2, "front_pipeline_depth": 5,
+                "branch_pred.misprediction_penalty": 7, "alloc_latency": 20},
+    "full-mshr": {"mshr_model": "full", "window": 16, "lsq_entries": 8},
+}
+SHAPE_CYCLES = {
+    ("treeadd", "none"): {"narrow": 5212, "wide": 4259, "slow-fu": 3484, "full-mshr": 2951},
+    ("health", "hardware"): {"narrow": 9160, "wide": 8528, "slow-fu": 8613, "full-mshr": 6809},
+    ("em3d", "dbp"): {"narrow": 9294, "wide": 7770, "slow-fu": 7315, "full-mshr": 7337},
+    ("bh", "none"): {"narrow": 18180, "wide": 12434, "slow-fu": 10509, "full-mshr": 11924},
+    ("tsp", "none"): {"narrow": 5206, "wide": 3204, "slow-fu": 3731, "full-mshr": 3524},
+}
+#: (conditional mispredicts, BTB misses): the predictor trains on actual
+#: outcomes only, so these do not depend on the machine shape.
+BRANCH_STATS = {
+    "treeadd": (57, 10), "health": (38, 11), "em3d": (27, 18),
+    "bh": (113, 23), "tsp": (57, 7),
+}
+
+
+@pytest.mark.parametrize("workload,engine", sorted(SHAPE_CYCLES))
+def test_machine_shape_cycle_pins(workload, engine):
+    program = get_workload(workload, **small_params(workload)).build(
+        "baseline").program
+    for shape, overrides in SHAPES.items():
+        res = simulate(program, small_config().with_overrides(overrides),
+                       engine=engine)
+        assert res.cycles == SHAPE_CYCLES[workload, engine][shape], shape
+        assert (res.branch.cond_mispredicts,
+                res.branch.btb_misses) == BRANCH_STATS[workload], shape
