@@ -24,8 +24,7 @@ Examples::
     python -m repro audit --inject-faults 'em3d//dbp=corrupt'  # auditor drill
     python -m repro profile health --scheme hardware   # CPI stack + hot sites
     python -m repro profile em3d --small -o em3d.profile.json --trace em3d.trace.json
-    python -m repro bench-diff BENCH_PR2.json BENCH_PR6.json
-    python -m repro bench-diff BENCH_PR2.json --regen --tolerance 1.5
+    python -m repro bench-diff BENCH_LAYERS.json layers.json --tolerance 1.5
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -581,49 +578,21 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _bench_regen(quick: bool) -> dict:
-    """Re-run ``benchmarks/perf_baseline.py`` and load its report."""
-    script = Path(__file__).resolve().parents[2] / "benchmarks" / "perf_baseline.py"
-    if not script.exists():
-        raise SystemExit(f"error: {script} not found (run from a source checkout)")
-    with tempfile.TemporaryDirectory(prefix="repro-bench-diff-") as tmp:
-        out = Path(tmp) / "bench.json"
-        cmd = [sys.executable, str(script), "-o", str(out)]
-        if quick:
-            cmd.append("--quick")
-        print(f"  regenerating: {' '.join(cmd[1:])}", file=sys.stderr)
-        proc = subprocess.run(cmd, cwd=script.parent.parent)
-        if proc.returncode:
-            raise SystemExit(f"error: perf_baseline.py exited {proc.returncode}")
-        with open(out) as f:
+def _load_report(path: str) -> dict:
+    try:
+        with open(path) as f:
             return json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SystemExit(f"error: cannot read {path}: {exc}") from None
 
 
 def cmd_bench_diff(args) -> int:
-    """Signed per-metric drift between two perf-baseline reports."""
-    try:
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {args.baseline}: {exc}") from None
-    if args.regen:
-        current = _bench_regen(args.quick)
-        current_name = "(regenerated)"
-    elif args.current:
-        try:
-            with open(args.current) as f:
-                current = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(
-                f"error: cannot read {args.current}: {exc}"
-            ) from None
-        current_name = args.current
-    else:
-        raise SystemExit("error: bench-diff needs CURRENT or --regen")
-
+    """Signed per-metric drift between two layer-budget reports."""
+    baseline = _load_report(args.baseline)
+    current = _load_report(args.current)
     rows = compare_benchmarks(baseline, current, tolerance=args.tolerance)
     print(format_table(
-        rows, f"bench-diff — {args.baseline} vs {current_name}"
+        rows, f"bench-diff — {args.baseline} vs {args.current}"
     ))
     bad = regressions(rows)
     if args.output:
@@ -631,7 +600,7 @@ def cmd_bench_diff(args) -> int:
             "bench_diff",
             {
                 "baseline": str(args.baseline),
-                "current": current_name,
+                "current": args.current,
                 "tolerance": args.tolerance,
                 "rows": rows,
                 "regressions": len(bad),
@@ -685,14 +654,18 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _job_count(text: str) -> int:
-    """``--jobs`` value: a non-negative int (0 = auto-detect)."""
-    jobs = int(text)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = auto-detect), got {jobs}"
-        )
-    return jobs
+def _bounded(kind: type, low: float, *, strict: bool = False):
+    """argparse type: ``kind(text)`` that must be >= ``low`` (> if strict)."""
+    op = ">" if strict else ">="
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {op} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid float value" wording
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -881,23 +854,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bd = sub.add_parser(
         "bench-diff",
-        help="signed per-metric drift between two BENCH_*.json "
-             "perf-baseline reports; exits non-zero on regression "
+        help="signed per-metric drift between two layer-budget "
+             "reports (BENCH_LAYERS.json); exits non-zero on regression "
              "(the CI perf gate)",
     )
-    bd.add_argument("baseline", help="baseline report, e.g. BENCH_PR2.json")
-    bd.add_argument("current", nargs="?", default=None,
-                    help="current report (omit with --regen)")
-    bd.add_argument("--regen", action="store_true",
-                    help="regenerate the current report now via "
-                         "benchmarks/perf_baseline.py")
-    bd.add_argument("--quick", action="store_true",
-                    help="with --regen: test-size smoke run (compare "
-                         "against a --quick baseline only)")
+    bd.add_argument("baseline", help="baseline report, e.g. BENCH_LAYERS.json")
+    bd.add_argument("current", help="current report, e.g. a fresh "
+                                    "benchmarks/layer_budget.py output")
     bd.add_argument("--tolerance", type=float, default=0.25, metavar="T",
-                    help="relative band for wall-clock (lower) and "
-                         "throughput (higher) rules; exact rules always "
-                         "require bit-identical values (default: 0.25)")
+                    help="relative band for wall-clock (lower) rules; "
+                         "exact rules always require bit-identical "
+                         "values (default: 0.25)")
     bd.add_argument("-o", "--output", default=None, metavar="FILE",
                     help="write the repro.bench_diff/1 JSON artifact")
 
@@ -910,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = (sub.choices[fig] if fig in ("run-spec", "tournament")
              else sub.add_parser(
                  fig, help=figure_help.get(fig, f"reproduce {fig}")))
-        p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
+        p.add_argument("--jobs", type=_bounded(int, 0), default=1, metavar="N",
                        help="run sweep cells across N worker processes "
                             "(default: 1, serial; 0 = cgroup/affinity-"
                             "aware auto-detection)")
@@ -923,13 +890,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="narrate per-cell progress on stderr "
                             "(implied whenever more than one worker runs, "
                             "including --jobs 0 on a multi-CPU host)")
-        p.add_argument("--timeout", type=float, default=None, metavar="SEC",
+        p.add_argument("--timeout", type=_bounded(float, 0, strict=True), default=None, metavar="SEC",
                        help="per-cell wall-clock budget; a hung worker is "
                             "terminated and the cell charged a failed attempt")
-        p.add_argument("--retries", type=int, default=0, metavar="N",
+        p.add_argument("--retries", type=_bounded(int, 0), default=0, metavar="N",
                        help="retry a failed/timed-out cell up to N times "
                             "with exponential backoff (default: 0)")
-        p.add_argument("--backoff", type=float, default=0.5, metavar="SEC",
+        p.add_argument("--backoff", type=_bounded(float, 0), default=0.5, metavar="SEC",
                        help="base retry delay; doubles per attempt "
                             "(default: 0.5)")
         p.add_argument("--resume", action="store_true",

@@ -14,8 +14,8 @@ Three layers, composable separately or through the ``repro audit`` CLI:
   bands, and the gate entry points that turn golden-cell re-runs into
   per-metric drift reports.
 * :mod:`repro.audit.bench` — the ``repro bench-diff`` comparator:
-  signed per-metric drift between two ``BENCH_*.json`` performance
-  reports under exact/lower/higher tolerance rules (the CI
+  signed per-metric drift between two ``BENCH_LAYERS.json``
+  layer-budget reports under exact/lower/info tolerance rules (the CI
   perf-regression gate).
 """
 

@@ -1,25 +1,28 @@
 """Benchmark-report diffing: signed per-metric drift with tolerance bands.
 
-Compares two performance-baseline reports (the ``BENCH_*.json`` files
-emitted by ``benchmarks/perf_baseline.py``) leaf by leaf and classifies
-every numeric metric under a small rule table, the same shape as
+Compares two layer-budget reports (``BENCH_LAYERS.json``, emitted by
+``benchmarks/layer_budget.py``) leaf by leaf and classifies every
+numeric metric under a small rule table, the same shape as
 :mod:`repro.audit.paper_targets`' drift rows:
 
-* ``exact``  — must be bit-identical (simulated cycle/instruction
-  counts, sweep cell counts, cache hit/miss accounting).  Any drift
-  means the *timing model* changed, which a perf PR must never do.
-* ``lower``  — smaller is better (wall-clock seconds).  Fails when the
-  current value exceeds ``baseline * (1 + tolerance)``.
-* ``higher`` — bigger is better (simulated instructions/second,
-  speedups, parallel scaling).  Fails when the current value falls
-  below ``baseline * (1 - tolerance)``.
-* ``info``   — reported but never gating (CPU counts, the frozen seed
-  denominators, metrics present in only one report).
+* ``exact``  — must be bit-identical (simulated cycle and instruction
+  counts).  Any drift means the *timing model* changed, which a perf PR
+  must never do.
+* ``lower``  — smaller is better (wall-clock seconds, host ns per
+  simulated instruction).  Fails when the current value exceeds
+  ``baseline * (1 + tolerance)``.
+* ``higher`` — bigger is better.  Fails when the current value falls
+  below ``baseline * (1 - tolerance)``.  No default rule uses it; pass
+  custom ``rules`` for throughput-style reports.
+* ``info``   — reported but never gating (CPU counts, noise-dominated
+  layer costs, metrics present in only one report, leaves no rule
+  matches).
 
 ``compare_benchmarks`` is the pure core; the ``repro bench-diff`` CLI
-subcommand wraps it with file loading, optional baseline regeneration,
-and a non-zero exit on regressions (wired into CI as the
-perf-regression gate).
+subcommand wraps it with file loading and a non-zero exit on
+regressions (wired into CI as the perf-regression gate).  End-to-end
+sweep wall time and simulated insts/s are measured by ``bench/run.py``,
+not here.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ class BenchRule:
     """Classification rule for metric leaves whose name matches ``leaf``.
 
     ``leaf`` matches the final dotted-path component; a leading ``*``
-    makes it a suffix match (``*seconds`` catches ``serial_seconds``,
-    ``warm_cache_seconds``, ...).  First matching rule in the table
-    wins, so put specific names (``seed_seconds``) before wildcards.
+    makes it a suffix match (``*ns_per_inst`` catches
+    ``mem_ns_per_inst``, ``prefetch_ns_per_inst``, ...).  First matching
+    rule in the table wins, so put specific names (``cpu_ns_per_inst``)
+    before wildcards.
     """
 
     leaf: str
@@ -57,46 +61,18 @@ class BenchRule:
         return name == self.leaf
 
 
-#: Rule table for ``perf_baseline.py`` reports.  Ordered: first match wins.
+#: Rule table for ``layer_budget.py`` reports.  Ordered: first match wins.
 DEFAULT_RULES: tuple[BenchRule, ...] = (
     # Machine-independent simulation facts: any drift is a model change.
     BenchRule("cycles", "exact"),
     BenchRule("instructions", "exact"),
-    BenchRule("cells", "exact"),
-    BenchRule("hits", "exact"),
-    BenchRule("misses", "exact"),
-    # Frozen seed denominators travel with the report; never gate on them.
-    BenchRule("seed_seconds", "info"),
     BenchRule("cpu_count", "info"),
-    BenchRule("writes", "info"),
-    BenchRule("invalid", "info"),
     # Wall-clock: smaller is better.
     BenchRule("*seconds", "lower"),
-    # Throughput and speedup ratios: bigger is better.  Throughput
-    # carries its own tolerance so a generous CLI --tolerance (used to
-    # wash out runner-speed noise on wall-clock leaves) cannot turn the
-    # floor vacuous: absolute insts/s may drop to 0.3x of the reference
-    # box before failing.
-    BenchRule("sim_insts_per_sec", "higher", 0.7),
-    BenchRule("speedup_vs_seed", "higher"),
-    BenchRule("warm_speedup", "higher"),
-    # Pool scaling is a property of the host's free cores at run time
-    # (the report marks it ``cpu_limited``), not of the code under test;
-    # report it, never gate on it.
-    BenchRule("jobs4_scaling", "info"),
-    # Dispatch-overhead reports (BENCH_PR9): message sizes are
-    # machine-independent facts of the wire format, per-cell times are
-    # wall-clock, and the old-vs-new ratio is same-box/same-run — a
-    # real floor even under a generous CLI tolerance.
-    BenchRule("distinct_configs", "exact"),
-    BenchRule("*bytes_per_cell", "exact"),
-    BenchRule("bytes_ratio", "exact"),
-    BenchRule("*us_per_cell", "lower"),
-    BenchRule("speedup", "higher", 0.5),
-    # Layer-budget reports (BENCH_LAYERS): isa is timed directly and cpu
-    # is the difference of two large runs, so both gate like wall-clock.
-    # mem and prefetch are differences of near-equal runs on the
-    # compute-bound kernels and are noise-dominated there: report only.
+    # isa is timed directly and cpu is the difference of two large runs,
+    # so both gate like wall-clock.  mem and prefetch are differences of
+    # near-equal runs on the compute-bound kernels and are
+    # noise-dominated there: report only.
     BenchRule("isa_ns_per_inst", "lower"),
     BenchRule("cpu_ns_per_inst", "lower"),
     BenchRule("*ns_per_inst", "info"),

@@ -207,6 +207,15 @@ class SweepResults:
             or self._cell_error(self.cells[run.compute])
         )
 
+    def resolve(
+        self, run: ScheduledRun
+    ) -> tuple[SchemeRun | None, CellError | None]:
+        """(SchemeRun, None) on success, (None, error) on failure."""
+        err = self.error(run)
+        if err is not None:
+            return None, err
+        return self.scheme_run(run), None
+
     def scheme_run(self, run: ScheduledRun) -> SchemeRun:
         """Assemble the SchemeRun for ``run``; raises :class:`SweepError`
         if either backing cell failed."""

@@ -31,10 +31,8 @@ from ..workloads import workload_class
 from .cache import ResultCache
 from .executor import (
     Progress,
-    ScheduledRun,
     SweepExecutor,
     SweepPlan,
-    SweepResults,
     error_row,
 )
 from .runner import SCHEMES
@@ -61,16 +59,6 @@ FIGURE4_SUBJECTS = {
 def small_params(name: str) -> dict[str, Any]:
     """Reduced sizes for quick runs/tests (not the bench defaults)."""
     return workload_class(name).test_params()
-
-
-def _resolve(
-    results: SweepResults, sr: ScheduledRun
-) -> tuple[Any, str | None]:
-    """(SchemeRun, None) on success, (None, traceback) on failure."""
-    err = results.error(sr)
-    if err is not None:
-        return None, err
-    return results.scheme_run(sr), None
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +306,9 @@ def onchip_table_ablation(
 
     rows = []
     for name, base_sr, padding_sr, onchip_sr in scheduled:
-        base, e1 = _resolve(results, base_sr)
-        padding, e2 = _resolve(results, padding_sr)
-        onchip, e3 = _resolve(results, onchip_sr)
+        base, e1 = results.resolve(base_sr)
+        padding, e2 = results.resolve(padding_sr)
+        onchip, e3 = results.resolve(onchip_sr)
         err = e1 or e2 or e3
         if err is not None:
             rows.append(error_row(name, "hardware", err))
@@ -362,8 +350,8 @@ def creation_overhead(
 
     rows = []
     for name, base_sr, sw_sr in scheduled:
-        base, e1 = _resolve(results, base_sr)
-        sw, e2 = _resolve(results, sw_sr)
+        base, e1 = results.resolve(base_sr)
+        sw, e2 = results.resolve(sw_sr)
         err = e1 or e2
         if err is not None:
             rows.append(error_row(name, "software", err))
@@ -407,7 +395,7 @@ def traversal_count_sweep(
         runs = {}
         err = None
         for scheme, sr in per_scheme.items():
-            runs[scheme], e = _resolve(results, sr)
+            runs[scheme], e = results.resolve(sr)
             err = err or e
         if err is not None:
             row = error_row("treeadd", "sweep", err)

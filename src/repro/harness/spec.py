@@ -631,16 +631,6 @@ def _plan_idiom_rows(
 # Assembly: cells -> rows
 # ----------------------------------------------------------------------
 
-def _resolve(
-    results: SweepResults, sr: ScheduledRun
-) -> tuple[SchemeRun | None, str | None]:
-    """(SchemeRun, None) on success, (None, traceback) on failure."""
-    err = results.error(sr)
-    if err is not None:
-        return None, err
-    return results.scheme_run(sr), None
-
-
 def assemble_rows(
     spec: ExperimentSpec,
     planned: list[_PlannedRow],
@@ -659,11 +649,11 @@ def assemble_rows(
             row.update(rp.axis)
             rows.append(row)
             continue
-        run, err = _resolve(results, rp.run)
+        run, err = results.resolve(rp.run)
         if rp.base is rp.run:
             base, base_err = run, err
         else:
-            base, base_err = _resolve(results, rp.base)
+            base, base_err = results.resolve(rp.base)
         failed = (
             err is not None
             or (need_base and base is None)

@@ -1,6 +1,7 @@
 """Benchmark-report diffing and the ``repro bench-diff`` CLI gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,29 +12,34 @@ from repro.audit import (
     regressions,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: One kernel of a ``benchmarks/layer_budget.py`` report (BENCH_LAYERS.json).
 REPORT = {
-    "schema": "repro.bench_pr2/1",  # non-numeric: not a metric leaf
-    "single_runs": {
-        "health/hardware": {
-            "seconds": 2.0,
-            "seed_seconds": 3.0,
-            "cycles": 563314,
+    "schema": "repro.layer_budget/1",  # non-numeric: not a metric leaf
+    "machine": "bench",
+    "host": {"cpu_count": 2, "python": "3.11.7"},
+    "cross_check": {
+        "kernel": "health",
+        "profiled_share": {"cpu": 57.0, "isa": 17.8, "mem": 25.2},
+    },
+    "kernels": {
+        "health": {
             "instructions": 314064,
-            "sim_insts_per_sec": 157032,
-            "speedup_vs_seed": 1.5,
+            "functional": {"seconds": 0.5},
+            "perfect": {"cycles": 197214, "seconds": 1.0},
+            "hierarchy": {"cycles": 718168, "seconds": 1.5},
+            "prefetch": {"cycles": 563314, "seconds": 2.0},
+            "layers": {
+                "isa_ns_per_inst": 390.3,
+                "cpu_ns_per_inst": 1498.8,
+                "mem_ns_per_inst": 887.1,
+                "prefetch_ns_per_inst": 1743.3,
+            },
         },
     },
-    "sweep": {
-        "benchmarks": ["treeadd"],  # list: not a metric leaf
-        "cpu_count": 4,
-        "cells": 24,
-        "serial_seconds": 10.0,
-        "jobs4_seconds": 4.0,
-        "jobs4_scaling": 2.5,
-        "warm_speedup": 100.0,
-        "warm_cache_stats": {"hits": 24, "misses": 0, "writes": 0, "invalid": 0},
-    },
 }
+HEALTH = "kernels.health"
 
 
 def _mutated(**leaf_updates):
@@ -50,10 +56,12 @@ def _mutated(**leaf_updates):
 class TestFlatten:
     def test_numeric_leaves_only(self):
         flat = flatten_report(REPORT)
-        assert flat["single_runs.health/hardware.cycles"] == 563314
-        assert flat["sweep.warm_cache_stats.hits"] == 24
+        assert flat[f"{HEALTH}.prefetch.cycles"] == 563314
+        assert flat["host.cpu_count"] == 2
         assert "schema" not in flat
-        assert "sweep.benchmarks" not in flat
+        assert "host.python" not in flat
+        assert "cross_check.kernel" not in flat
+        assert flatten_report({"kernels": ["health"], "n": 1}) == {"n": 1}
 
     def test_bools_are_not_metrics(self):
         assert flatten_report({"ok": True, "n": 1}) == {"n": 1}
@@ -67,93 +75,106 @@ class TestRules:
         assert all(r["drift"] == 0 for r in rows)
 
     def test_exact_cycle_drift_flagged(self):
-        cur = _mutated(**{"single_runs.health/hardware.cycles": 563315})
+        cur = _mutated(**{f"{HEALTH}.prefetch.cycles": 563315})
         bad = regressions(compare_benchmarks(REPORT, cur))
-        assert [r["metric"] for r in bad] == [
-            "single_runs.health/hardware.cycles"
-        ]
+        assert [r["metric"] for r in bad] == [f"{HEALTH}.prefetch.cycles"]
         assert bad[0]["mode"] == "exact" and bad[0]["drift"] == 1
 
     def test_wall_clock_within_tolerance_passes(self):
-        cur = _mutated(**{"sweep.serial_seconds": 11.0})  # +10%
+        cur = _mutated(**{f"{HEALTH}.prefetch.seconds": 2.2})  # +10%
         assert regressions(compare_benchmarks(REPORT, cur, tolerance=0.25)) == []
 
     def test_wall_clock_blowup_flagged(self):
-        cur = _mutated(**{"sweep.serial_seconds": 20.0})  # 2x
+        cur = _mutated(**{f"{HEALTH}.prefetch.seconds": 4.0})  # 2x
         bad = regressions(compare_benchmarks(REPORT, cur, tolerance=0.25))
-        assert [r["metric"] for r in bad] == ["sweep.serial_seconds"]
+        assert [r["metric"] for r in bad] == [f"{HEALTH}.prefetch.seconds"]
         assert bad[0]["mode"] == "lower"
 
     def test_wall_clock_improvement_always_passes(self):
-        cur = _mutated(**{"sweep.serial_seconds": 0.1})
+        cur = _mutated(**{f"{HEALTH}.prefetch.seconds": 0.1})
         assert regressions(compare_benchmarks(REPORT, cur)) == []
 
     def test_throughput_drop_flagged_rise_ok(self):
-        slow = _mutated(**{"single_runs.health/hardware.sim_insts_per_sec": 1})
-        bad = regressions(compare_benchmarks(REPORT, slow))
-        assert [r["metric"] for r in bad] == [
-            "single_runs.health/hardware.sim_insts_per_sec"
-        ]
-        fast = _mutated(
-            **{"single_runs.health/hardware.sim_insts_per_sec": 10**9}
-        )
-        assert regressions(compare_benchmarks(REPORT, fast)) == []
+        # No default rule is ``higher``; callers opt in with their own table.
+        rules = (BenchRule("sim_insts_per_sec", "higher"),)
+        base = {"sim_insts_per_sec": 1000}
+        bad = regressions(compare_benchmarks(
+            base, {"sim_insts_per_sec": 1}, rules=rules))
+        assert [r["metric"] for r in bad] == ["sim_insts_per_sec"]
+        assert bad[0]["mode"] == "higher"
+        assert regressions(compare_benchmarks(
+            base, {"sim_insts_per_sec": 10**9}, rules=rules)) == []
 
     def test_info_leaves_never_gate(self):
-        # seed_seconds matches the specific info rule before *seconds.
         cur = _mutated(**{
-            "single_runs.health/hardware.seed_seconds": 9999.0,
-            "sweep.cpu_count": 1,
+            "host.cpu_count": 1,
+            f"{HEALTH}.layers.mem_ns_per_inst": 9999.0,
+            "cross_check.profiled_share.mem": 90.0,  # no rule matches
         })
         rows = compare_benchmarks(REPORT, cur)
         assert regressions(rows) == []
         by = {r["metric"]: r for r in rows}
-        assert by["single_runs.health/hardware.seed_seconds"]["mode"] == "info"
-        assert by["sweep.serial_seconds"]["mode"] == "lower"
+        for name in ("host.cpu_count", f"{HEALTH}.layers.mem_ns_per_inst",
+                     "cross_check.profiled_share.mem"):
+            assert by[name]["mode"] == "info"
+        assert by[f"{HEALTH}.prefetch.seconds"]["mode"] == "lower"
 
     def test_missing_metric_fails_unless_info(self):
         cur = json.loads(json.dumps(REPORT))
-        del cur["single_runs"]["health/hardware"]["cycles"]
-        del cur["sweep"]["cpu_count"]  # info: may vanish freely
+        del cur["kernels"]["health"]["prefetch"]["cycles"]
+        del cur["host"]["cpu_count"]  # info: may vanish freely
         bad = regressions(compare_benchmarks(REPORT, cur))
-        assert [r["metric"] for r in bad] == [
-            "single_runs.health/hardware.cycles"
-        ]
+        assert [r["metric"] for r in bad] == [f"{HEALTH}.prefetch.cycles"]
         assert bad[0]["band"] == "missing" and bad[0]["current"] is None
 
     def test_new_metric_is_informational(self):
-        cur = _mutated(**{"sweep.cells": 24})
-        cur["sweep"]["new_counter"] = 7
+        cur = _mutated(**{f"{HEALTH}.layers.obs_ns_per_inst": 7.0})
         rows = compare_benchmarks(REPORT, cur)
         assert regressions(rows) == []
-        row = next(r for r in rows if r["metric"] == "sweep.new_counter")
+        row = next(r for r in rows
+                   if r["metric"] == f"{HEALTH}.layers.obs_ns_per_inst")
         assert row["band"] == "new" and row["baseline"] is None
 
     def test_custom_rule_and_per_rule_tolerance(self):
+        # A rule's own tolerance wins over a generous comparator default.
         rules = (BenchRule("*seconds", "lower", tolerance=0.0),)
-        cur = _mutated(**{"sweep.serial_seconds": 10.001})
-        bad = regressions(compare_benchmarks(REPORT, cur, rules=rules))
-        assert any(r["metric"] == "sweep.serial_seconds" for r in bad)
+        cur = _mutated(**{f"{HEALTH}.prefetch.seconds": 2.001})
+        bad = regressions(
+            compare_benchmarks(REPORT, cur, rules=rules, tolerance=1.5))
+        assert [r["metric"] for r in bad] == [f"{HEALTH}.prefetch.seconds"]
 
     def test_layer_budget_leaves(self):
-        base = {"kernels": {"treeadd": {
-            "instructions": 100,
-            "perfect": {"cycles": 90, "seconds": 1.0},
-            "layers": {"isa_ns_per_inst": 300.0, "cpu_ns_per_inst": 1000.0,
-                       "mem_ns_per_inst": 5.0, "prefetch_ns_per_inst": -3.0},
-        }}}
-        cur = json.loads(json.dumps(base))
-        layers = cur["kernels"]["treeadd"]["layers"]
-        layers["cpu_ns_per_inst"] = 2000.0
-        layers["mem_ns_per_inst"] = 500.0  # noise-dominated: never gates
-        rows = compare_benchmarks(base, cur)
+        cur = _mutated(**{
+            f"{HEALTH}.layers.cpu_ns_per_inst": 3000.0,
+            f"{HEALTH}.layers.mem_ns_per_inst": 5000.0,  # noise: never gates
+        })
+        rows = compare_benchmarks(REPORT, cur)
         by = {r["metric"].rsplit(".", 1)[-1]: r for r in rows}
         assert by["isa_ns_per_inst"]["mode"] == "lower"
+        assert by["cpu_ns_per_inst"]["mode"] == "lower"
         assert by["mem_ns_per_inst"]["mode"] == "info"
-        assert by["cycles"]["mode"] == "exact"
+        assert by["prefetch_ns_per_inst"]["mode"] == "info"
+        assert by["instructions"]["mode"] == "exact"
         assert [r["metric"] for r in regressions(rows)] == [
-            "kernels.treeadd.layers.cpu_ns_per_inst"
+            f"{HEALTH}.layers.cpu_ns_per_inst"
         ]
+
+    def test_committed_report_cycles_gate_exactly(self):
+        doc = json.loads((ROOT / "BENCH_LAYERS.json").read_text())
+        rows = compare_benchmarks(doc, doc)
+        exact = {r["metric"] for r in rows if r["mode"] == "exact"}
+        kernels = doc["kernels"]
+        assert exact == {
+            f"kernels.{k}.{leaf}"
+            for k in kernels
+            for leaf in ("instructions", "perfect.cycles",
+                         "hierarchy.cycles", "prefetch.cycles")
+        }
+        # Full-size health/hardware, em3d/hardware and treeadd/base.
+        flat = flatten_report(doc)
+        assert flat["kernels.health.prefetch.cycles"] == 563314
+        assert flat["kernels.em3d.prefetch.cycles"] == 610560
+        assert flat["kernels.treeadd.hierarchy.cycles"] == 298553
 
     def test_wildcard_rule_matching(self):
         rule = BenchRule("*seconds", "lower")
@@ -185,7 +206,7 @@ class TestCli:
         base = self._write(tmp_path, "base.json", REPORT)
         cur = self._write(
             tmp_path, "cur.json",
-            _mutated(**{"single_runs.health/hardware.cycles": 1}),
+            _mutated(**{f"{HEALTH}.prefetch.cycles": 1}),
         )
         out_path = tmp_path / "diff.json"
         rc = main(["bench-diff", base, cur, "-o", str(out_path)])

@@ -193,6 +193,19 @@ def test_negative_jobs_is_usage_error(capsys):
     assert build_parser().parse_args(["figure5", "--jobs", "0"]).jobs == 0
 
 
+@pytest.mark.parametrize("flag,bad,edge", [
+    ("--timeout", "0", "0.5"),
+    ("--retries", "-1", "0"),
+    ("--backoff", "-1", "0"),
+])
+def test_out_of_range_retry_policy_is_usage_error(capsys, flag, bad, edge):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["figure7", flag, bad])
+    assert flag in capsys.readouterr().err
+    args = build_parser().parse_args(["figure7", flag, edge])
+    assert getattr(args, flag.lstrip("-")) == float(edge)
+
+
 @pytest.mark.parametrize("cpus,narrates", [(1, False), (4, True)])
 def test_jobs_zero_narrates_by_resolved_worker_count(
     tmp_path, monkeypatch, cpus, narrates

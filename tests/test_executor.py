@@ -110,6 +110,11 @@ class TestErrorIsolation:
         assert results.error(bad) is not None
         with pytest.raises(SweepError):
             results.scheme_run(replace(sr, timing=bad))
+        # resolve() is the non-raising form the row assemblers use.
+        run, err = results.resolve(sr)
+        assert err is None and run.total > 0
+        run, err = results.resolve(replace(sr, timing=bad))
+        assert run is None and err == results.error(bad)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_poisoned_worker_yields_error_row(self, cfg, poisoned, jobs):

@@ -184,11 +184,16 @@ class TestSpecValidation:
 class TestCompile:
     def test_dedup_shares_cells(self):
         # 5 schemes -> 5 timing cells but only 3 distinct program
-        # variants' compute cells; base/hardware/dbp share "baseline".
-        spec = figure5_spec(benchmarks=("treeadd",),
-                            params={"treeadd": small_params("treeadd")})
-        compiled = compile_spec(spec, small_config())
-        assert compiled.cell_count == 5 + 3
+        # variants' compute cells per kernel; base/hardware/dbp share
+        # "baseline".  The three-kernel plan is the 24-cell sweep.
+        for benchmarks, cells in ((("treeadd",), 5 + 3),
+                                  (("treeadd", "em3d", "health"), 24)):
+            spec = figure5_spec(
+                benchmarks=benchmarks,
+                params={name: small_params(name) for name in benchmarks},
+            )
+            compiled = compile_spec(spec, small_config())
+            assert compiled.cell_count == cells
 
     def test_axes_cross_product_order(self):
         spec = figure7_spec(latencies=(70, 280), intervals=(8, 16))
