@@ -10,9 +10,8 @@ Examples::
     python -m repro figure4 | figure5 | figure6 | figure7 | x1 | x2
     python -m repro figure5 --jobs 4             # sweep across 4 processes
     python -m repro figure7 --no-cache           # ignore the on-disk cache
-    python -m repro figure5 --timeout 300 --retries 2   # robust long sweep
-    python -m repro figure5 --resume             # continue an interrupted sweep
-    python -m repro figure5 --inject-faults 'health=transient:2'  # fault drill
+    python -m repro figure5 --timeout 300        # reap cells that hang
+    python -m repro figure5                      # rerun after Ctrl-C: resumes
     python -m repro run treeadd --scheme software --param levels=9 --param passes=2
     python -m repro run-spec examples/specs/figure5.toml --jobs 4
     python -m repro run-spec mysweep.toml --small -o result.json
@@ -45,7 +44,7 @@ from .audit import (
     fidelity_gate,
     regressions,
 )
-from .audit.gate import DEFAULT_GOLDEN
+from .audit.gate import DEFAULT_GOLDEN, CorruptPlan
 from .config import MSHR_MODELS, get_machine, machine_names
 from .errors import ConfigError
 from .harness import (
@@ -56,7 +55,6 @@ from .harness import (
     SCHEME_REGISTRY,
     SpecError,
     SweepExecutor,
-    SweepJournal,
     compile_spec,
     creation_overhead,
     figure4,
@@ -68,7 +66,6 @@ from .harness import (
     is_tournament_spec,
     load_spec,
     onchip_table_ablation,
-    parse_fault_plan,
     spec_artifact,
     table1,
     tournament_summary,
@@ -311,40 +308,18 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _journal_path(args, name: str | None = None) -> Path:
-    """Default journal location: one file per figure command (or per
-    spec name) under the cache root, so ``--resume`` needs no path
-    bookkeeping."""
-    if args.journal:
-        return Path(args.journal)
-    root = Path(
-        args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or ".repro_cache"
-    )
-    return root / "journals" / f"{name or args.command}.jsonl"
-
-
-def _build_executor(args, journal_name: str | None = None) -> SweepExecutor:
-    """--jobs/--cache/--timeout/--retries/--resume/--inject-faults
-    plumbing shared by figure commands.  One obs registry spans the
-    cache, the journal, and the executor so a single dump shows the
-    whole sweep's behaviour."""
+def _build_executor(args) -> SweepExecutor:
+    """--jobs/--cache/--timeout plumbing shared by figure commands.  One
+    obs registry spans the cache and the executor so a single dump shows
+    the whole sweep's behaviour."""
     registry = MetricRegistry()
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir, registry=registry)
-    journal = SweepJournal(_journal_path(args, journal_name), registry=registry,
-                           resume=args.resume)
-    faults = parse_fault_plan(args.inject_faults)
-    if faults is not None:
-        print(f"  injecting faults: {faults.describe()}", file=sys.stderr)
     executor = SweepExecutor(
         jobs=args.jobs,
         cache=cache,
         timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
-        journal=journal,
-        faults=faults,
         registry=registry,
     )
     # Gate on the resolved worker count, so --jobs 0 auto-detection
@@ -357,9 +332,6 @@ def _build_executor(args, journal_name: str | None = None) -> SweepExecutor:
 def _sweep_footer(executor: SweepExecutor) -> None:
     if executor.cache is not None:
         print(f"  {executor.cache.describe()}", file=sys.stderr)
-    if executor.journal is not None:
-        print(f"  {executor.journal.describe()}", file=sys.stderr)
-        executor.journal.close()
     print(f"  {executor.describe()}", file=sys.stderr)
 
 
@@ -409,7 +381,7 @@ def cmd_run_spec(args) -> int:
                 raise SystemExit(f"--set expects path=value, got {item!r}")
             extra[key] = _parse_override_value(value)
         spec = replace(spec, overrides={**spec.overrides, **extra})
-    executor = _build_executor(args, journal_name=f"spec-{spec.name}")
+    executor = _build_executor(args)
     compiled = compile_spec(spec)
     print(f"  {args.spec}: {len(compiled.rows)} rows over "
           f"{compiled.cell_count} distinct cells", file=sys.stderr)
@@ -443,15 +415,15 @@ def cmd_audit(args) -> int:
     """Invariant sweep + differential validation + golden-drift gate."""
     failures = 0
 
-    faults = parse_fault_plan(args.inject_faults)
-    if faults is not None:
-        print(f"  injecting faults: {faults.describe()}", file=sys.stderr)
+    drill = args.inject_faults
+    if drill is not None:
+        print(f"  injecting faults: {drill.describe()}", file=sys.stderr)
     cells = audit_workloads(
         machine=args.machine,
         workloads=args.workloads or None,
         schemes=args.schemes or None,
         interval=args.every,
-        faults=faults,
+        drill=drill,
         strict=args.strict,
         mshr_model=args.mshr_model,
     )
@@ -471,6 +443,12 @@ def cmd_audit(args) -> int:
             for v in cell.violations[:4]:
                 print(f"  VIOLATION: {cell.benchmark}/{cell.scheme} "
                       f"{v.describe()}", file=sys.stderr)
+    if drill is not None and not any(cell.corrupted for cell in cells):
+        # A drill that corrupts nothing proves nothing (e.g. a typo'd
+        # selector): fail rather than pass vacuously.
+        failures += 1
+        print(f"  DRILL FAILED: plan {drill.describe()} matched no audited "
+              "cell", file=sys.stderr)
 
     golden = Path(args.golden) if args.golden else DEFAULT_GOLDEN
     if args.no_diff:
@@ -668,6 +646,14 @@ def _bounded(kind: type, low: float, *, strict: bool = False):
     return parse
 
 
+def _drill_plan(text: str) -> CorruptPlan:
+    """argparse type for ``audit --inject-faults``."""
+    try:
+        return CorruptPlan.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -818,11 +804,13 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--strict", action="store_true",
                        help="raise on the first violation instead of "
                             "collecting a report")
-    audit.add_argument("--inject-faults", default=None, metavar="PLAN",
+    audit.add_argument("--inject-faults", type=_drill_plan, default=None,
+                       metavar="PLAN",
                        help="corrupt-outcome drill plan, e.g. "
                             "'em3d//dbp=corrupt' — matched cells get a "
                             "deliberately broken outcome tracker that the "
-                            "auditor must catch")
+                            "auditor must catch; a plan matching no cell "
+                            "fails the audit")
 
     prof = sub.add_parser(
         "profile",
@@ -892,24 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "including --jobs 0 on a multi-CPU host)")
         p.add_argument("--timeout", type=_bounded(float, 0, strict=True), default=None, metavar="SEC",
                        help="per-cell wall-clock budget; a hung worker is "
-                            "terminated and the cell charged a failed attempt")
-        p.add_argument("--retries", type=_bounded(int, 0), default=0, metavar="N",
-                       help="retry a failed/timed-out cell up to N times "
-                            "with exponential backoff (default: 0)")
-        p.add_argument("--backoff", type=_bounded(float, 0), default=0.5, metavar="SEC",
-                       help="base retry delay; doubles per attempt "
-                            "(default: 0.5)")
-        p.add_argument("--resume", action="store_true",
-                       help="replay completed cells from the sweep journal "
-                            "of an interrupted run instead of starting over")
-        p.add_argument("--journal", default=None, metavar="PATH",
-                       help="checkpoint journal location (default: "
-                            "<cache-root>/journals/<figure>.jsonl)")
-        p.add_argument("--inject-faults", default=None, metavar="PLAN",
-                       help="deterministic fault plan for robustness drills: "
-                            "'bench[/variant[/engine]]=kind[:times][@sec]' "
-                            "entries (kinds: crash, hang, transient, corrupt) "
-                            "separated by commas")
+                            "terminated and the cell becomes an error row")
     return parser
 
 

@@ -36,6 +36,7 @@ from .diff import (
 )
 from .gate import (
     AuditCell,
+    CorruptPlan,
     audit_workloads,
     differential_check,
     fidelity_gate,
@@ -62,6 +63,7 @@ __all__ = [
     "AuditCell",
     "AuditError",
     "Auditor",
+    "CorruptPlan",
     "AuditViolation",
     "BenchRule",
     "DEFAULT_RULES",

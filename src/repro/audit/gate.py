@@ -6,8 +6,8 @@ the CI ``audit`` job:
 * :func:`audit_workloads` — run every registered workload under every
   scheme on a named machine with an :class:`~repro.audit.Auditor`
   attached; any conservation-law violation fails the gate.  A
-  :class:`~repro.harness.faults.FaultPlan` whose ``corrupt`` rules match
-  a cell routes that cell through
+  :class:`CorruptPlan` (``repro audit --inject-faults``) routes the cells
+  it matches through
   :func:`~repro.audit.invariants.corrupt_outcome_tracker` — the drill
   proving the auditor actually catches mis-classified outcomes.
 * :func:`differential_check` — for every golden-pinned cell, run the
@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Iterable
 
 from ..config import get_machine
 from ..cpu.simulator import simulate
 from ..errors import WorkloadError
-from ..harness.executor import RunSpec
-from ..harness.faults import FaultPlan
 from ..harness.runner import BenchmarkRunner
 from ..harness.schemes import scheme_names, scheme_plan
 from ..obs import Telemetry
@@ -43,6 +42,45 @@ DEFAULT_GOLDEN = Path(__file__).resolve().parents[3] / "tests" / "golden_cycles.
 
 #: Metrics the fidelity gate tracks per golden cell.
 GOLDEN_METRICS = ("cycles", "compute", "instructions")
+
+
+@dataclass(frozen=True)
+class CorruptPlan:
+    """The auditor's drill: which audited cells get a deliberately
+    broken outcome tracker.
+
+    Text form: ``benchmark[/variant[/engine]]=corrupt`` entries separated
+    by commas.  Each selector part is an ``fnmatch`` glob; omitted or
+    empty parts match everything (``em3d//dbp=corrupt``)."""
+
+    selectors: tuple[tuple[str, str, str], ...]
+
+    @classmethod
+    def parse(cls, text: str) -> "CorruptPlan":
+        selectors = []
+        for entry in filter(None, (e.strip() for e in text.split(","))):
+            selector, __, kind = entry.partition("=")
+            parts = [p.strip() or "*" for p in selector.split("/")]
+            if (kind.strip() != "corrupt" or not selector.strip()
+                    or len(parts) > 3):
+                raise ValueError(
+                    f"drill entry {entry!r} is not "
+                    "benchmark[/variant[/engine]]=corrupt"
+                )
+            selectors.append(tuple(parts + ["*"] * (3 - len(parts))))
+        if not selectors:
+            raise ValueError(f"drill plan {text!r} has no entries")
+        return cls(tuple(selectors))
+
+    def matches(self, benchmark: str, variant: str, engine: str) -> bool:
+        return any(
+            fnmatchcase(benchmark, b) and fnmatchcase(variant, v)
+            and fnmatchcase(engine, e)
+            for b, v, e in self.selectors
+        )
+
+    def describe(self) -> str:
+        return ", ".join(f"{'/'.join(sel)}=corrupt" for sel in self.selectors)
 
 
 @dataclass
@@ -79,7 +117,7 @@ def audit_workloads(
     workloads: Iterable[str] | None = None,
     schemes: Iterable[str] | None = None,
     interval: int = 512,
-    faults: FaultPlan | None = None,
+    drill: CorruptPlan | None = None,
     strict: bool = False,
     mshr_model: str | None = None,
 ) -> list[AuditCell]:
@@ -88,7 +126,7 @@ def audit_workloads(
     Workloads run at their quick test sizes on the named machine;
     ``mshr_model`` overrides the machine's MSHR model so the
     non-blocking hierarchies run under the same sweep (and arm the MSHR
-    conservation laws).  Cells matched by a ``corrupt`` fault rule get a
+    conservation laws).  Cells matched by the ``drill`` plan get a
     deliberately broken outcome tracker — plus, under a non-blocking
     model, a skewed MSHR allocation counter; with a working auditor
     those cells (and only those) report violations.
@@ -109,19 +147,17 @@ def audit_workloads(
                 programs[variant] = workload.build(variant).program
             telemetry = Telemetry()
             auditor = Auditor(interval=interval, strict=strict)
-            corrupted = False
-            if faults is not None:
-                spec = RunSpec.make(name, variant, engine, cfg,
-                                    dict(workload.params))
-                if faults.corrupts(spec):
-                    # after=0: tiny test-size runs issue few prefetches,
-                    # so mis-classify from the very first one.
-                    corrupt_outcome_tracker(telemetry.outcomes, after=0)
-                    if cfg.mshr_model != "blocking":
-                        # The MSHR laws only arm under the non-blocking
-                        # models; drill them in the same corrupt cells.
-                        corrupt_mshr_tracker(auditor, after=0)
-                    corrupted = True
+            corrupted = drill is not None and drill.matches(
+                name, variant, engine
+            )
+            if corrupted:
+                # after=0: tiny test-size runs issue few prefetches,
+                # so mis-classify from the very first one.
+                corrupt_outcome_tracker(telemetry.outcomes, after=0)
+                if cfg.mshr_model != "blocking":
+                    # The MSHR laws only arm under the non-blocking
+                    # models; drill them in the same corrupt cells.
+                    corrupt_mshr_tracker(auditor, after=0)
             simulate(
                 programs[variant], cfg, engine=engine,
                 telemetry=telemetry, audit=auditor,

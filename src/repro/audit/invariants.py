@@ -238,8 +238,9 @@ def corrupt_outcome_tracker(tracker, after: int = 8):
     ``timely`` count without a matching issue/drop event — exactly the
     silent double-classification bug the ``outcome-conservation``
     invariant exists to catch.  Used by the audit drills (the
-    ``harness/faults`` ``corrupt`` selector routes cells here) and the
-    self-tests; returns the tracker for chaining.
+    :class:`~repro.audit.gate.CorruptPlan` selector of ``repro audit
+    --inject-faults`` routes cells here) and the self-tests; returns the
+    tracker for chaining.
     """
     real_record_issue = tracker.record_issue
     state = {"n": 0}

@@ -1,7 +1,7 @@
 """Worker backends for the sweep scheduler.
 
 The :class:`~repro.harness.scheduler.Scheduler` owns *what* to run
-(dedup, replay, retries, timeouts, assembly); a :class:`WorkerBackend`
+(dedup, cache replay, timeouts, assembly); a :class:`WorkerBackend`
 owns *where* it runs.  The scheduler picks one of two by ``--jobs``:
 
 :class:`SerialBackend`
@@ -16,8 +16,10 @@ owns *where* it runs.  The scheduler picks one of two by ``--jobs``:
     and built workload programs across cells.
 
 Backends are stateless and constructed without arguments; everything
-they need (jobs, timeout, retries, fault plan, counters) lives on the
-scheduler they are handed.
+they need (jobs, timeout, counters) lives on the scheduler they are
+handed.  A cell that fails, times out or loses its worker becomes an
+error cell: cells are deterministic, so running one again would fail
+again.
 
 Also here: :func:`detect_cpus`, the cgroup/affinity-aware CPU count
 used for ``--jobs 0`` auto-detection — ``os.process_cpu_count()`` where
@@ -45,7 +47,6 @@ from ..config import MachineConfig
 from ..errors import ReproError
 from ..workloads import get_workload
 from .cells import Attempt, CellResult, RunSpec, job_payload, run_cell, spec_from_payload
-from .faults import FaultPlan, mark_pool_worker
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Scheduler
@@ -109,7 +110,6 @@ def dispatch_tables(
 #: its own process, so there is no sharing to guard.
 _worker_config_raw: dict[str, dict[str, Any]] = {}
 _worker_configs: dict[str, MachineConfig] = {}
-_worker_faults: FaultPlan | None = None
 _worker_programs: "OrderedDict[tuple, Any]" = OrderedDict()
 
 #: Built programs kept per worker.  Sweeps cycle through a handful of
@@ -118,18 +118,10 @@ _worker_programs: "OrderedDict[tuple, Any]" = OrderedDict()
 _PROGRAM_MEMO_CAP = 64
 
 
-def _init_pool_worker(
-    config_table: dict[str, dict[str, Any]] | None = None,
-    faults: FaultPlan | None = None,
-) -> None:
-    """ProcessPoolExecutor initializer: mark the process expendable (for
-    ``crash`` faults) and seed the config table + fault plan once,
-    instead of pickling them into every cell."""
-    mark_pool_worker()
-    if config_table:
-        _worker_config_raw.update(config_table)
-    global _worker_faults
-    _worker_faults = faults
+def _init_pool_worker(config_table: dict[str, dict[str, Any]]) -> None:
+    """ProcessPoolExecutor initializer: seed the config table once,
+    instead of pickling a config into every cell."""
+    _worker_config_raw.update(config_table)
 
 
 def _worker_config(cid: str) -> MachineConfig:
@@ -164,16 +156,15 @@ def _worker_program(spec: RunSpec) -> Any:
     return program
 
 
-def _pool_run_job(payload: dict[str, Any], attempt: int = 0) -> tuple[str, ...]:
+def _pool_run_job(payload: dict[str, Any]) -> tuple[str, ...]:
     """Pool-worker job entry: reconstruct the cell from its compact
     payload (config by reference, program via the per-worker memo) and
-    run it under the fault plan the initializer seeded."""
+    run it."""
     try:
         spec = spec_from_payload(payload, _worker_config(payload["config"]))
     except Exception as exc:
         return ("error", type(exc).__name__, traceback.format_exc())
-    return run_cell(spec, attempt, _worker_faults,
-                    program_factory=lambda: _worker_program(spec))
+    return run_cell(spec, program_factory=lambda: _worker_program(spec))
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +174,7 @@ def _pool_run_job(payload: dict[str, Any], attempt: int = 0) -> tuple[str, ...]:
 class WorkerBackend:
     """Executes the scheduler's remaining cells.  ``run`` must account
     every cell of ``todo`` into ``results`` (ok or error), using the
-    scheduler's retry/finish/counter machinery, and return the updated
+    scheduler's finish/fail/counter machinery, and return the updated
     ``done`` count."""
 
     def run(
@@ -209,46 +200,30 @@ class SerialBackend(WorkerBackend):
         total: int,
     ) -> int:
         for spec in todo:
-            attempt = 0
-            while True:
-                sched._note_injection(spec, attempt)
-                sched._c_executed.inc()
-                start = time.monotonic()
-                out = run_cell(spec, attempt, sched.faults)
-                elapsed = time.monotonic() - start
-                if out[0] == "ok" and (
-                    sched.timeout is None or elapsed <= sched.timeout
-                ):
-                    done += 1
-                    results[spec] = sched._finish(
-                        CellResult(spec, out[1], attempts=attempt + 1),
-                        done, total,
-                    )
-                    break
-                if out[0] == "ok":
-                    # Completed, but past the wall-clock budget: a pool
-                    # would have reaped it — charge a timeout attempt
-                    # for serial/parallel parity.
-                    sched._c_timeouts.inc()
-                    kind, tb = "TimeoutError", (
-                        f"TimeoutError: cell exceeded --timeout "
-                        f"{sched.timeout}s (took {elapsed:.2f}s)"
-                    )
-                else:
-                    kind, tb = out[1], out[2]
-                if attempt < sched.retries:
-                    sched._c_retries.inc()
-                    sched._sleep(sched._backoff_delay(attempt))
-                    attempt += 1
-                    continue
-                sched._c_failures.inc()
+            sched._c_executed.inc()
+            start = time.monotonic()
+            out = run_cell(spec)
+            elapsed = time.monotonic() - start
+            if out[0] == "ok" and (
+                sched.timeout is None or elapsed <= sched.timeout
+            ):
                 done += 1
                 results[spec] = sched._finish(
-                    CellResult(spec, None, error=tb, error_kind=kind,
-                               attempts=attempt + 1),
-                    done, total,
+                    CellResult(spec, out[1]), done, total
                 )
-                break
+                continue
+            if out[0] == "ok":
+                # Completed, but past the wall-clock budget: a pool
+                # would have reaped it — charge a timeout for
+                # serial/parallel parity.
+                sched._c_timeouts.inc()
+                kind, tb = "TimeoutError", (
+                    f"TimeoutError: cell exceeded --timeout "
+                    f"{sched.timeout}s (took {elapsed:.2f}s)"
+                )
+            else:
+                kind, tb = out[1], out[2]
+            done = sched._fail(spec, kind, tb, results, done, total)
         return done
 
 
@@ -289,7 +264,7 @@ class ProcessPoolBackend(WorkerBackend):
             pool = ProcessPoolExecutor(
                 max_workers=max_inflight,
                 initializer=_init_pool_worker,
-                initargs=(config_table, sched.faults),
+                initargs=(config_table,),
             )
             abandon = False
             try:
@@ -297,13 +272,10 @@ class ProcessPoolBackend(WorkerBackend):
                 broken = False
 
                 def submit(item: Attempt) -> None:
-                    sched._note_injection(item.spec, item.attempt)
                     sched._c_executed.inc()
                     if sched.timeout is not None:
                         item.deadline = time.monotonic() + sched.timeout
-                    fut = pool.submit(
-                        _pool_run_job, payloads[item.spec], item.attempt
-                    )
+                    fut = pool.submit(_pool_run_job, payloads[item.spec])
                     running[fut] = item
 
                 def refill() -> None:
@@ -329,9 +301,9 @@ class ProcessPoolBackend(WorkerBackend):
                     if not finished:
                         # A deadline expired with nothing completing:
                         # the worker is hung.  Its process cannot be
-                        # recovered individually, so charge the timed-out
-                        # cells an attempt, requeue the innocent
-                        # bystanders untouched, and abandon the pool.
+                        # recovered individually, so fail the timed-out
+                        # cells, requeue the innocent bystanders
+                        # untouched, and abandon the pool.
                         now = time.monotonic()
                         expired = [
                             fut for fut, item in running.items()
@@ -345,12 +317,10 @@ class ProcessPoolBackend(WorkerBackend):
                             sched._c_timeouts.inc()
                             tb = (
                                 f"TimeoutError: cell exceeded --timeout "
-                                f"{sched.timeout}s "
-                                f"(attempt {item.attempt + 1}); "
-                                "hung worker terminated"
+                                f"{sched.timeout}s; hung worker terminated"
                             )
-                            done = sched._fail_or_requeue(
-                                item, "TimeoutError", tb, queue,
+                            done = sched._fail(
+                                item.spec, "TimeoutError", tb,
                                 results, done, total,
                             )
                         for item in running.values():
@@ -365,41 +335,39 @@ class ProcessPoolBackend(WorkerBackend):
                         except BrokenExecutor:
                             # A worker died; every in-flight future of
                             # this pool fails with it and the victims are
-                            # indistinguishable, so each is charged one
-                            # attempt.  Rebuild the pool afterwards.
+                            # indistinguishable, so each becomes an error
+                            # cell.  Rebuild the pool afterwards.
                             if not broken:
                                 sched._c_pool_breaks.inc()
                                 broken = True
-                            done = sched._fail_or_requeue(
-                                item, "BrokenProcessPool",
-                                traceback.format_exc(), queue,
+                            done = sched._fail(
+                                item.spec, "BrokenProcessPool",
+                                traceback.format_exc(),
                                 results, done, total,
                             )
                             continue
                         except Exception as exc:
                             # The payload failed to unpickle (or another
-                            # local fault); isolate it as a failed
-                            # attempt of this cell only.
-                            done = sched._fail_or_requeue(
-                                item, type(exc).__name__,
-                                traceback.format_exc(), queue,
+                            # local fault); isolate it as an error of
+                            # this cell only.
+                            done = sched._fail(
+                                item.spec, type(exc).__name__,
+                                traceback.format_exc(),
                                 results, done, total,
                             )
                             continue
                         if out[0] == "ok":
                             done += 1
                             results[item.spec] = sched._finish(
-                                CellResult(item.spec, out[1],
-                                           attempts=item.attempt + 1),
-                                done, total,
+                                CellResult(item.spec, out[1]), done, total,
                             )
                         else:
-                            done = sched._fail_or_requeue(
-                                item, out[1], out[2], queue,
+                            done = sched._fail(
+                                item.spec, out[1], out[2],
                                 results, done, total,
                             )
-                    # Waiting cells (and retries requeued above) go to
-                    # the current pool while it is healthy.
+                    # Waiting cells go to the current pool while it is
+                    # healthy.
                     refill()
                     if broken:
                         for item in running.values():

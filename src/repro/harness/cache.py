@@ -1,13 +1,14 @@
 """Content-addressed on-disk simulation result cache.
 
-Every experiment cell (one ``simulate()`` call) is identified by a
-SHA-256 key over the *complete* set of inputs that determine its outcome:
+Every experiment cell (one ``simulate()`` call, or one Table-1
+characterization) is identified by a SHA-256 key over the *complete* set
+of inputs that determine its outcome:
 
 * the canonicalized :class:`~repro.config.MachineConfig` (every nested
   dataclass field, via ``MachineConfig.to_dict``) — covering dotted-path
   overrides from experiment spec files just like hand-built configs,
 * the workload name, its parameters, and the program variant,
-* the prefetch engine name,
+* the prefetch engine name and the cell kind (``sim``/``table1``),
 * the simulation-engine name (``table``/``reference``) —
   engines are bit-identical, but the key stays honest about which
   implementation produced an entry,
@@ -16,12 +17,16 @@ SHA-256 key over the *complete* set of inputs that determine its outcome:
   memory, CPU, prefetch, or workload code invalidates prior entries while
   harness/doc/test changes do not.
 
-The value is the ``repro.sim_result/1`` artifact (``SimResult.to_dict``)
-written atomically; a hit deserializes back to a ``SimResult`` that
-compares equal to the cold run's (modulo raw ``miss_intervals`` samples,
-which are never cached).  Hit/miss/write counters are registered in a
-:class:`~repro.obs.metrics.MetricRegistry` (the PR-1 ``obs`` subsystem),
-so sweeps can report cache effectiveness alongside simulation metrics.
+The value is written atomically and durably, decoded by cell kind: a
+``sim`` cell stores the ``repro.sim_result/1`` artifact
+(``SimResult.to_dict``) and a hit deserializes back to a ``SimResult``
+that compares equal to the cold run's (modulo raw ``miss_intervals``
+samples, which are never cached); a ``table1`` cell stores its row dict
+as ``repro.table1_row/1``.  Because every cell kind is cached, rerunning
+an interrupted sweep against the same cache executes only the cells it
+had not stored.  Hit/miss/write counters are registered in a
+:class:`~repro.obs.metrics.MetricRegistry`, so sweeps can report cache
+effectiveness alongside simulation metrics.
 
 Cache location: ``$REPRO_CACHE_DIR`` when set, else ``.repro_cache/``
 under the current working directory.
@@ -49,6 +54,20 @@ _FINGERPRINT_PACKAGES = ("isa", "mem", "cpu", "prefetch", "core", "workloads")
 _FINGERPRINT_MODULES = ("config.py", "errors.py")
 
 _fingerprint_cache: str | None = None
+
+
+def _table1_row(doc: Any) -> dict[str, Any]:
+    if not isinstance(doc, dict):
+        raise ValueError(f"table1 row is a {type(doc).__name__}, not a dict")
+    return doc
+
+
+#: Per cell kind: the entry's artifact schema, and how the cell's result
+#: encodes to and decodes from the entry's ``result`` field.
+_CODECS = {
+    "sim": ("sim_result", SimResult.to_dict, SimResult.from_dict),
+    "table1": ("table1_row", dict, _table1_row),
+}
 
 logger = logging.getLogger(__name__)
 
@@ -121,7 +140,7 @@ def spec_key(spec: "RunSpec") -> str:
 
 
 class ResultCache:
-    """On-disk ``key -> SimResult`` store with obs-registry counters."""
+    """On-disk ``key -> cell result`` store with obs-registry counters."""
 
     def __init__(
         self,
@@ -133,13 +152,13 @@ class ResultCache:
         )
         self.registry = registry or MetricRegistry()
         self._hits = self.registry.counter(
-            "cache.hits", help="simulation cells served from the result cache"
+            "cache.hits", help="sweep cells served from the result cache"
         )
         self._misses = self.registry.counter(
-            "cache.misses", help="simulation cells not found in the result cache"
+            "cache.misses", help="sweep cells not found in the result cache"
         )
         self._writes = self.registry.counter(
-            "cache.writes", help="simulation results stored into the cache"
+            "cache.writes", help="cell results stored into the cache"
         )
         self._invalid = self.registry.counter(
             "cache.invalid", help="unreadable/incompatible cache entries skipped"
@@ -158,8 +177,10 @@ class ResultCache:
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, spec: "RunSpec") -> SimResult | None:
-        """The cached :class:`SimResult` for ``spec``, or None on a miss.
+    def get(self, spec: "RunSpec") -> Any | None:
+        """The cached result for ``spec`` — a :class:`SimResult` for a
+        ``sim`` cell, the row dict for a ``table1`` cell — or None on a
+        miss.
 
         A missing entry is the normal cold miss.  An entry that *exists*
         but cannot be read — permission failure, I/O error, truncated or
@@ -182,10 +203,11 @@ class ResultCache:
             self._read_errors.inc()
             self._misses.inc()
             return None
+        schema, __, decode = _CODECS[spec.kind]
         try:
-            if schema_kind(doc) != "sim_result":
+            if schema_kind(doc) != schema:
                 raise ValueError(f"unexpected schema {doc.get('schema')!r}")
-            result = SimResult.from_dict(doc["result"])
+            result = decode(doc["result"])
         except (KeyError, TypeError, ValueError):
             # Incompatible or corrupt entry: treat as a miss and let the
             # fresh result overwrite it.
@@ -195,14 +217,14 @@ class ResultCache:
         self._hits.inc()
         return result
 
-    def put(self, spec: "RunSpec", result: SimResult) -> Path:
+    def put(self, spec: "RunSpec", result: Any) -> Path:
         """Store ``result`` under ``spec``'s key (atomic + durable rename)."""
         key = self.key(spec)
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        schema, encode, __ = _CODECS[spec.kind]
         doc = artifact(
-            "sim_result",
-            {"spec": canonical_spec(spec), "result": result.to_dict()},
+            schema, {"spec": canonical_spec(spec), "result": encode(result)},
         )
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:

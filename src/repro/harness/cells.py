@@ -11,7 +11,7 @@ workers (:func:`job_payload` / :func:`spec_from_payload`).
 The layers stack on top:
 
 * :mod:`repro.harness.scheduler` — plan → dispatch → deterministic
-  plan-order assembly, owning retries/timeouts/journal replay;
+  plan-order assembly, owning timeouts and cache replay;
 * :mod:`repro.harness.backends` — the serial and process-pool worker
   backends that execute dispatched cells.
 """
@@ -28,7 +28,6 @@ from ..cpu.simulator import simulate
 from ..errors import ReproError
 from ..isa.engines import default_sim_engine
 from ..workloads import get_workload
-from .faults import FaultPlan
 
 
 class SweepError(ReproError):
@@ -131,15 +130,13 @@ class RunSpec:
 
 @dataclass
 class CellResult:
-    """Outcome of one executed (or cache-/journal-served) cell."""
+    """Outcome of one executed (or cache-served) cell."""
 
     spec: RunSpec
     result: Any = None          # SimResult for "sim", row dict for "table1"
     error: str | None = None
     error_kind: str | None = None   # exception class name of the failure
     cached: bool = False            # served from the on-disk result cache
-    replayed: bool = False          # served from the resume journal
-    attempts: int = 1               # executions charged (1 = first try)
 
     @property
     def ok(self) -> bool:
@@ -148,18 +145,15 @@ class CellResult:
 
 @dataclass
 class Attempt:
-    """One scheduled execution of a cell (retries bump ``attempt``);
-    the scheduler's dispatch queues hold these."""
+    """One scheduled execution of a cell; the process pool's dispatch
+    queue holds these."""
 
     spec: RunSpec
-    attempt: int = 0
     deadline: float | None = None
 
 
 def run_cell(
     spec: RunSpec,
-    attempt: int = 0,
-    faults: FaultPlan | None = None,
     program_factory: Callable[[], Any] | None = None,
 ) -> tuple[str, ...]:
     """Worker body: build the program and simulate.  Must stay a
@@ -168,12 +162,8 @@ def run_cell(
 
     ``program_factory`` short-circuits the workload rebuild when the
     caller holds a memoized program (the per-worker memo of
-    :mod:`repro.harness.backends`); it is consulted only after fault
-    injection so a build failure and an injected fault keep their
-    relative order."""
+    :mod:`repro.harness.backends`)."""
     try:
-        if faults is not None:
-            faults.apply(spec, attempt)
         if spec.kind == "table1":
             workload = get_workload(spec.benchmark, **dict(spec.params))
             program = workload.build(spec.variant).program

@@ -5,8 +5,7 @@ The thin public face of the layered sweep machinery:
 * :mod:`repro.harness.cells` — the cell vocabulary (:class:`RunSpec`,
   :class:`CellResult`, the ``run_cell`` worker body, job payloads);
 * :mod:`repro.harness.scheduler` — the :class:`Scheduler` policy layer
-  (dedup, journal/cache replay, retries/timeouts/backoff, deterministic
-  plan-order assembly);
+  (dedup, cache replay, timeouts, deterministic plan-order assembly);
 * :mod:`repro.harness.backends` — the two worker backends (serial and
   the local process pool), chosen by ``--jobs``.
 
@@ -21,14 +20,14 @@ Guarantees:
   in plan order, so serial and pooled sweeps produce identical rows.
 * **Work sharing** — identical cells are planned once; the
   :class:`~repro.harness.cache.ResultCache` extends the sharing across
-  processes and sweeps, and a
-  :class:`~repro.harness.journal.SweepJournal` checkpoints completed
-  cells so an interrupted sweep resumes where it stopped.
+  processes and sweeps, and because it stores every completed cell, an
+  interrupted sweep rerun against the same cache executes only the
+  cells it had not finished.
 * **Error isolation** — a cell that raises becomes an error
   :class:`CellResult` instead of aborting the sweep.
-* **Bounded retry, per-cell timeouts, crash recovery, clean
-  interruption, narrated progress** — see :class:`Scheduler` and the
-  backends for the mechanics.
+* **Per-cell timeouts, crash recovery, clean interruption, narrated
+  progress** — see :class:`Scheduler` and the backends for the
+  mechanics.
 """
 
 from __future__ import annotations
@@ -174,8 +173,8 @@ class SweepPlan:
         executor: SweepExecutor | None = None,
     ) -> "SweepResults":
         """Execute the collected cells.  A fully-configured ``executor``
-        (timeout/retry/journal/faults/backend) takes precedence over the
-        simple ``jobs``/``cache``/``progress`` shorthand."""
+        (timeout/registry/backend) takes precedence over the simple
+        ``jobs``/``cache``/``progress`` shorthand."""
         if executor is None:
             executor = SweepExecutor(jobs=jobs, cache=cache, progress=progress)
         return SweepResults(executor.execute(self._specs))

@@ -7,11 +7,11 @@ report.  Specs load from TOML or JSON files (``examples/specs/``), and
 **compile onto the existing sweep machinery** — every spec becomes plain
 :class:`~repro.harness.executor.RunSpec` cells in a
 :class:`~repro.harness.executor.SweepPlan`, so spec-driven runs inherit
-the executor's deduplication, on-disk result cache, process-pool
-parallelism, retries, timeouts, and checkpoint-resume without any code
-of their own.  The bespoke experiment functions (``table1``,
-``figure4``–``figure7``) are thin wrappers that build the equivalent
-spec in memory; a shipped spec file and its wrapper produce
+the executor's deduplication, on-disk result cache (which is also how
+an interrupted run resumes), process-pool parallelism and timeouts
+without any code of their own.  The bespoke experiment functions
+(``table1``, ``figure4``–``figure7``) are thin wrappers that build the
+equivalent spec in memory; a shipped spec file and its wrapper produce
 bit-identical rows.
 
 Spec documents have this shape (TOML shown; JSON is isomorphic)::

@@ -8,6 +8,7 @@ detect incompatible layout changes instead of silently misreading them.
 Schema tags currently in use:
 
 * ``repro.sim_result/1``  — one :meth:`SimResult.to_dict`
+* ``repro.table1_row/1``  — one cached Table-1 characterization row
 * ``repro.scheme_run/1``  — one :meth:`SchemeRun.to_dict`
 * ``repro.stats/1``       — ``python -m repro stats`` (per-engine
   prefetch-outcome counts, metric registry dumps, time decomposition)

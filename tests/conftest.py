@@ -25,6 +25,20 @@ def tiny_cfg() -> MachineConfig:
     )
 
 
+class InterruptAfter:
+    """Sweep progress hook that raises KeyboardInterrupt on its n-th
+    narration — a Ctrl-C landing mid-sweep, after n cells finished."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.seen = 0
+
+    def __call__(self, line: str) -> None:
+        self.seen += 1
+        if self.seen >= self.n:
+            raise KeyboardInterrupt
+
+
 def assemble_loop_sum(n: int):
     """Sum 1..n in a register loop; returns (program, result_addr)."""
     a = Assembler()

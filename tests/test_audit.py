@@ -6,14 +6,15 @@ import types
 import pytest
 
 from repro import Telemetry, simulate, small_config
+from repro.__main__ import main
 from repro.audit import (
     AuditError,
     Auditor,
     AuditViolation,
+    CorruptPlan,
     audit_workloads,
     corrupt_outcome_tracker,
 )
-from repro.harness.faults import FaultPlan, FaultSpec
 from repro.obs import EventTrace, TIMELY
 
 from tests.conftest import assemble_list_walk
@@ -167,13 +168,12 @@ class TestWorkloadGate:
         assert all(c.ok for c in cells)
         assert all(c.checks > 0 for c in cells)
 
-    def test_corrupt_fault_plan_is_caught_and_scoped(self):
-        plan = FaultPlan.of(
-            FaultSpec("em3d", "*", "dbp", kind="corrupt"),
-        )
+    def test_corrupt_fault_plan_is_caught_and_scoped(self, capsys):
+        plan = CorruptPlan.parse("em3d//dbp=corrupt")
+        assert plan.selectors == (("em3d", "*", "dbp"),)
         cells = audit_workloads(
             workloads=["em3d"], schemes=["dbp", "hardware"],
-            interval=128, faults=plan,
+            interval=128, drill=plan,
         )
         by_scheme = {c.scheme: c for c in cells}
         victim = by_scheme["dbp"]
@@ -181,6 +181,19 @@ class TestWorkloadGate:
         assert victim.violations[0].invariant == "outcome-conservation"
         bystander = by_scheme["hardware"]
         assert not bystander.corrupted and bystander.ok
+
+        # Through the CLI: the drill passes only when a cell was corrupted
+        # and caught.  A typo'd engine corrupts nothing and fails; a kind
+        # other than corrupt is a usage error.
+        argv = ["audit", "--workloads", "em3d", "--schemes", "dbp",
+                "hardware", "--no-diff", "--no-gate", "--inject-faults"]
+        assert main(argv + ["em3d//dbp=corrupt"]) == 0
+        assert main(argv + ["em3d//dpb=corrupt"]) == 1
+        assert "matched no audited cell" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as usage:
+            main(argv + ["em3d//dbp=transient"])
+        assert usage.value.code == 2
+        assert "=corrupt" in capsys.readouterr().err
 
     def test_cell_row_shape(self):
         (cell,) = audit_workloads(workloads=["treeadd"], schemes=["base"])

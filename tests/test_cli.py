@@ -83,7 +83,7 @@ def test_run_spec_end_to_end(tmp_path, capsys):
     spec = figure5_spec(benchmarks=("treeadd",))
     path = _write_spec(tmp_path, spec)
     assert main(["run-spec", str(path), "--machine", "small", "--small",
-                 "--no-cache", "--journal", str(tmp_path / "j.jsonl")]) == 0
+                 "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "treeadd" in out
     for scheme in ("base", "software", "cooperative", "hardware", "dbp"):
@@ -107,7 +107,6 @@ def test_run_spec_artifact_and_set(tmp_path, capsys):
     assert main(["run-spec", str(_write_spec(tmp_path, spec)),
                  "--machine", "small", "--set", "memory_latency=140",
                  "--cache-dir", str(tmp_path / "cache"),
-                 "--journal", str(tmp_path / "j.jsonl"),
                  "-o", str(out_file)]) == 0
     doc = json.loads(out_file.read_text())
     assert doc["schema"] == "repro.experiment/1"
@@ -122,8 +121,7 @@ def test_run_spec_bad_file_is_clean_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     with pytest.raises(SystemExit, match="error:"):
-        main(["run-spec", str(bad), "--no-cache",
-              "--journal", str(tmp_path / "j.jsonl")])
+        main(["run-spec", str(bad), "--no-cache"])
 
 
 def test_unknown_env_sim_engine_is_clean_error(monkeypatch):
@@ -195,8 +193,6 @@ def test_negative_jobs_is_usage_error(capsys):
 
 @pytest.mark.parametrize("flag,bad,edge", [
     ("--timeout", "0", "0.5"),
-    ("--retries", "-1", "0"),
-    ("--backoff", "-1", "0"),
 ])
 def test_out_of_range_retry_policy_is_usage_error(capsys, flag, bad, edge):
     with pytest.raises(SystemExit):
@@ -208,18 +204,14 @@ def test_out_of_range_retry_policy_is_usage_error(capsys, flag, bad, edge):
 
 @pytest.mark.parametrize("cpus,narrates", [(1, False), (4, True)])
 def test_jobs_zero_narrates_by_resolved_worker_count(
-    tmp_path, monkeypatch, cpus, narrates
+    monkeypatch, cpus, narrates
 ):
     from repro.__main__ import _build_executor
     from repro.harness import scheduler
 
     monkeypatch.setattr(scheduler, "detect_cpus", lambda: cpus)
-    args = build_parser().parse_args([
-        "figure5", "--jobs", "0", "--no-cache",
-        "--journal", str(tmp_path / "j.jsonl"),
-    ])
+    args = build_parser().parse_args(["figure5", "--jobs", "0", "--no-cache"])
     executor = _build_executor(args)
-    executor.journal.close()
     assert executor.jobs == cpus
     assert (executor.progress is not None) is narrates
 
@@ -230,6 +222,11 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     ["figure5", "--backend", "process"],
     ["figure5", "--pool", "/tmp/p.sock"],
     ["run-spec", "spec.toml", "--pool-wait", "5"],
+    ["figure5", "--resume"],
+    ["figure5", "--journal", "x"],
+    ["figure5", "--retries", "1"],
+    ["figure5", "--backoff", "1"],
+    ["figure5", "--inject-faults", "x=crash"],
 ])
 def test_removed_sweep_service_options_rejected(argv):
     with pytest.raises(SystemExit):

@@ -1,5 +1,9 @@
-"""Sweep executor: serial/parallel parity, deduplication, error isolation."""
+"""Sweep executor: serial/parallel parity, deduplication, error isolation,
+timeouts and worker crashes."""
 
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -10,6 +14,8 @@ from repro.harness import (
     SweepError,
     SweepExecutor,
     SweepPlan,
+    SweepResults,
+    error_row,
     figure5,
     figure7,
 )
@@ -41,6 +47,46 @@ def poisoned():
     workload_registry.register(PoisonedWorkload)
     yield "poisoned"
     workload_registry.WORKLOADS.unregister("poisoned")
+
+
+class SleepyWorkload(workload_class("treeadd")):
+    """treeadd whose every build first sleeps ``seconds``: a cell that
+    overruns the sweep timeout, or hangs a pool worker past it."""
+
+    name = "sleepy"
+
+    def build_variant(self, variant):
+        time.sleep(self.params.get("seconds", 0.0))
+        return super().build_variant(variant)
+
+
+class CrashingWorkload(workload_class("treeadd")):
+    """treeadd whose build kills its process when that process is a pool
+    worker; an in-process build raises instead of killing the tests."""
+
+    name = "crashing"
+
+    def build_variant(self, variant):
+        if multiprocessing.parent_process() is not None:
+            os._exit(13)
+        raise RuntimeError("crashing build outside a pool worker")
+
+
+@pytest.fixture
+def misbehaving():
+    for cls in (SleepyWorkload, CrashingWorkload):
+        workload_registry.register(cls)
+    yield
+    for cls in (SleepyWorkload, CrashingWorkload):
+        workload_registry.WORKLOADS.unregister(cls.name)
+
+
+def _bystanders(cfg):
+    """Four distinct fast, honest cells."""
+    return [
+        RunSpec.make("treeadd", "baseline", engine, cfg, SMALL["treeadd"])
+        for engine in ("none", "dbp", "hardware", "cooperative")
+    ]
 
 
 class TestRunSpec:
@@ -129,6 +175,118 @@ class TestErrorIsolation:
         assert len(bad) == 5
         assert all("poisoned build" in r["error_detail"] for r in bad)
         assert all(r["error"].endswith("poisoned build") for r in bad)
+
+
+class TestErrorKinds:
+    def test_cell_error_kind_matches_exception_class(self, cfg):
+        specs = [RunSpec.make("treeadd", "baseline", "no-such-engine", cfg,
+                              SMALL["treeadd"])]
+        cells = SweepExecutor().execute(specs)
+        cell = cells[specs[0]]
+        assert cell.error_kind == "ConfigError"
+        assert "no-such-engine" in cell.error
+
+    def test_sweep_results_error_carries_kind(self, cfg):
+        plan = SweepPlan(cfg)
+        bad = plan.add(RunSpec.make("treeadd", "baseline", "no-such-engine",
+                                    cfg, SMALL["treeadd"]))
+        results = plan.execute()
+        err = results.error(bad)
+        assert err is not None and err.kind == "ConfigError"
+        assert "no-such-engine" in err    # still a usable string
+
+    def test_error_rows_greppable_by_kind(self, cfg, poisoned):
+        rows = figure5(cfg, benchmarks=("treeadd", poisoned),
+                       params={"treeadd": SMALL["treeadd"]})
+        kinds = {r["error_kind"] for r in rows if r.get("error")}
+        assert kinds == {"RuntimeError"}
+
+
+class TestHangAndCrash:
+    def test_serial_overrun_becomes_timeout_row(self, cfg, misbehaving):
+        # Serial execution cannot preempt: the cell completes after its
+        # 1.5 s nap and is then charged a timeout.
+        slow = RunSpec.make("sleepy", "baseline", "none", cfg,
+                            {**SMALL["treeadd"], "seconds": 1.5})
+        fast = _bystanders(cfg)[0]
+        ex = SweepExecutor(timeout=1.0)
+        cells = ex.execute([slow, fast])
+        assert cells[fast].ok
+        row = error_row("sleepy", "base", SweepResults(cells).error(slow))
+        assert row["error_kind"] == "TimeoutError"
+        assert "exceeded --timeout" in row["error_detail"]
+        assert ex.stats()["timeouts"] == 1
+        assert ex.stats()["failures"] == 1
+
+    def test_pooled_hang_is_reaped_before_it_finishes(self, cfg, misbehaving):
+        # The pool must NOT wait out the 120 s nap: the deadline reaps
+        # the hung worker.  The bystanders, 0.8 s each on the other
+        # worker, are still running one of their own at the reap; it is
+        # requeued uncharged and finishes in a fresh pool.
+        hung = RunSpec.make("sleepy", "baseline", "none", cfg,
+                            {**SMALL["treeadd"], "seconds": 120.0})
+        others = [
+            RunSpec.make("sleepy", "baseline", "none", cfg,
+                         {**SMALL["treeadd"], "seconds": 0.8 + i / 100})
+            for i in range(3)
+        ]
+        ex = SweepExecutor(jobs=2, timeout=2.0)
+        start = time.monotonic()
+        cells = ex.execute([hung, *others])
+        elapsed = time.monotonic() - start
+        assert elapsed < 60.0, f"hung worker was waited out ({elapsed:.0f}s)"
+        assert all(cells[spec].ok for spec in others)
+        assert cells[hung].error_kind == "TimeoutError"
+        assert "hung worker terminated" in cells[hung].error
+        stats = ex.stats()
+        assert stats["timeouts"] == 1
+        assert stats["failures"] == 1
+        assert stats["pool_breaks"] >= 1
+
+    def test_pooled_timeout_becomes_error_row(self, cfg, misbehaving):
+        # One attempt only: the reaped cell is an error row, not rerun.
+        hung = RunSpec.make("sleepy", "baseline", "none", cfg,
+                            {**SMALL["treeadd"], "seconds": 120.0})
+        fast = _bystanders(cfg)[0]
+        ex = SweepExecutor(jobs=2, timeout=1.0)
+        cells = ex.execute([hung, fast])
+        assert cells[fast].ok
+        row = error_row("sleepy", "base", SweepResults(cells).error(hung))
+        assert row["error_kind"] == "TimeoutError"
+        assert "exceeded --timeout" in row["error_detail"]
+        assert ex.stats()["timeouts"] == 1
+        assert ex.stats()["executed"] == 2
+
+    def test_pooled_crash_rebuilds_pool(self, cfg, misbehaving):
+        # The crash breaks the first pool; the cells queued behind it run
+        # in a rebuilt pool and match a serial run exactly.
+        crash = RunSpec.make("crashing", "baseline", "none", cfg,
+                             SMALL["treeadd"])
+        others = _bystanders(cfg)
+        clean = SweepExecutor().execute(others)
+        ex = SweepExecutor(jobs=2)
+        cells = ex.execute([crash, *others])
+        survivors = [spec for spec in others if cells[spec].ok]
+        assert len(survivors) >= len(others) - 1
+        assert all(cells[spec].result == clean[spec].result
+                   for spec in survivors)
+        assert ex.stats()["pool_breaks"] >= 1
+
+    def test_pooled_crash_yields_error_row(self, cfg, misbehaving):
+        crash = RunSpec.make("crashing", "baseline", "none", cfg,
+                             SMALL["treeadd"])
+        others = _bystanders(cfg)
+        ex = SweepExecutor(jobs=2)
+        cells = ex.execute([crash, *others])
+        row = error_row("crashing", "base", SweepResults(cells).error(crash))
+        assert row["error_kind"] == "BrokenProcessPool"
+        # A dying worker fails every cell in flight in its pool: at most
+        # the one bystander sharing it.  The rest run in a rebuilt pool.
+        failed = [spec for spec in others if not cells[spec].ok]
+        assert len(failed) <= 1
+        assert all(cells[spec].error_kind == "BrokenProcessPool"
+                   for spec in failed)
+        assert ex.stats()["pool_breaks"] >= 1
 
 
 class TestProgress:

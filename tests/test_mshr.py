@@ -24,11 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Assembler, MachineConfig
-from repro.audit import Auditor, audit_workloads, corrupt_mshr_tracker
+from repro.audit import Auditor, CorruptPlan, audit_workloads, corrupt_mshr_tracker
 from repro.audit.diff import diff_commit_streams, diff_results, reference_simulate
 from repro.config import CacheConfig, small_config
 from repro.cpu.simulator import simulate
-from repro.harness.faults import parse_fault_plan
 from repro.isa.registers import A0, T2, V0
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs import Telemetry
@@ -275,7 +274,7 @@ class TestMshrLaws:
     def test_fault_plan_routes_the_mshr_drill(self):
         cells = audit_workloads(
             machine="small", workloads=["treeadd"], schemes=["base", "dbp"],
-            interval=64, faults=parse_fault_plan("treeadd//dbp=corrupt"),
+            interval=64, drill=CorruptPlan.parse("treeadd//dbp=corrupt"),
             mshr_model="coalescing",
         )
         by_scheme = {c.scheme: c for c in cells}

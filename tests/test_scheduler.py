@@ -10,6 +10,9 @@ interleavings.
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,15 +24,17 @@ from repro.harness import (
     SweepExecutor,
     WorkerBackend,
     detect_cpus,
+    figure5,
     run_cell,
 )
 from repro.harness.backends import ProcessPoolBackend, SerialBackend, config_id, dispatch_tables
 from repro.harness.cells import CellResult, job_payload, spec_from_payload
 from repro.workloads import workload_class
+from tests.conftest import InterruptAfter
 
 SMALL = {
-    "treeadd": workload_class("treeadd").test_params(),
-    "health": workload_class("health").test_params(),
+    name: workload_class(name).test_params()
+    for name in ("treeadd", "health", "power")
 }
 
 
@@ -199,3 +204,27 @@ class TestAssemblyDeterminism:
         lost = [c for c in cells.values() if not c.ok]
         assert len(lost) == 2
         assert all(c.error_kind == "BackendError" for c in lost)
+
+
+class TestKeyboardInterrupt:
+    @staticmethod
+    def _pair(cfg, executor):
+        return figure5(cfg, benchmarks=("treeadd", "power"), params=SMALL,
+                       executor=executor)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_propagates(self, cfg, jobs):
+        ex = SweepExecutor(jobs=jobs, progress=InterruptAfter(3))
+        with pytest.raises(KeyboardInterrupt):
+            self._pair(cfg, ex)
+
+    def test_pooled_interrupt_leaves_no_orphan_workers(self, cfg):
+        ex = SweepExecutor(jobs=2, progress=InterruptAfter(2))
+        with pytest.raises(KeyboardInterrupt):
+            self._pair(cfg, ex)
+        # _abandon_pool terminated and joined the workers; give a slow
+        # box a moment to reap before declaring orphans.
+        deadline = time.monotonic() + 5.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
