@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -82,7 +81,6 @@ from .obs import (
     hot_site_rows,
     latency_rows,
 )
-from .isa.engines import SIM_ENGINE_ENV, SIM_ENGINES, default_sim_engine
 from .prefetch.engines import ENGINES
 from .workloads import workload_class
 
@@ -160,20 +158,11 @@ def _list_engines() -> str:
     return format_table(rows, "Prefetch engines")
 
 
-def _list_sim_engines() -> str:
-    rows = [
-        {"engine": name, "description": se.description}
-        for name, se in SIM_ENGINES.items()
-    ]
-    return format_table(rows, "Simulation engines")
-
-
 def cmd_list(args) -> int:
     sections = {
         "machines": _list_machines,
         "schemes": _list_schemes,
         "engines": _list_engines,
-        "sim-engines": _list_sim_engines,
         "workloads": _list_workloads,
     }
     if args.what != "all":
@@ -666,18 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override main-memory latency (cycles)")
     parser.add_argument("--interval", type=int, default=0,
                         help="override the hardware jump interval")
-    parser.add_argument("--engine", default=None, metavar="NAME",
-                        choices=SIM_ENGINES.names(),
-                        help="simulation engine executing every cell "
-                             "(table/reference; bit-identical results, "
-                             "different speed). Equivalent to setting "
-                             "$REPRO_SIM_ENGINE")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lst = sub.add_parser("list", help="list the experiment-axis registries")
     lst.add_argument("what", nargs="?", default="all",
                      choices=("all", "machines", "schemes", "engines",
-                              "sim-engines", "workloads"),
+                              "workloads"),
                      help="one registry, or everything (default)")
 
     run = sub.add_parser("run", help="run one workload")
@@ -721,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE")
     trace.add_argument("--small", action="store_true")
-    trace.add_argument("--limit", type=int, default=1_000_000,
+    trace.add_argument("--limit", type=_bounded(int, 0), default=1_000_000,
                        help="event-buffer cap (default 1M)")
     trace.add_argument("-o", "--output", default=None,
                        help="trace file path (default <workload>-<scheme>.trace.json)")
@@ -789,12 +772,14 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--schemes", nargs="+", default=None, choices=scheme_names(),
                        metavar="SCHEME",
                        help="restrict the invariant sweep (default: all five)")
-    audit.add_argument("--every", type=int, default=512, metavar="N",
+    audit.add_argument("--every", type=_bounded(int, 1),
+                       default=512, metavar="N",
                        help="invariant-sweep cadence in commits (default: 512)")
     audit.add_argument("--golden", default=None, metavar="FILE",
                        help="golden pin file for the differential check and "
                             "fidelity gate (default: tests/golden_cycles.json)")
-    audit.add_argument("--diff-sample", type=int, default=2, metavar="N",
+    audit.add_argument("--diff-sample", type=_bounded(int, 0),
+                       default=2, metavar="N",
                        help="cells whose full timing stats are also diffed "
                             "on the reference path (default: 2)")
     audit.add_argument("--no-diff", action="store_true",
@@ -827,15 +812,17 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="KEY=VALUE")
     prof.add_argument("--small", action="store_true",
                       help="use the quick test-size parameters")
-    prof.add_argument("--top", type=int, default=10, metavar="N",
+    prof.add_argument("--top", type=_bounded(int, 0),
+                      default=10, metavar="N",
                       help="hot-site rows to print (default: 10)")
-    prof.add_argument("--every", type=int, default=512, metavar="N",
+    prof.add_argument("--every", type=_bounded(int, 1),
+                      default=512, metavar="N",
                       help="auditor cadence (commits) enforcing CPI-stack "
                            "conservation mid-run (default: 512)")
     prof.add_argument("--trace", default=None, metavar="FILE",
                       help="also write a Chrome trace with cpi_stack / "
                            "load_level counter tracks")
-    prof.add_argument("--limit", type=int, default=1_000_000,
+    prof.add_argument("--limit", type=_bounded(int, 0), default=1_000_000,
                       help="trace event-buffer cap (default 1M)")
     prof.add_argument("-o", "--output", default=None, metavar="FILE",
                       help="write the repro.profile/1 JSON artifact")
@@ -886,14 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.engine:
-        # The environment override is the single source of the session
-        # default (harness workers inherit it), so the flag just sets it.
-        os.environ[SIM_ENGINE_ENV] = args.engine
     try:
-        # A stale $REPRO_SIM_ENGINE is a usage error: report it before
-        # any cell runs rather than from deep inside the first one.
-        default_sim_engine()
         if args.command == "list":
             return cmd_list(args)
         if args.command == "run":

@@ -233,8 +233,7 @@ def differential_check(
         if divergence is None and sampled < full_stats_sample:
             sampled += 1
             mode = "stream+stats"
-            fast = simulate(program, cfg, engine="none", max_steps=max_steps,
-                            sim_engine="table")
+            fast = simulate(program, cfg, engine="none", max_steps=max_steps)
             ref = reference_simulate(
                 program, cfg, engine="none", max_steps=max_steps
             )

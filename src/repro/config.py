@@ -319,6 +319,10 @@ class PrefetchConfig(SerializableConfig):
     future-work item; see :mod:`repro.prefetch.adaptive`)."""
     adaptive_max_interval: int = 64
 
+    def __post_init__(self) -> None:
+        for name in ("prq_entries", "jqt_entries", "jump_interval"):
+            _check_positive(f"prefetch.{name}", getattr(self, name))
+
 
 @dataclass(frozen=True)
 class MachineConfig(SerializableConfig):
@@ -371,6 +375,12 @@ class MachineConfig(SerializableConfig):
             raise ConfigError(
                 f"unknown mshr_model {self.mshr_model!r}; "
                 f"available: {list(MSHR_MODELS)}"
+            )
+        for name in ("window", "memory_latency", "max_outstanding_misses"):
+            _check_positive(name, getattr(self, name))
+        if self.alloc_latency < 0:
+            raise ConfigError(
+                f"alloc_latency must be non-negative, got {self.alloc_latency}"
             )
 
     def with_memory_latency(self, latency: int) -> "MachineConfig":

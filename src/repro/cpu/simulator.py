@@ -29,7 +29,6 @@ def simulate(
     audit=None,
     interpreter_factory=None,
     profile=None,
-    sim_engine: str | None = None,
 ) -> SimResult:
     """Run ``program`` on the simulated machine; returns a
     :class:`~repro.cpu.stats.SimResult`.
@@ -43,11 +42,9 @@ def simulate(
     every commit-front advance to a CPI-stack bucket (the serialized
     profile lands in ``SimResult.profile``); ``interpreter_factory``
     substitutes the functional interpreter (the differential validator
-    passes :class:`repro.audit.diff.ReferenceInterpreter` here);
-    ``sim_engine`` selects the functional interpreter by registry name
-    (``table``/``reference``, :mod:`repro.isa.engines`) —
-    ``None`` defers to ``$REPRO_SIM_ENGINE`` and then the ``table``
-    default, and every engine is bit-identical."""
+    and :func:`repro.audit.diff.reference_simulate` pass
+    :class:`repro.audit.diff.ReferenceInterpreter` here; the default is
+    the decode-table :class:`repro.isa.interpreter.Interpreter`)."""
     cfg = cfg or MachineConfig()
     if isinstance(engine, str):
         engine = make_engine(engine, cfg)
@@ -61,7 +58,6 @@ def simulate(
         audit=audit,
         interpreter_factory=interpreter_factory,
         profile=profile,
-        sim_engine=sim_engine,
     )
     return model.run()
 
@@ -91,12 +87,10 @@ def simulate_decomposed(
     cfg: MachineConfig | None = None,
     engine: str = "none",
     max_steps: int | None = None,
-    sim_engine: str | None = None,
 ) -> tuple[SimResult, Decomposition]:
     """Realistic + compute-time pair of simulations for one configuration."""
     cfg = cfg or MachineConfig()
-    real = simulate(program, cfg, engine=engine, max_steps=max_steps,
-                    sim_engine=sim_engine)
+    real = simulate(program, cfg, engine=engine, max_steps=max_steps)
     compute = simulate(program, cfg.perfect(), engine="none",
-                       max_steps=max_steps, sim_engine=sim_engine)
+                       max_steps=max_steps)
     return real, Decomposition(total=real.cycles, compute=compute.cycles)

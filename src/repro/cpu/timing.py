@@ -27,7 +27,6 @@ from collections import deque
 from heapq import heapreplace
 
 from ..config import MachineConfig
-from ..isa.engines import resolve_sim_engine
 from ..isa.instruction import TEXT_BASE
 from ..isa.interpreter import Interpreter
 from ..isa.opcodes import FU_CLASS, FuClass, Op
@@ -98,7 +97,6 @@ class TimingModel:
         audit=None,
         interpreter_factory=None,
         profile=None,
-        sim_engine: str | None = None,
     ) -> None:
         self.attribute_stalls = attribute_stalls
         self.auditor = audit
@@ -107,15 +105,9 @@ class TimingModel:
 
             profile = Profiler()
         self.profiler = profile
-        # Simulation-engine dispatch: ``table``/``reference`` (or
-        # $REPRO_SIM_ENGINE when unset) pick the functional interpreter;
-        # results are bit-identical either way.  An explicit
-        # ``interpreter_factory`` wins over the engine.
-        se = resolve_sim_engine(sim_engine)
-        self.sim_engine = se.name
-        self._interpreter_factory = (
-            interpreter_factory or se.factory() or Interpreter
-        )
+        # The differential audit substitutes its reference interpreter
+        # here; everything else runs the decode-table Interpreter.
+        self._interpreter_factory = interpreter_factory or Interpreter
         self.program = program
         self.cfg = cfg
         self.telemetry = telemetry

@@ -127,7 +127,6 @@ def canonical_spec(spec: "RunSpec") -> dict[str, Any]:
         "engine": spec.engine,
         "kind": spec.kind,
         "profile": spec.profile,
-        "sim_engine": spec.sim_engine,
         "telemetry": spec.telemetry,
         "config": spec.cfg.to_dict(),
         "code": code_fingerprint(),

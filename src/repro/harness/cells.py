@@ -26,7 +26,6 @@ from ..config import MachineConfig
 from ..core.characterization import characterize
 from ..cpu.simulator import simulate
 from ..errors import ReproError
-from ..isa.engines import default_sim_engine
 from ..workloads import get_workload
 
 
@@ -68,13 +67,6 @@ class RunSpec:
     is part of the cache key, so profiled and unprofiled runs never serve
     each other's entries).
 
-    ``sim_engine`` is the simulation-engine registry name executing the
-    cell (:mod:`repro.isa.engines`); :meth:`make` resolves the session
-    default (``$REPRO_SIM_ENGINE``, else ``table``) eagerly so the cell
-    identity — and with it the cache key — always names a concrete
-    engine.  Engines are bit-identical, but keeping the key honest means
-    a cached result always states which implementation produced it.
-
     ``telemetry=True`` attaches a :class:`repro.obs.Telemetry` context to
     a ``sim`` cell: the serialized metric registry and per-prefetch
     outcome counts ride along in ``SimResult.telemetry`` (and into the
@@ -89,7 +81,6 @@ class RunSpec:
     params: tuple[tuple[str, Any], ...] = ()
     kind: str = "sim"
     profile: bool = False
-    sim_engine: str = "table"
     telemetry: bool = False
 
     @classmethod
@@ -102,12 +93,11 @@ class RunSpec:
         params: dict[str, Any] | None = None,
         kind: str = "sim",
         profile: bool = False,
-        sim_engine: str | None = None,
         telemetry: bool = False,
     ) -> "RunSpec":
         return cls(
             benchmark, variant, engine, cfg, _freeze_params(params), kind,
-            profile, sim_engine or default_sim_engine(), telemetry,
+            profile, telemetry,
         )
 
     @property
@@ -123,8 +113,6 @@ class RunSpec:
             tag += " +profile"
         if self.telemetry:
             tag += " +telemetry"
-        if self.sim_engine != "table":
-            tag += f" [{self.sim_engine}]"
         return f"{label} x {self.engine}{tag}"
 
 
@@ -188,8 +176,7 @@ def run_cell(
 
             telemetry = Telemetry()
         result = simulate(program, spec.cfg, engine=spec.engine,
-                          profile=profiler, sim_engine=spec.sim_engine,
-                          telemetry=telemetry)
+                          profile=profiler, telemetry=telemetry)
         return ("ok", result)
     except Exception as exc:
         return ("error", type(exc).__name__, traceback.format_exc())
@@ -213,7 +200,6 @@ def job_payload(spec: RunSpec, config_id: str) -> dict[str, Any]:
         "params": [[k, v] for k, v in spec.params],
         "kind": spec.kind,
         "profile": spec.profile,
-        "sim_engine": spec.sim_engine,
         "telemetry": spec.telemetry,
         "config": config_id,
     }
@@ -230,7 +216,6 @@ def spec_from_payload(payload: dict[str, Any], cfg: MachineConfig) -> RunSpec:
         params=tuple(sorted((k, v) for k, v in payload["params"])),
         kind=payload.get("kind", "sim"),
         profile=bool(payload.get("profile", False)),
-        sim_engine=payload.get("sim_engine", "table"),
         telemetry=bool(payload.get("telemetry", False)),
     )
 

@@ -97,7 +97,6 @@ class SweepPlan:
         idiom: str | None = None,
         cfg: MachineConfig | None = None,
         profile: bool = False,
-        sim_engine: str | None = None,
         telemetry: bool = False,
     ) -> ScheduledRun:
         cfg = cfg or self.cfg
@@ -105,7 +104,7 @@ class SweepPlan:
         variant, engine = scheme_plan(workload, scheme, idiom)
         return self._schedule(
             benchmark, scheme, variant, engine, params, cfg, profile,
-            sim_engine, telemetry,
+            telemetry,
         )
 
     def add_variant_run(
@@ -116,14 +115,13 @@ class SweepPlan:
         params: dict[str, Any] | None = None,
         cfg: MachineConfig | None = None,
         profile: bool = False,
-        sim_engine: str | None = None,
         telemetry: bool = False,
     ) -> ScheduledRun:
         """Arbitrary variant/engine pairing (Figure 4 idiom comparison)."""
         cfg = cfg or self.cfg
         return self._schedule(
             benchmark, f"{engine}:{variant}", variant, engine, params, cfg,
-            profile, sim_engine, telemetry,
+            profile, telemetry,
         )
 
     def add_table1(
@@ -131,12 +129,11 @@ class SweepPlan:
         benchmark: str,
         params: dict[str, Any] | None = None,
         cfg: MachineConfig | None = None,
-        sim_engine: str | None = None,
     ) -> RunSpec:
         return self.add(
             RunSpec.make(
                 benchmark, "baseline", "none", cfg or self.cfg, params,
-                kind="table1", sim_engine=sim_engine,
+                kind="table1",
             )
         )
 
@@ -149,19 +146,16 @@ class SweepPlan:
         params: dict[str, Any] | None,
         cfg: MachineConfig,
         profile: bool = False,
-        sim_engine: str | None = None,
         telemetry: bool = False,
     ) -> ScheduledRun:
         # Only the timing cell is profiled/telemetered; compute-time cells
         # stay shareable across observed and unobserved experiments.
         timing = self.add(
             RunSpec.make(benchmark, variant, engine, cfg, params,
-                         profile=profile, sim_engine=sim_engine,
-                         telemetry=telemetry)
+                         profile=profile, telemetry=telemetry)
         )
         compute = self.add(
-            RunSpec.make(benchmark, variant, "none", cfg.perfect(), params,
-                         sim_engine=sim_engine)
+            RunSpec.make(benchmark, variant, "none", cfg.perfect(), params)
         )
         return ScheduledRun(benchmark, scheme, variant, timing, compute)
 

@@ -22,7 +22,6 @@ Spec documents have this shape (TOML shown; JSON is isomorphic)::
     machine = "bench"                # a repro.config.MACHINES name
     # overrides = {"dl1.size" = 16384}   # dotted-path machine tweaks
     # profile = true                 # CPI-stack profiler on every timing cell
-    # engine = "reference"           # simulation engine (table/reference)
 
     workloads = ["health"]           # strings or [[workloads]] tables
     schemes = ["base", "software", "cooperative", "hardware", "dbp"]
@@ -273,12 +272,6 @@ class ExperimentSpec:
     """Attach a :class:`repro.obs.Profiler` to every timing cell: each
     cell's CPI stack / hot-site table rides into the result cache with
     its ``SimResult`` (``profile = true`` in the spec file)."""
-    engine: str = ""
-    """Simulation engine executing every cell (``engine = "reference"``
-    in the spec file): a :data:`repro.isa.engines.SIM_ENGINES` name, or
-    empty to defer to ``$REPRO_SIM_ENGINE`` / the ``table`` default.
-    Orthogonal to ``schemes`` (which pick *prefetch* engines) — every
-    simulation engine yields bit-identical rows."""
     telemetry: bool = False
     """Attach a :class:`repro.obs.Telemetry` context to every timing
     cell (``telemetry = true`` in the spec file): per-prefetch outcome
@@ -289,14 +282,6 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("experiment spec has no name")
-        if self.engine:
-            from ..isa.engines import SIM_ENGINES
-
-            if self.engine not in SIM_ENGINES:
-                raise SpecError(
-                    f"unknown simulation engine {self.engine!r}; "
-                    f"available: {SIM_ENGINES.names()}"
-                )
         if self.kind not in ("matrix", "table1"):
             raise SpecError(
                 f"unknown spec kind {self.kind!r}; choose 'matrix' or 'table1'"
@@ -348,8 +333,6 @@ class ExperimentSpec:
             d["label_key"] = self.label_key
         if self.profile:
             d["profile"] = True
-        if self.engine:
-            d["engine"] = self.engine
         if self.telemetry:
             d["telemetry"] = True
         return d
@@ -360,7 +343,7 @@ class ExperimentSpec:
             raise SpecError(f"spec must be a mapping, got {type(data).__name__}")
         _reject_unknown("spec", data, {
             "name", "title", "kind", "machine", "overrides", "workloads",
-            "schemes", "axes", "columns", "label_key", "profile", "engine",
+            "schemes", "axes", "columns", "label_key", "profile",
             "telemetry",
         })
         return cls(
@@ -377,7 +360,6 @@ class ExperimentSpec:
             columns=tuple(data.get("columns", ())),
             label_key=data.get("label_key", "scheme"),
             profile=bool(data.get("profile", False)),
-            engine=data.get("engine", ""),
             telemetry=bool(data.get("telemetry", False)),
         )
 
@@ -542,8 +524,7 @@ def compile_spec(
         for sel in spec.workloads:
             params = {**sel.params, **param_over}
             if spec.kind == "table1":
-                cell = plan.add_table1(sel.name, params, cfg=point_cfg,
-                                       sim_engine=spec.engine or None)
+                cell = plan.add_table1(sel.name, params, cfg=point_cfg)
                 rows.append(_PlannedRow(
                     sel.name, "characterize", axis_values, cell=cell
                 ))
@@ -551,14 +532,12 @@ def compile_spec(
             if sel.idioms:
                 rows.extend(_plan_idiom_rows(
                     plan, sel, params, point_cfg, axis_values,
-                    profile=spec.profile, sim_engine=spec.engine or None,
-                    telemetry=spec.telemetry,
+                    profile=spec.profile, telemetry=spec.telemetry,
                 ))
             else:
                 rows.extend(_plan_scheme_rows(
                     plan, sel, schemes, params, point_cfg, axis_values,
-                    profile=spec.profile, sim_engine=spec.engine or None,
-                    telemetry=spec.telemetry,
+                    profile=spec.profile, telemetry=spec.telemetry,
                 ))
     return CompiledSpec(spec, base_cfg, plan, rows)
 
@@ -571,20 +550,17 @@ def _plan_scheme_rows(
     cfg: MachineConfig,
     axis_values: dict[str, Any],
     profile: bool = False,
-    sim_engine: str | None = None,
     telemetry: bool = False,
 ) -> list[_PlannedRow]:
     per_scheme = {
         s: plan.add_run(sel.name, s, params, idiom=sel.idiom, cfg=cfg,
-                        profile=profile, sim_engine=sim_engine,
-                        telemetry=telemetry)
+                        profile=profile, telemetry=telemetry)
         for s in schemes
     }
     # Normalization needs the baseline even when it is not displayed;
     # deduplication makes this free when "base" is already in schemes.
     base_sr = per_scheme.get("base") or plan.add_run(
-        sel.name, "base", params, cfg=cfg, profile=profile,
-        sim_engine=sim_engine, telemetry=telemetry,
+        sel.name, "base", params, cfg=cfg, profile=profile, telemetry=telemetry,
     )
     return [
         _PlannedRow(sel.name, s, axis_values, run=per_scheme[s], base=base_sr)
@@ -599,14 +575,13 @@ def _plan_idiom_rows(
     cfg: MachineConfig,
     axis_values: dict[str, Any],
     profile: bool = False,
-    sim_engine: str | None = None,
     telemetry: bool = False,
 ) -> list[_PlannedRow]:
     """Figure-4 expansion: the base run plus every available
     ``impl:idiom`` variant of the listed idioms."""
     workload = get_workload(sel.name, **params)
     base_sr = plan.add_run(sel.name, "base", params, cfg=cfg, profile=profile,
-                           sim_engine=sim_engine, telemetry=telemetry)
+                           telemetry=telemetry)
     rows = [_PlannedRow(
         sel.name, "base", axis_values, run=base_sr, base=base_sr
     )]
@@ -618,7 +593,6 @@ def _plan_idiom_rows(
                 continue
             vsr = plan.add_variant_run(sel.name, variant, engine, params,
                                        cfg=cfg, profile=profile,
-                                       sim_engine=sim_engine,
                                        telemetry=telemetry)
             rows.append(_PlannedRow(
                 sel.name, variant, axis_values, run=vsr, base=base_sr,

@@ -5,7 +5,6 @@ from .base import EngineStats, PrefetchEngine, SoftwarePrefetchEngine
 from .bounded import BoundedClockMap
 from .dependence import DependencePredictor, ValueCorrelator
 from .engines import (
-    ENGINE_CLASSES,
     ENGINES,
     CooperativeEngine,
     DBPEngine,
@@ -29,7 +28,6 @@ __all__ = [
     "CooperativeEngine",
     "DBPEngine",
     "DependencePredictor",
-    "ENGINE_CLASSES",
     "ENGINES",
     "engine_names",
     "ForesightEngine",

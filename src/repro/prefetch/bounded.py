@@ -19,7 +19,7 @@ shared fix: a ``key -> timestamp`` map with
 The map is deliberately deterministic (no wall clock, no hashing
 randomness in the eviction order beyond dict insertion order), so
 engines built on it stay bit-identical across the table and reference
-simulation engines.
+interpreters.
 """
 
 from __future__ import annotations

@@ -424,15 +424,7 @@ class HardwareJPPEngine(DBPEngine):
         return violations
 
 
-def _engine_classes() -> dict[str, type[PrefetchEngine]]:
-    """Back-compat snapshot of the registry (prefer :data:`ENGINES`)."""
-    return ENGINES.as_dict()
-
-
-# The scheme zoo registers its engines here, before the back-compat
-# snapshot below is taken (it imports register_engine/DBPEngine from this
-# partially-initialized module, which is safe because both are already
-# bound).
+# The scheme zoo registers its engines here (it imports
+# register_engine/DBPEngine from this partially-initialized module, which
+# is safe because both are already bound).
 from . import zoo  # noqa: E402,F401  (imported for registration side effect)
-
-ENGINE_CLASSES: dict[str, type[PrefetchEngine]] = _engine_classes()

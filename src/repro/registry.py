@@ -109,7 +109,6 @@ def describe_registries() -> dict[str, list[str]]:
     """Names in every experiment-axis registry (CLI ``list`` backend)."""
     from .config import MACHINES, MSHR_MODELS
     from .harness.schemes import SCHEME_REGISTRY
-    from .isa.engines import SIM_ENGINES
     from .prefetch.engines import ENGINES
     from .workloads.registry import WORKLOADS
 
@@ -117,7 +116,6 @@ def describe_registries() -> dict[str, list[str]]:
         "machines": MACHINES.names(),
         "schemes": SCHEME_REGISTRY.names(),
         "engines": ENGINES.names(),
-        "sim_engines": SIM_ENGINES.names(),
         "mshr_models": list(MSHR_MODELS),
         "workloads": WORKLOADS.names(sort=True),
     }

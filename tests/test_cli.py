@@ -124,14 +124,16 @@ def test_run_spec_bad_file_is_clean_error(tmp_path):
         main(["run-spec", str(bad), "--no-cache"])
 
 
-def test_unknown_env_sim_engine_is_clean_error(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+def test_run_spec_out_of_range_set_is_clean_error(tmp_path):
+    from repro.harness import figure5_spec
+
+    spec = figure5_spec(benchmarks=("treeadd",))
     with pytest.raises(SystemExit) as exc:
-        main(["run", "treeadd", "--small"])
+        main(["run-spec", str(_write_spec(tmp_path, spec)), "--small",
+              "--no-cache", "--set", "memory_latency=-40"])
     message = str(exc.value.code)
-    assert message.startswith("error:")
-    assert "'compiled'" in message
-    assert "'table'" in message and "'reference'" in message
+    assert message.startswith("error:") and "\n" not in message
+    assert "memory_latency" in message
 
 
 def test_stats_text(capsys):
@@ -191,15 +193,24 @@ def test_negative_jobs_is_usage_error(capsys):
     assert build_parser().parse_args(["figure5", "--jobs", "0"]).jobs == 0
 
 
-@pytest.mark.parametrize("flag,bad,edge", [
-    ("--timeout", "0", "0.5"),
+@pytest.mark.parametrize("command,flag,bad,edge,kind", [
+    ("figure7", "--timeout", "0", "0.5", float),
+    ("audit", "--every", "0", "1", int),
+    ("audit", "--diff-sample", "-1", "0", int),
+    ("profile", "--every", "0", "1", int),
+    ("profile", "--top", "-1", "0", int),
+    ("profile", "--limit", "-1", "0", int),
+    ("trace", "--limit", "-1", "0", int),
 ])
-def test_out_of_range_retry_policy_is_usage_error(capsys, flag, bad, edge):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["figure7", flag, bad])
+def test_out_of_range_retry_policy_is_usage_error(
+    capsys, command, flag, bad, edge, kind
+):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, flag, bad])
+    assert exc.value.code == 2
     assert flag in capsys.readouterr().err
-    args = build_parser().parse_args(["figure7", flag, edge])
-    assert getattr(args, flag.lstrip("-")) == float(edge)
+    args = build_parser().parse_args([command, flag, edge])
+    assert getattr(args, flag.lstrip("-").replace("-", "_")) == kind(edge)
 
 
 @pytest.mark.parametrize("cpus,narrates", [(1, False), (4, True)])
@@ -227,6 +238,8 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     ["figure5", "--retries", "1"],
     ["figure5", "--backoff", "1"],
     ["figure5", "--inject-faults", "x=crash"],
+    ["--engine", "reference", "run", "treeadd", "--small"],
+    ["list", "sim-engines"],
 ])
 def test_removed_sweep_service_options_rejected(argv):
     with pytest.raises(SystemExit):

@@ -238,6 +238,22 @@ class TestWithOverrides:
         with pytest.raises(ConfigError):
             bench_config().with_overrides({"l2_bus.width": 0})
 
+    @pytest.mark.parametrize("path,bad,edge", [
+        ("memory_latency", -40, 1),
+        ("window", 0, 1),
+        ("max_outstanding_misses", 0, 1),
+        ("alloc_latency", -1, 0),
+        ("prefetch.jump_interval", 0, 1),
+        ("prefetch.jqt_entries", 0, 1),
+        ("prefetch.prq_entries", 0, 1),
+    ])
+    def test_rejects_below_minimum(self, path, bad, edge):
+        # Caught at construction, not as a wrong table or a mid-sweep
+        # IndexError; the minimum itself is accepted.
+        with pytest.raises(ConfigError, match=path.rpartition(".")[2]):
+            bench_config().with_overrides({path: bad})
+        assert bench_config().with_overrides({path: edge}).to_dict()
+
 
 class TestMachineRegistry:
     def test_builtin_machines(self):

@@ -124,11 +124,10 @@ class TestDescribeRegistries:
     def test_covers_every_axis(self):
         desc = describe_registries()
         assert set(desc) == {"machines", "schemes", "engines",
-                             "sim_engines", "mshr_models", "workloads"}
+                             "mshr_models", "workloads"}
         assert desc["machines"] == ["table2", "bench", "small"]
         assert desc["schemes"] == scheme_names()  # full registry, zoo too
         assert "software" in desc["engines"]
-        assert desc["sim_engines"] == ["table", "reference"]
         assert desc["mshr_models"] == ["blocking", "coalescing", "full"]
         assert desc["workloads"] == sorted(desc["workloads"])
         assert "health" in desc["workloads"]

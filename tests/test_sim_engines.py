@@ -1,17 +1,18 @@
-"""Simulation-engine equivalence: table vs reference.
+"""Interpreter equivalence: decode-table vs reference.
 
-The two entries of :data:`repro.isa.engines.SIM_ENGINES` must be
-bit-identical on every program.  Property tests generate random short
-programs (random ALU/memory loop bodies, a call exercising JAL/JR and
-the RAS, a linked-list walk feeding the prefetch engines) and pin
+The simulator's decode-table interpreter must be bit-identical to the
+independent reference interpreter of :mod:`repro.audit.diff` on every
+program.  Property tests generate random short programs (random
+ALU/memory loop bodies, a call exercising JAL/JR and the RAS, a
+linked-list walk feeding the prefetch engines) and pin
 
 * the committed-instruction stream (pc, addr, value, taken) and final
   architectural state of the table interpreter against the reference
   interpreter,
-* the full timing :class:`~repro.cpu.stats.SimResult` of both engines
-  against each other, and
-* fault behaviour: an ``ExecutionError`` raised by one engine must be
-  raised by the other, with the same message.
+* the full timing :class:`~repro.cpu.stats.SimResult` of ``simulate``
+  against ``reference_simulate``, and
+* fault behaviour: an ``ExecutionError`` raised by one interpreter must
+  be raised by the other, with the same message.
 """
 
 import pytest
@@ -19,16 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Assembler, small_config
-from repro.audit.diff import diff_commit_streams
+from repro.audit.diff import diff_commit_streams, reference_simulate
 from repro.cpu.simulator import simulate
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError
 from repro.harness import ExperimentSpec, SpecError, figure5_spec
-from repro.isa.engines import (
-    DEFAULT_SIM_ENGINE,
-    SIM_ENGINES,
-    default_sim_engine,
-    resolve_sim_engine,
-)
 from repro.isa.registers import A0, A1, RA, T0, T1, T2, T3, V0, ZERO
 
 
@@ -117,8 +112,8 @@ class TestEngineLockstepProps:
     def test_timing_results_identical(self, ops, iters, seed, engine):
         program = _random_program(ops, iters, seed, True)
         cfg = small_config()
-        table = simulate(program, cfg, engine=engine, sim_engine="table")
-        ref = simulate(program, cfg, engine=engine, sim_engine="reference")
+        table = simulate(program, cfg, engine=engine)
+        ref = reference_simulate(program, cfg, engine=engine)
         assert ref.cycles == table.cycles
         assert ref.to_dict() == table.to_dict()
 
@@ -134,29 +129,17 @@ class TestEngineFaultParity:
         program = a.assemble("sim_engine_fault")
         cfg = small_config()
         messages = {}
-        for name in SIM_ENGINES.names():
+        for name, run in (("table", simulate), ("reference", reference_simulate)):
             with pytest.raises(ExecutionError) as exc:
-                simulate(program, cfg, sim_engine=name)
+                run(program, cfg)
             messages[name] = str(exc.value)
         assert len(set(messages.values())) == 1, messages
 
 
 class TestSimEngineRegistry:
-    def test_default_and_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert default_sim_engine() == DEFAULT_SIM_ENGINE == "table"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert default_sim_engine() == "reference"
-        assert resolve_sim_engine().name == "reference"
-        assert resolve_sim_engine("table").name == "table"
-
-    def test_unknown_env_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "turbo")
-        with pytest.raises(ReproError):
-            default_sim_engine()
-
     def test_spec_naming_a_removed_engine_rejected(self):
+        # The engine key is gone: any value is an unknown spec key.
         doc = figure5_spec(benchmarks=("treeadd",)).to_dict()
         doc["engine"] = "compiled"
-        with pytest.raises(SpecError, match="compiled"):
+        with pytest.raises(SpecError, match="engine"):
             ExperimentSpec.from_dict(doc)

@@ -1,4 +1,4 @@
-"""The scheme zoo: engine behavior, bounded memory, sim-engine lockstep.
+"""The scheme zoo: engine behavior, bounded memory, interpreter lockstep.
 
 Three layers of coverage for the four zoo engines (pointer-chase,
 stride, cdp, foresight):
@@ -10,9 +10,9 @@ stride, cdp, foresight):
   through each engine's hooks must leave every per-address structure
   under its declared capacity (the PR-5 ``_recent_chase`` failure mode,
   now guarded by :class:`repro.prefetch.bounded.BoundedClockMap`);
-* simulation-engine lockstep — table and reference timing must stay
-  bit-identical with each zoo engine attached (the same property
-  :mod:`tests.test_sim_engines` pins for the paper's engines).
+* interpreter lockstep — ``simulate`` and ``reference_simulate`` timing
+  must stay bit-identical with each zoo engine attached (the same
+  property :mod:`tests.test_sim_engines` pins for the paper's engines).
 """
 
 import pytest
@@ -20,15 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Assembler, simulate, small_config
+from repro.audit.diff import reference_simulate
 from repro.cpu import make_engine
 from repro.cpu.timing import TimingModel
 from repro.harness import get_scheme, scheme_names
-from repro.isa.engines import SIM_ENGINES
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.registers import A0, A1, T0, T1, T2, V0, ZERO
 from repro.prefetch import BoundedClockMap
-from repro.prefetch.engines import DBPEngine, ENGINE_CLASSES
+from repro.prefetch.engines import ENGINES, DBPEngine
 
 from tests.conftest import assemble_list_walk
 from tests.test_engines import walk_twice
@@ -43,8 +43,8 @@ ZOO = ("pointer-chase", "stride", "cdp", "foresight")
 class TestRegistration:
     @pytest.mark.parametrize("name", ZOO)
     def test_engine_registered(self, name):
-        assert name in ENGINE_CLASSES
-        assert ENGINE_CLASSES[name].name == name
+        assert name in ENGINES.names()
+        assert ENGINES.get(name).name == name
 
     @pytest.mark.parametrize("name", ZOO)
     def test_scheme_registered_with_description(self, name):
@@ -284,7 +284,7 @@ class TestBoundedMemoryFlood:
 
     def _flooded(self, name, seed):
         cfg = small_config()
-        engine = ENGINE_CLASSES[name]()
+        engine = ENGINES.get(name)()
         heap_lo = 0x1000
         engine.attach(_FloodHierarchy(), _FloodMemory(),
                       heap_lo, heap_lo + 64 * FLOOD + 64, cfg)
@@ -392,11 +392,7 @@ class TestZooLockstep:
     def test_timing_results_identical(self, engine, n, passes, seed):
         program = _mixed_program(n, passes, seed)
         cfg = small_config()
-        results = {
-            name: simulate(program, cfg, engine=engine, sim_engine=name)
-            for name in SIM_ENGINES.names()
-        }
-        table = results["table"]
-        for name, result in results.items():
-            assert result.cycles == table.cycles, name
-            assert result.to_dict() == table.to_dict(), name
+        table = simulate(program, cfg, engine=engine)
+        ref = reference_simulate(program, cfg, engine=engine)
+        assert ref.cycles == table.cycles
+        assert ref.to_dict() == table.to_dict()
