@@ -302,12 +302,10 @@ def _build_executor(args) -> SweepExecutor:
     obs registry spans the cache and the executor so a single dump shows
     the whole sweep's behaviour."""
     registry = MetricRegistry()
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir, registry=registry)
     executor = SweepExecutor(
         jobs=args.jobs,
-        cache=cache,
+        cache=(None if args.no_cache
+               else ResultCache(args.cache_dir, registry=registry)),
         timeout=args.timeout,
         registry=registry,
     )

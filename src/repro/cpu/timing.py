@@ -92,18 +92,12 @@ class TimingModel:
         engine: PrefetchEngine | None = None,
         collect_miss_intervals: bool = False,
         max_steps: int | None = None,
-        attribute_stalls: bool = False,
         telemetry=None,
         audit=None,
         interpreter_factory=None,
         profile=None,
     ) -> None:
-        self.attribute_stalls = attribute_stalls
         self.auditor = audit
-        if profile is None and attribute_stalls:
-            from ..obs.profile import Profiler
-
-            profile = Profiler()
         self.profiler = profile
         # The differential audit substitutes its reference interpreter
         # here; everything else runs the decode-table Interpreter.

@@ -1,22 +1,20 @@
-"""Worker backends for the sweep scheduler.
+"""Worker backends: *where* a sweep's cells run.
 
-The :class:`~repro.harness.scheduler.Scheduler` owns *what* to run
+The :class:`~repro.harness.executor.SweepExecutor` owns *what* to run
 (dedup, cache replay, timeouts, assembly); a :class:`WorkerBackend`
-owns *where* it runs.  The scheduler picks one of two by ``--jobs``:
+owns *where* it runs.  The executor picks one of two by ``jobs``:
 
 :class:`SerialBackend`
     In-process, one cell at a time — used for ``--jobs 1`` and plans of
     at most one cell.
 :class:`ProcessPoolBackend`
     A local ``ProcessPoolExecutor`` fan-out with hung-worker reaping and
-    crash recovery, with cheap dispatch: each distinct
-    :class:`~repro.config.MachineConfig` ships once through the pool
-    initializer (keyed by :func:`config_id`) and cells travel as small
-    JSON payloads referencing it; workers memoize materialized configs
-    and built workload programs across cells.
+    crash recovery.  Each cell travels to its worker as the pickled
+    :class:`~repro.harness.cells.RunSpec` itself; workers memoize built
+    workload programs across cells.
 
 Backends are stateless and constructed without arguments; everything
-they need (jobs, timeout, counters) lives on the scheduler they are
+they need (jobs, timeout, counters) lives on the executor they are
 handed.  A cell that fails, times out or loses its worker becomes an
 error cell: cells are deterministic, so running one again would fail
 again.
@@ -29,8 +27,6 @@ it exists (3.13+), else the scheduling affinity mask, else
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 import traceback
@@ -43,17 +39,11 @@ from concurrent.futures import (
 )
 from typing import TYPE_CHECKING, Any
 
-from ..config import MachineConfig
-from ..errors import ReproError
 from ..workloads import get_workload
-from .cells import Attempt, CellResult, RunSpec, job_payload, run_cell, spec_from_payload
+from .cells import Attempt, CellResult, RunSpec, run_cell
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .scheduler import Scheduler
-
-
-class BackendError(ReproError):
-    """A worker backend was misconfigured or could not run a cell."""
+    from .executor import SweepExecutor
 
 
 def detect_cpus() -> int:
@@ -78,62 +68,17 @@ def detect_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def config_id(cfg: MachineConfig) -> str:
-    """Content address of one machine config (SHA-256 over its canonical
-    dict) — the reference cells travel with instead of the config."""
-    blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def dispatch_tables(
-    todo: list[RunSpec],
-) -> tuple[dict[str, dict[str, Any]], dict[RunSpec, dict[str, Any]]]:
-    """The two sides of by-reference dispatch: ``config_id -> config
-    dict`` (shipped once) and ``spec -> job payload`` (shipped per
-    cell)."""
-    configs: dict[str, dict[str, Any]] = {}
-    payloads: dict[RunSpec, dict[str, Any]] = {}
-    for spec in todo:
-        cid = config_id(spec.cfg)
-        if cid not in configs:
-            configs[cid] = spec.cfg.to_dict()
-        payloads[spec] = job_payload(spec, cid)
-    return configs, payloads
-
-
 # ----------------------------------------------------------------------
-# Worker-process side: initializer + memoized job entry point
+# Worker-process side: the memoized job entry point
 # ----------------------------------------------------------------------
 
-#: Per-worker-process state, populated by :func:`_init_pool_worker`
-#: and the lazy memos below.  Plain module globals: each pool worker is
-#: its own process, so there is no sharing to guard.
-_worker_config_raw: dict[str, dict[str, Any]] = {}
-_worker_configs: dict[str, MachineConfig] = {}
+#: Built programs kept per worker process.  A plain module global: each
+#: pool worker is its own process, so there is no sharing to guard.
+#: Sweeps cycle through a handful of (benchmark, params, variant)
+#: combinations; the cap only exists so a pathological many-workload
+#: sweep cannot grow without bound.
 _worker_programs: "OrderedDict[tuple, Any]" = OrderedDict()
-
-#: Built programs kept per worker.  Sweeps cycle through a handful of
-#: (benchmark, params, variant) combinations; the cap only exists so a
-#: pathological many-workload sweep cannot grow without bound.
 _PROGRAM_MEMO_CAP = 64
-
-
-def _init_pool_worker(config_table: dict[str, dict[str, Any]]) -> None:
-    """ProcessPoolExecutor initializer: seed the config table once,
-    instead of pickling a config into every cell."""
-    _worker_config_raw.update(config_table)
-
-
-def _worker_config(cid: str) -> MachineConfig:
-    """Materialize (and memoize) the config ``cid`` references."""
-    cfg = _worker_configs.get(cid)
-    if cfg is None:
-        raw = _worker_config_raw.get(cid)
-        if raw is None:
-            raise BackendError(f"job references unknown config {cid[:12]}…")
-        cfg = MachineConfig.from_dict(raw)
-        _worker_configs[cid] = cfg
-    return cfg
 
 
 def _worker_program(spec: RunSpec) -> Any:
@@ -156,14 +101,9 @@ def _worker_program(spec: RunSpec) -> Any:
     return program
 
 
-def _pool_run_job(payload: dict[str, Any]) -> tuple[str, ...]:
-    """Pool-worker job entry: reconstruct the cell from its compact
-    payload (config by reference, program via the per-worker memo) and
-    run it."""
-    try:
-        spec = spec_from_payload(payload, _worker_config(payload["config"]))
-    except Exception as exc:
-        return ("error", type(exc).__name__, traceback.format_exc())
+def _pool_run_job(spec: RunSpec) -> tuple[str, ...]:
+    """Pool-worker job entry: run the cell, building its program through
+    the per-worker memo."""
     return run_cell(spec, program_factory=lambda: _worker_program(spec))
 
 
@@ -172,14 +112,14 @@ def _pool_run_job(payload: dict[str, Any]) -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 
 class WorkerBackend:
-    """Executes the scheduler's remaining cells.  ``run`` must account
+    """Executes the executor's remaining cells.  ``run`` must account
     every cell of ``todo`` into ``results`` (ok or error), using the
-    scheduler's finish/fail/counter machinery, and return the updated
+    executor's finish/fail/counter machinery, and return the updated
     ``done`` count."""
 
     def run(
         self,
-        sched: "Scheduler",
+        sched: "SweepExecutor",
         todo: list[RunSpec],
         results: dict[RunSpec, CellResult],
         done: int,
@@ -193,7 +133,7 @@ class SerialBackend(WorkerBackend):
 
     def run(
         self,
-        sched: "Scheduler",
+        sched: "SweepExecutor",
         todo: list[RunSpec],
         results: dict[RunSpec, CellResult],
         done: int,
@@ -251,21 +191,16 @@ class ProcessPoolBackend(WorkerBackend):
 
     def run(
         self,
-        sched: "Scheduler",
+        sched: "SweepExecutor",
         todo: list[RunSpec],
         results: dict[RunSpec, CellResult],
         done: int,
         total: int,
     ) -> int:
-        config_table, payloads = dispatch_tables(todo)
         queue: deque[Attempt] = deque(Attempt(spec) for spec in todo)
         while queue:
             max_inflight = min(sched.jobs, len(queue))
-            pool = ProcessPoolExecutor(
-                max_workers=max_inflight,
-                initializer=_init_pool_worker,
-                initargs=(config_table,),
-            )
+            pool = ProcessPoolExecutor(max_workers=max_inflight)
             abandon = False
             try:
                 running: dict[Any, Attempt] = {}
@@ -275,7 +210,7 @@ class ProcessPoolBackend(WorkerBackend):
                     sched._c_executed.inc()
                     if sched.timeout is not None:
                         item.deadline = time.monotonic() + sched.timeout
-                    fut = pool.submit(_pool_run_job, payloads[item.spec])
+                    fut = pool.submit(_pool_run_job, item.spec)
                     running[fut] = item
 
                 def refill() -> None:
@@ -347,9 +282,9 @@ class ProcessPoolBackend(WorkerBackend):
                             )
                             continue
                         except Exception as exc:
-                            # The payload failed to unpickle (or another
-                            # local fault); isolate it as an error of
-                            # this cell only.
+                            # The cell or its result failed to pickle
+                            # (or another local fault); isolate it as an
+                            # error of this cell only.
                             done = sched._fail(
                                 item.spec, type(exc).__name__,
                                 traceback.format_exc(),
@@ -389,11 +324,8 @@ class ProcessPoolBackend(WorkerBackend):
 
 
 __all__ = [
-    "BackendError",
     "ProcessPoolBackend",
     "SerialBackend",
     "WorkerBackend",
-    "config_id",
     "detect_cpus",
-    "dispatch_tables",
 ]

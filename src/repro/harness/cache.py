@@ -9,9 +9,8 @@ of inputs that determine its outcome:
   overrides from experiment spec files just like hand-built configs,
 * the workload name, its parameters, and the program variant,
 * the prefetch engine name and the cell kind (``sim``/``table1``),
-* the simulation-engine name (``table``/``reference``) —
-  engines are bit-identical, but the key stays honest about which
-  implementation produced an entry,
+* the ``profile``/``telemetry`` observer flags (their payloads ride in
+  the stored result),
 * a fingerprint of the simulator source code (every ``.py`` file in the
   packages that influence simulation results), so any change to the ISA,
   memory, CPU, prefetch, or workload code invalidates prior entries while
@@ -26,7 +25,9 @@ as ``repro.table1_row/1``.  Because every cell kind is cached, rerunning
 an interrupted sweep against the same cache executes only the cells it
 had not stored.  Hit/miss/write counters are registered in a
 :class:`~repro.obs.metrics.MetricRegistry`, so sweeps can report cache
-effectiveness alongside simulation metrics.
+effectiveness alongside simulation metrics; so are the entries that
+could not be read (``cache.read_errors``, recomputed) or written
+(``cache.write_errors``, the sweep keeps the result).
 
 Cache location: ``$REPRO_CACHE_DIR`` when set, else ``.repro_cache/``
 under the current working directory.
@@ -133,9 +134,33 @@ def canonical_spec(spec: "RunSpec") -> dict[str, Any]:
     }
 
 
-def spec_key(spec: "RunSpec") -> str:
-    blob = json.dumps(canonical_spec(spec), sort_keys=True, separators=(",", ":"))
+def _digest(canonical: dict[str, Any]) -> str:
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def spec_key(spec: "RunSpec") -> str:
+    return _digest(canonical_spec(spec))
+
+
+def _write_durably(path: Path, doc: dict[str, Any]) -> None:
+    """Write ``doc`` to ``path`` through a temp file: fsync it, rename it
+    into place (atomic), then fsync the directory (durable)."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(doc, f, indent=1)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+        _fsync_dir(path.parent)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError as exc:
+            logger.debug("cannot remove temp entry %s: %s", tmp, exc)
+        raise
 
 
 class ResultCache:
@@ -166,6 +191,11 @@ class ResultCache:
             "cache.read_errors",
             help="cache entries that existed but could not be read "
                  "(I/O error or corruption, recomputed cold)",
+        )
+        self._write_errors = self.registry.counter(
+            "cache.write_errors",
+            help="cell results that could not be stored (I/O error; "
+                 "the sweep keeps the result)",
         )
 
     # ------------------------------------------------------------------
@@ -217,29 +247,22 @@ class ResultCache:
         return result
 
     def put(self, spec: "RunSpec", result: Any) -> Path:
-        """Store ``result`` under ``spec``'s key (atomic + durable rename)."""
-        key = self.key(spec)
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Store ``result`` under ``spec``'s key (atomic + durable rename).
+
+        Counts the write on ``cache.writes``; an ``OSError`` (unwritable
+        root, full disk) is counted on ``cache.write_errors`` and
+        re-raised for the caller to decide."""
+        canonical = canonical_spec(spec)
+        path = self.path(_digest(canonical))
         schema, encode, __ = _CODECS[spec.kind]
-        doc = artifact(
-            schema, {"spec": canonical_spec(spec), "result": encode(result)},
-        )
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        doc = artifact(schema, {"spec": canonical, "result": encode(result)})
         try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(doc, f, indent=1)
-                f.write("\n")
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(path.parent)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError as exc:
-                logger.debug("cannot remove temp entry %s: %s", tmp, exc)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_durably(path, doc)
+        except OSError:
+            self._write_errors.inc()
             raise
+        self._writes.inc()
         return path
 
     # ------------------------------------------------------------------
@@ -256,13 +279,13 @@ class ResultCache:
     def writes(self) -> int:
         return self._writes.value
 
-    def note_write(self) -> None:
-        """Executor hook: count a successful :meth:`put`."""
-        self._writes.inc()
-
     @property
     def read_errors(self) -> int:
         return self._read_errors.value
+
+    @property
+    def write_errors(self) -> int:
+        return self._write_errors.value
 
     def stats(self) -> dict[str, int]:
         return {
@@ -271,11 +294,15 @@ class ResultCache:
             "writes": self._writes.value,
             "invalid": self._invalid.value,
             "read_errors": self._read_errors.value,
+            "write_errors": self._write_errors.value,
         }
 
     def describe(self) -> str:
         s = self.stats()
-        return (
+        text = (
             f"result cache at {self.root}: {s['hits']} hits, "
             f"{s['misses']} misses, {s['writes']} writes"
         )
+        if s["write_errors"]:
+            text += f", {s['write_errors']} write errors"
+        return text

@@ -3,14 +3,13 @@
 A sweep — serial or fanned out over a local process pool — is a set of
 :class:`RunSpec` cells, each one ``simulate()`` call.  This module owns
 the cell identity (hashable, content-addressed through
-:func:`repro.harness.cache.spec_key`), the cell outcome
-(:class:`CellResult`), the worker body that turns a spec into a result
-(:func:`run_cell`), and the compact form a cell travels in to pool
-workers (:func:`job_payload` / :func:`spec_from_payload`).
+:func:`repro.harness.cache.spec_key`, and pickled as-is to pool
+workers), the cell outcome (:class:`CellResult`), and the worker body
+that turns a spec into a result (:func:`run_cell`).
 
 The layers stack on top:
 
-* :mod:`repro.harness.scheduler` — plan → dispatch → deterministic
+* :mod:`repro.harness.executor` — plan → dispatch → deterministic
   plan-order assembly, owning timeouts and cache replay;
 * :mod:`repro.harness.backends` — the serial and process-pool worker
   backends that execute dispatched cells.
@@ -182,44 +181,6 @@ def run_cell(
         return ("error", type(exc).__name__, traceback.format_exc())
 
 
-# ----------------------------------------------------------------------
-# Job payload: the compact cell identity shipped to pool workers
-# ----------------------------------------------------------------------
-
-def job_payload(spec: RunSpec, config_id: str) -> dict[str, Any]:
-    """The JSON-safe process-pool payload of one cell.
-
-    The machine config travels by reference (``config_id``, the SHA-256
-    of its canonical dict): workers memoize the materialized
-    :class:`MachineConfig` per id, so a thousand-cell sweep ships each
-    distinct config once instead of re-pickling it per cell."""
-    return {
-        "benchmark": spec.benchmark,
-        "variant": spec.variant,
-        "engine": spec.engine,
-        "params": [[k, v] for k, v in spec.params],
-        "kind": spec.kind,
-        "profile": spec.profile,
-        "telemetry": spec.telemetry,
-        "config": config_id,
-    }
-
-
-def spec_from_payload(payload: dict[str, Any], cfg: MachineConfig) -> RunSpec:
-    """Rebuild the :class:`RunSpec` a payload describes, given the
-    materialized config its ``config`` id referenced."""
-    return RunSpec(
-        benchmark=payload["benchmark"],
-        variant=payload["variant"],
-        engine=payload["engine"],
-        cfg=cfg,
-        params=tuple(sorted((k, v) for k, v in payload["params"])),
-        kind=payload.get("kind", "sim"),
-        profile=bool(payload.get("profile", False)),
-        telemetry=bool(payload.get("telemetry", False)),
-    )
-
-
 def error_row(
     benchmark: str,
     scheme: str,
@@ -246,7 +207,5 @@ __all__ = [
     "RunSpec",
     "SweepError",
     "error_row",
-    "job_payload",
     "run_cell",
-    "spec_from_payload",
 ]

@@ -1,43 +1,53 @@
-"""Sweep execution facade: plans, the executor, and result assembly.
+"""Sweep execution: plans, the executor, and result assembly.
 
-The thin public face of the layered sweep machinery:
+:class:`SweepExecutor` is the one handle on a sweep.  It owns
+everything a worker backend must not reinvent:
+
+* **Plan hygiene** — deduplication preserving first-seen order, so
+  identical cells are computed once and results assemble in plan order
+  whatever the backend's completion order: serial and pooled sweeps
+  produce identical rows.
+* **Replay** — the content-addressed
+  :class:`~repro.harness.cache.ResultCache`, consulted before any
+  worker sees a cell.  It stores every cell kind, so rerunning an
+  interrupted sweep against the same cache executes only the cells the
+  first run did not finish: resuming is just running again.  A cache
+  that cannot be written (read-only, full, not a directory) is counted
+  and logged; the sweep keeps its results.
+* **Failure accounting** — a cell that raises, times out or loses its
+  worker becomes an error :class:`CellResult` (:meth:`SweepExecutor._fail`)
+  instead of aborting the sweep.  Cells are deterministic, so a failed
+  cell is reported rather than retried.
+* **Narrated progress**, one line per finished cell.
+
+The layers it stands on:
 
 * :mod:`repro.harness.cells` — the cell vocabulary (:class:`RunSpec`,
-  :class:`CellResult`, the ``run_cell`` worker body, job payloads);
-* :mod:`repro.harness.scheduler` — the :class:`Scheduler` policy layer
-  (dedup, cache replay, timeouts, deterministic plan-order assembly);
-* :mod:`repro.harness.backends` — the two worker backends (serial and
-  the local process pool), chosen by ``--jobs``.
+  :class:`CellResult`, the ``run_cell`` worker body);
+* :mod:`repro.harness.backends` — *where* a cell runs: serially for
+  ``jobs=1`` or a one-cell plan, else the local process pool.
 
-:class:`SweepExecutor` *is* the scheduler (a subclass adding nothing),
-kept under its historical name because every experiment, spec, CLI
-command, and test builds one.  ``jobs=0`` requests cgroup/affinity-aware
-CPU auto-detection.
-
-Guarantees:
-
-* **Deterministic ordering** — results are keyed by spec and assembled
-  in plan order, so serial and pooled sweeps produce identical rows.
-* **Work sharing** — identical cells are planned once; the
-  :class:`~repro.harness.cache.ResultCache` extends the sharing across
-  processes and sweeps, and because it stores every completed cell, an
-  interrupted sweep rerun against the same cache executes only the
-  cells it had not finished.
-* **Error isolation** — a cell that raises becomes an error
-  :class:`CellResult` instead of aborting the sweep.
-* **Per-cell timeouts, crash recovery, clean interruption, narrated
-  progress** — see :class:`Scheduler` and the backends for the
-  mechanics.
+:class:`SweepPlan` collects an experiment's cells and
+:class:`SweepResults` assembles them back into
+:class:`~repro.harness.runner.SchemeRun` rows.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from ..config import MachineConfig
 from ..cpu.stats import SimResult
+from ..obs import MetricRegistry
 from ..workloads import get_workload
+from .backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    WorkerBackend,
+    detect_cpus,
+)
 from .cache import ResultCache
 from .cells import (  # noqa: F401  (re-exported)
     CellError,
@@ -48,11 +58,178 @@ from .cells import (  # noqa: F401  (re-exported)
     run_cell,
 )
 from .runner import SchemeRun, scheme_plan
-from .scheduler import Progress, Scheduler
+
+Progress = Callable[[str], None]
+
+logger = logging.getLogger(__name__)
 
 
-class SweepExecutor(Scheduler):
-    """The sweep scheduler under its historical public name."""
+class SweepExecutor:
+    """Executes a deduplicated list of cells through a worker backend,
+    serving cached cells first, with an optional per-cell timeout.
+
+    ``jobs=0`` requests cgroup/affinity-aware CPU auto-detection.  Tests
+    may inject any :class:`~repro.harness.backends.WorkerBackend`
+    instance through ``backend=``."""
+
+    def __init__(
+        self,
+        jobs: int = 1,
+        cache: ResultCache | None = None,
+        progress: Progress | None = None,
+        *,
+        timeout: float | None = None,
+        registry: MetricRegistry | None = None,
+        backend: WorkerBackend | None = None,
+    ) -> None:
+        self.jobs = detect_cpus() if jobs == 0 else max(1, jobs)
+        self.cache = cache
+        self.progress = progress
+        self.timeout = timeout
+        self.backend = backend
+        self.registry = (
+            registry
+            or (cache.registry if cache is not None else None)
+            or MetricRegistry()
+        )
+        reg = self.registry
+        self._c_timeouts = reg.counter(
+            "sweep.timeouts", help="cells that overran the timeout"
+        )
+        self._c_failures = reg.counter(
+            "sweep.failures", help="cells that finished as errors"
+        )
+        self._c_pool_breaks = reg.counter(
+            "sweep.pool_breaks",
+            help="worker pools abandoned after a crash or hung worker",
+        )
+        self._c_executed = reg.counter(
+            "sweep.executed", help="cells computed by a worker this sweep"
+        )
+
+    # ------------------------------------------------------------------
+    # Bookkeeping
+    # ------------------------------------------------------------------
+
+    def _narrate(self, done: int, total: int, cell: CellResult) -> None:
+        if self.progress is None:
+            return
+        if not cell.ok:
+            status = "ERROR"
+        elif cell.cached:
+            status = "cache hit"
+        elif cell.spec.kind == "sim":
+            status = f"{cell.result.cycles} cycles"
+        else:
+            status = "done"
+        self.progress(f"[{done}/{total}] {cell.spec.describe()}: {status}")
+
+    def _finish(self, cell: CellResult, done: int, total: int) -> CellResult:
+        cache = self.cache
+        if cache is not None and cell.ok and not cell.cached:
+            try:
+                cache.put(cell.spec, cell.result)
+            except OSError as exc:
+                # An unwritable cache costs only the reuse: keep the
+                # result and warn once (put counted the error).
+                if cache.write_errors == 1:
+                    logger.warning(
+                        "result cache at %s is not writable (%s: %s); "
+                        "results are kept but not stored",
+                        cache.root, type(exc).__name__, exc,
+                    )
+        self._narrate(done, total, cell)
+        return cell
+
+    def _fail(
+        self,
+        spec: RunSpec,
+        kind: str,
+        tb: str,
+        results: dict[RunSpec, CellResult],
+        done: int,
+        total: int,
+    ) -> int:
+        """Record ``spec``'s final error cell; returns the new ``done``."""
+        self._c_failures.inc()
+        done += 1
+        results[spec] = self._finish(
+            CellResult(spec, None, error=tb, error_kind=kind), done, total,
+        )
+        return done
+
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
+
+    def _resolve_backend(self, todo: list[RunSpec]) -> WorkerBackend:
+        """An injected ``backend=`` instance wins; otherwise serial for
+        ``--jobs 1`` or trivial plans, the local process pool else."""
+        if self.backend is not None:
+            return self.backend
+        if self.jobs == 1 or len(todo) <= 1:
+            return SerialBackend()
+        return ProcessPoolBackend()
+
+    def execute(self, specs: Iterable[RunSpec]) -> dict[RunSpec, CellResult]:
+        """Run every distinct spec; returns ``spec -> CellResult``."""
+        plan: list[RunSpec] = []
+        seen: set[RunSpec] = set()
+        for spec in specs:
+            if spec not in seen:
+                seen.add(spec)
+                plan.append(spec)
+
+        results: dict[RunSpec, CellResult] = {}
+        todo: list[RunSpec] = []
+        cache = self.cache
+        for spec in plan:
+            cached = cache.get(spec) if cache is not None else None
+            if cached is not None:
+                results[spec] = CellResult(spec, cached, cached=True)
+            else:
+                todo.append(spec)
+
+        total = len(plan)
+        done = 0
+        for cell in results.values():
+            done += 1
+            self._narrate(done, total, cell)
+
+        if todo:
+            done = self._resolve_backend(todo).run(
+                self, todo, results, done, total
+            )
+
+        # Every planned cell must be accounted for: a backend that lost
+        # cells would otherwise surface as a KeyError deep inside row
+        # assembly.
+        missing = [spec for spec in plan if spec not in results]
+        for spec in missing:
+            done = self._fail(
+                spec, "BackendError",
+                "BackendError: backend returned no result for cell",
+                results, done, total,
+            )
+        return results
+
+    # ------------------------------------------------------------------
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "executed": self._c_executed.value,
+            "timeouts": self._c_timeouts.value,
+            "failures": self._c_failures.value,
+            "pool_breaks": self._c_pool_breaks.value,
+        }
+
+    def describe(self) -> str:
+        s = self.stats()
+        return (
+            f"sweep: {s['executed']} cells executed, "
+            f"{s['timeouts']} timeouts, {s['failures']} failures, "
+            f"{s['pool_breaks']} pool restarts"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -159,19 +336,10 @@ class SweepPlan:
         )
         return ScheduledRun(benchmark, scheme, variant, timing, compute)
 
-    def execute(
-        self,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        progress: Progress | None = None,
-        executor: SweepExecutor | None = None,
-    ) -> "SweepResults":
-        """Execute the collected cells.  A fully-configured ``executor``
-        (timeout/registry/backend) takes precedence over the simple
-        ``jobs``/``cache``/``progress`` shorthand."""
-        if executor is None:
-            executor = SweepExecutor(jobs=jobs, cache=cache, progress=progress)
-        return SweepResults(executor.execute(self._specs))
+    def execute(self, executor: SweepExecutor | None = None) -> "SweepResults":
+        """Execute the collected cells (serially, uncached, without an
+        ``executor``)."""
+        return SweepResults((executor or SweepExecutor()).execute(self._specs))
 
 
 class SweepResults:
@@ -235,7 +403,6 @@ __all__ = [
     "Progress",
     "RunSpec",
     "ScheduledRun",
-    "Scheduler",
     "SweepError",
     "SweepExecutor",
     "SweepPlan",

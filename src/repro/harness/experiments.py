@@ -8,10 +8,12 @@ experiment index and the expected shapes.
 All experiments route through the same plan → execute → assemble
 pipeline (:mod:`repro.harness.executor`): cells are planned up front,
 deduplicated (schemes of one benchmark share their compute-time run),
-optionally served from the on-disk :class:`~repro.harness.cache.
-ResultCache`, and executed serially or across ``jobs`` worker processes
-with identical row output either way.  A failed cell yields an error row
-(benchmark, scheme, error text) instead of aborting the sweep.
+and handed to the caller's ``executor`` — a
+:class:`~repro.harness.executor.SweepExecutor` that decides the worker
+count, the on-disk result cache, timeouts and progress narration; rows
+are identical whatever it decides.  Without one, a sweep runs serially
+and uncached.  A failed cell yields an error row (benchmark, scheme,
+error text) instead of aborting the sweep.
 
 The paper artifacts (``table1``, ``figure4``–``figure7``) are now thin
 wrappers: each builds the equivalent declarative
@@ -28,13 +30,7 @@ from typing import Any
 
 from ..config import MachineConfig, bench_config
 from ..workloads import workload_class
-from .cache import ResultCache
-from .executor import (
-    Progress,
-    SweepExecutor,
-    SweepPlan,
-    error_row,
-)
+from .executor import SweepExecutor, SweepPlan, error_row
 from .runner import SCHEMES
 from .spec import Axis, ExperimentSpec, WorkloadSel, run_spec
 
@@ -85,13 +81,9 @@ def table1(
     cfg: MachineConfig | None = None,
     benchmarks: tuple[str, ...] | None = None,
     params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
     return run_spec(table1_spec(benchmarks, params), cfg=cfg or bench_config(),
-                    jobs=jobs, cache=cache, progress=progress,
                     executor=executor)
 
 
@@ -121,13 +113,9 @@ def figure4(
     cfg: MachineConfig | None = None,
     subjects: dict[str, tuple[str, ...]] | None = None,
     params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
     return run_spec(figure4_spec(subjects, params), cfg=cfg or bench_config(),
-                    jobs=jobs, cache=cache, progress=progress,
                     executor=executor)
 
 
@@ -159,14 +147,10 @@ def figure5(
     benchmarks: tuple[str, ...] | None = None,
     params: dict[str, dict[str, Any]] | None = None,
     schemes: tuple[str, ...] = SCHEMES,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
     return run_spec(figure5_spec(benchmarks, params, schemes),
-                    cfg=cfg or bench_config(), jobs=jobs, cache=cache,
-                    progress=progress, executor=executor)
+                    cfg=cfg or bench_config(), executor=executor)
 
 
 def figure5_summary(rows: list[dict[str, object]]) -> list[dict[str, object]]:
@@ -220,13 +204,9 @@ def figure6(
     cfg: MachineConfig | None = None,
     benchmarks: tuple[str, ...] | None = None,
     params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
     return run_spec(figure6_spec(benchmarks, params), cfg=cfg or bench_config(),
-                    jobs=jobs, cache=cache, progress=progress,
                     executor=executor)
 
 
@@ -263,14 +243,10 @@ def figure7(
     latencies: tuple[int, ...] = (70, 280),
     intervals: tuple[int, ...] = (8, 16),
     params: dict[str, Any] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
     return run_spec(figure7_spec(latencies, intervals, params),
-                    cfg=cfg or bench_config(), jobs=jobs, cache=cache,
-                    progress=progress, executor=executor)
+                    cfg=cfg or bench_config(), executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -282,9 +258,6 @@ def onchip_table_ablation(
     benchmarks: tuple[str, ...] = ("em3d", "health", "treeadd"),
     table_entries: int = 16384,
     params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
     cfg = cfg or bench_config()
@@ -301,8 +274,7 @@ def onchip_table_ablation(
             plan.add_run(name, "hardware", p),
             plan.add_run(name, "hardware", p, cfg=onchip_cfg),
         ))
-    results = plan.execute(jobs=jobs, cache=cache, progress=progress,
-                           executor=executor)
+    results = plan.execute(executor)
 
     rows = []
     for name, base_sr, padding_sr, onchip_sr in scheduled:
@@ -330,9 +302,6 @@ def creation_overhead(
     cfg: MachineConfig | None = None,
     benchmarks: tuple[str, ...] = ("health", "treeadd"),
     params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
     """A-priori slowdown of jump-pointer creation: the compute-time ratio
@@ -345,8 +314,7 @@ def creation_overhead(
         scheduled.append((
             name, plan.add_run(name, "base", p), plan.add_run(name, "software", p)
         ))
-    results = plan.execute(jobs=jobs, cache=cache, progress=progress,
-                           executor=executor)
+    results = plan.execute(executor)
 
     rows = []
     for name, base_sr, sw_sr in scheduled:
@@ -368,9 +336,6 @@ def traversal_count_sweep(
     cfg: MachineConfig | None = None,
     passes: tuple[int, ...] = (1, 2, 4, 8),
     params: dict[str, Any] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
     """Hardware vs cooperative JPP (and DBP) on treeadd as the number of
@@ -387,8 +352,7 @@ def traversal_count_sweep(
             s: plan.add_run("treeadd", s, wparams)
             for s in ("base", "hardware", "cooperative", "dbp")
         }))
-    results = plan.execute(jobs=jobs, cache=cache, progress=progress,
-                           executor=executor)
+    results = plan.execute(executor)
 
     rows = []
     for p, per_scheme in scheduled:

@@ -7,9 +7,10 @@ report.  Specs load from TOML or JSON files (``examples/specs/``), and
 **compile onto the existing sweep machinery** — every spec becomes plain
 :class:`~repro.harness.executor.RunSpec` cells in a
 :class:`~repro.harness.executor.SweepPlan`, so spec-driven runs inherit
-the executor's deduplication, on-disk result cache (which is also how
-an interrupted run resumes), process-pool parallelism and timeouts
-without any code of their own.  The bespoke experiment functions
+the deduplication, on-disk result cache (which is also how an
+interrupted run resumes), process-pool parallelism and timeouts of the
+:class:`~repro.harness.executor.SweepExecutor` they are given, without
+any code of their own.  The bespoke experiment functions
 (``table1``, ``figure4``–``figure7``) are thin wrappers that build the
 equivalent spec in memory; a shipped spec file and its wrapper produce
 bit-identical rows.
@@ -57,9 +58,7 @@ from ..config import MACHINES, MachineConfig, get_machine
 from ..errors import ReproError
 from ..obs import artifact
 from ..workloads import get_workload, workload_class
-from .cache import ResultCache
 from .executor import (
-    Progress,
     RunSpec,
     ScheduledRun,
     SweepExecutor,
@@ -467,15 +466,9 @@ class CompiledSpec:
         return len(set(self.plan._specs))
 
     def execute(
-        self,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        progress: Progress | None = None,
-        executor: SweepExecutor | None = None,
+        self, executor: SweepExecutor | None = None
     ) -> list[dict[str, object]]:
-        results = self.plan.execute(
-            jobs=jobs, cache=cache, progress=progress, executor=executor
-        )
+        results = self.plan.execute(executor)
         return assemble_rows(self.spec, self.rows, results)
 
 
@@ -665,15 +658,11 @@ def assemble_rows(
 def run_spec(
     spec: ExperimentSpec,
     cfg: MachineConfig | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, object]]:
-    """Compile and execute ``spec``; returns the report rows."""
-    return compile_spec(spec, cfg).execute(
-        jobs=jobs, cache=cache, progress=progress, executor=executor
-    )
+    """Compile and execute ``spec`` (serially and uncached without an
+    ``executor``); returns the report rows."""
+    return compile_spec(spec, cfg).execute(executor)
 
 
 def spec_artifact(

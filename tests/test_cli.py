@@ -90,21 +90,25 @@ def test_run_spec_end_to_end(tmp_path, capsys):
         assert scheme in out
 
 
-def test_run_spec_artifact_and_set(tmp_path, capsys):
-    import json
-
+def _tiny_spec():
+    """treeadd at test size under base and hardware: three cells."""
     from repro.harness import ExperimentSpec, WorkloadSel
     from repro.workloads import workload_class
 
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         name="tiny", title="Tiny",
         workloads=(WorkloadSel(
             "treeadd", params=workload_class("treeadd").test_params()),),
         schemes=("base", "hardware"),
         columns=("benchmark", "scheme", "total", "normalized"),
     )
+
+
+def test_run_spec_artifact_and_set(tmp_path, capsys):
+    import json
+
     out_file = tmp_path / "result.json"
-    assert main(["run-spec", str(_write_spec(tmp_path, spec)),
+    assert main(["run-spec", str(_write_spec(tmp_path, _tiny_spec())),
                  "--machine", "small", "--set", "memory_latency=140",
                  "--cache-dir", str(tmp_path / "cache"),
                  "-o", str(out_file)]) == 0
@@ -115,6 +119,34 @@ def test_run_spec_artifact_and_set(tmp_path, capsys):
     assert len(doc["rows"]) == 2
     assert doc["rows"][0]["scheme"] == "base"
     assert doc["rows"][0]["normalized"] == 1.0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_spec_unwritable_cache_keeps_results(
+    tmp_path, capsys, caplog, jobs
+):
+    """A cache root that cannot be written (here a regular file) costs
+    only the reuse: the sweep finishes with the uncached rows, warns
+    once, and counts every lost store on ``cache.write_errors``."""
+    import re
+
+    path = str(_write_spec(tmp_path, _tiny_spec()))
+    common = ["run-spec", path, "--machine", "small", "--jobs", jobs]
+    assert main([*common, "--no-cache"]) == 0
+    clean = capsys.readouterr().out
+
+    blocker = tmp_path / "ro"
+    blocker.write_text("x")
+    with caplog.at_level("WARNING", logger="repro.harness.executor"):
+        assert main([*common, "--cache-dir", str(blocker)]) == 0
+    captured = capsys.readouterr()
+    warned = [r for r in caplog.records if r.name == "repro.harness.executor"]
+    assert len(warned) == 1 and "not writable" in warned[0].getMessage()
+    assert captured.out == clean
+    cells = int(re.search(r"over (\d+) distinct cells", captured.err)[1])
+    footer = re.search(r"(\d+) writes, (\d+) write errors", captured.err)
+    assert footer and footer.groups() == ("0", str(cells))
+    assert blocker.read_text() == "x"
 
 
 def test_run_spec_bad_file_is_clean_error(tmp_path):
@@ -218,9 +250,9 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     monkeypatch, cpus, narrates
 ):
     from repro.__main__ import _build_executor
-    from repro.harness import scheduler
+    from repro.harness import executor as executor_module
 
-    monkeypatch.setattr(scheduler, "detect_cpus", lambda: cpus)
+    monkeypatch.setattr(executor_module, "detect_cpus", lambda: cpus)
     args = build_parser().parse_args(["figure5", "--jobs", "0", "--no-cache"])
     executor = _build_executor(args)
     assert executor.jobs == cpus

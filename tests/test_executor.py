@@ -117,20 +117,22 @@ class TestSerialParallelParity:
     def test_figure5_rows_identical(self, cfg):
         params = {n: SMALL[n] for n in FAST_SET}
         serial = figure5(cfg, benchmarks=FAST_SET, params=params)
-        parallel = figure5(cfg, benchmarks=FAST_SET, params=params, jobs=4)
+        parallel = figure5(cfg, benchmarks=FAST_SET, params=params,
+                           executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
     def test_figure7_rows_identical(self, cfg):
         serial = figure7(cfg, latencies=(70,), intervals=(8,),
                          params=SMALL["health"])
         parallel = figure7(cfg, latencies=(70,), intervals=(8,),
-                           params=SMALL["health"], jobs=4)
+                           params=SMALL["health"],
+                           executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
     @pytest.mark.slow
     def test_full_suite_parity(self, cfg):
         serial = figure5(cfg, params=SMALL)
-        parallel = figure5(cfg, params=SMALL, jobs=4)
+        parallel = figure5(cfg, params=SMALL, executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
 
@@ -165,7 +167,8 @@ class TestErrorIsolation:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_poisoned_worker_yields_error_row(self, cfg, poisoned, jobs):
         rows = figure5(cfg, benchmarks=("treeadd", poisoned),
-                       params={"treeadd": SMALL["treeadd"]}, jobs=jobs)
+                       params={"treeadd": SMALL["treeadd"]},
+                       executor=SweepExecutor(jobs=jobs))
         good = [r for r in rows if r["benchmark"] == "treeadd"]
         bad = [r for r in rows if r["benchmark"] == poisoned]
         # The healthy benchmark is untouched by its neighbour's failure...
@@ -293,7 +296,7 @@ class TestProgress:
     def test_narration_counts_cells(self, cfg):
         lines = []
         figure5(cfg, benchmarks=("treeadd",), params=SMALL,
-                progress=lines.append)
+                executor=SweepExecutor(progress=lines.append))
         # 5 schemes -> 5 timing + 3 distinct variants' compute cells.
         assert len(lines) == 8
         assert lines[-1].startswith("[8/8] ")

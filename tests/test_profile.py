@@ -149,6 +149,22 @@ class TestSiteTable:
         assert sum(top["levels"].values()) == top["count"]
         assert top["misses"] <= top["count"]
 
+    def test_prefetching_shrinks_lds_share(self, tiny_cfg):
+        def lds_share(engine):
+            prof, result = _profiled(program, tiny_cfg, engine=engine)
+            sites = prof.to_dict()["sites"]
+            stalls = sum(s["stalls"] for s in sites if s["lds"])
+            return stalls / result.cycles, result.cycles
+
+        program, __ = assemble_list_walk(96)
+        base_share, base_cycles = lds_share("none")
+        # The walk is single-pass, so the gain is modest, but prefetching
+        # must not grow the linked-data stall share or the run time.
+        dbp_share, dbp_cycles = lds_share("dbp")
+        assert base_share > 0.3
+        assert dbp_share <= base_share
+        assert dbp_cycles <= base_cycles * 1.05
+
     def test_outcome_mix_attached_with_telemetry(self, cfg):
         # The synthetic list walk traverses once (nothing to prefetch);
         # health re-traverses its lists, so hardware JPF issues real
@@ -310,7 +326,7 @@ class TestHarnessAxis:
 
     def test_executor_cell_emits_profile(self, tmp_path):
         from repro.harness import ResultCache
-        from repro.harness.executor import SweepPlan
+        from repro.harness.executor import SweepExecutor, SweepPlan
 
         params = {"levels": 3, "passes": 1}
 
@@ -318,7 +334,7 @@ class TestHarnessAxis:
             plan = SweepPlan(small_config())
             scheduled = plan.add_run("treeadd", "base", params=params,
                                      profile=True)
-            results = plan.execute(cache=ResultCache(tmp_path))
+            results = plan.execute(SweepExecutor(cache=ResultCache(tmp_path)))
             return scheduled, results.cell(scheduled.timing)
 
         __, cell = run_once()

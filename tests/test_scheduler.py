@@ -1,5 +1,5 @@
-"""Scheduler layer: backend resolution, backend parity, plan-order
-assembly.
+"""Sweep executor: backend resolution, backend parity, pickled cells,
+plan-order assembly.
 
 The core guarantee is that *assembly is a function of the plan, not of
 the backend*: whatever order results arrive in — serial or from a
@@ -11,6 +11,7 @@ interleavings.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import time
 
 import pytest
@@ -20,15 +21,15 @@ from hypothesis import strategies as st
 from repro import small_config
 from repro.harness import (
     RunSpec,
-    Scheduler,
     SweepExecutor,
     WorkerBackend,
     detect_cpus,
     figure5,
     run_cell,
 )
-from repro.harness.backends import ProcessPoolBackend, SerialBackend, config_id, dispatch_tables
-from repro.harness.cells import CellResult, job_payload, spec_from_payload
+from repro.harness.backends import ProcessPoolBackend, SerialBackend
+from repro.harness.cache import spec_key
+from repro.harness.cells import CellResult
 from repro.workloads import workload_class
 from tests.conftest import InterruptAfter
 
@@ -57,52 +58,44 @@ def _specs(cfg) -> list[RunSpec]:
 
 class TestBackendResolution:
     def test_implicit_serial_for_one_job(self):
-        sched = Scheduler(jobs=1)
+        sched = SweepExecutor(jobs=1)
         assert isinstance(sched._resolve_backend([1, 2]), SerialBackend)
 
     def test_implicit_serial_for_trivial_plan(self):
-        sched = Scheduler(jobs=4)
+        sched = SweepExecutor(jobs=4)
         assert isinstance(sched._resolve_backend([1]), SerialBackend)
 
     def test_implicit_process_pool(self):
-        sched = Scheduler(jobs=4)
+        sched = SweepExecutor(jobs=4)
         assert isinstance(sched._resolve_backend([1, 2]), ProcessPoolBackend)
 
     def test_explicit_instance_wins(self):
         backend = SerialBackend()
-        sched = Scheduler(jobs=4, backend=backend)
+        sched = SweepExecutor(jobs=4, backend=backend)
         assert sched._resolve_backend([1, 2]) is backend
 
     def test_jobs_zero_auto_detects(self):
-        assert Scheduler(jobs=0).jobs == detect_cpus()
+        assert SweepExecutor(jobs=0).jobs == detect_cpus()
 
     def test_detect_cpus_positive(self):
         assert detect_cpus() >= 1
 
 
-class TestDispatchTables:
-    def test_configs_ship_once(self, cfg):
-        specs = _specs(cfg)
-        configs, payloads = dispatch_tables(specs)
-        # Four cells, but only two distinct machine configs travel.
-        assert len(payloads) == 4
-        assert len(configs) == 2
-        assert {p["config"] for p in payloads.values()} == set(configs)
-
-    def test_payload_round_trip(self, cfg):
-        from repro.config import MachineConfig
-
-        spec = RunSpec.make("health", "baseline", "hw", cfg, SMALL["health"],
-                            profile=True)
-        payload = job_payload(spec, config_id(spec.cfg))
-        rebuilt = spec_from_payload(
-            payload, MachineConfig.from_dict(spec.cfg.to_dict())
+class TestPickledCells:
+    def test_spec_survives_pickle_round_trip(self, cfg):
+        """Pool workers receive each cell as the pickled RunSpec itself:
+        a derived config and the observer flags must come back equal,
+        hash equally, and address the same cache entry."""
+        spec = RunSpec.make(
+            "health", "baseline", "hardware",
+            cfg.perfect().with_overrides({"memory_latency": 140,
+                                          "prefetch.jump_interval": 4}),
+            SMALL["health"], profile=True, telemetry=True,
         )
-        assert rebuilt == spec
-
-    def test_config_id_content_addressed(self, cfg):
-        assert config_id(cfg) == config_id(small_config())
-        assert config_id(cfg) != config_id(cfg.perfect())
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        assert hash(back) == hash(spec)
+        assert spec_key(back) == spec_key(spec)
 
 
 class TestBackendParity:

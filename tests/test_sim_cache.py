@@ -74,7 +74,7 @@ class TestRoundTrip:
             plan = SweepPlan(cfg)
             runs = [plan.add_run("treeadd", s, TREEADD)
                     for s in ("base", "software", "hardware")]
-            results = plan.execute(cache=cache)
+            results = plan.execute(SweepExecutor(cache=cache))
             return [results.scheme_run(sr) for sr in runs]
 
         cold = matrix()
@@ -87,9 +87,9 @@ class TestRoundTrip:
         assert warm == cold
 
     def test_figure5_rows_identical_cold_vs_warm(self, cfg, cache):
-        kw = dict(benchmarks=("treeadd",), params={"treeadd": TREEADD},
-                  cache=cache)
-        assert figure5(cfg, **kw) == figure5(cfg, **kw)
+        kw = dict(benchmarks=("treeadd",), params={"treeadd": TREEADD})
+        cold = figure5(cfg, executor=SweepExecutor(cache=cache), **kw)
+        assert figure5(cfg, executor=SweepExecutor(cache=cache), **kw) == cold
         assert cache.hits > 0
 
     def test_miss_intervals_never_cached(self, cfg, cache):

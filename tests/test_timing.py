@@ -8,6 +8,7 @@ from repro.cpu.timing import TimingModel, _next_periodic, heap_range, periodic_d
 from repro.harness import small_params
 from repro.isa.program import HEAP_BASE
 from repro.isa.registers import A0, T0, T1, T2, T3, T4, T5, ZERO
+from repro.obs import Profiler
 
 from tests.conftest import assemble_list_walk, assemble_loop_sum
 
@@ -128,7 +129,7 @@ class TestMemoryBehaviour:
 
     def test_stall_attribution_sums_to_cycles(self, cfg):
         program, __ = assemble_list_walk(32)
-        model = TimingModel(program, cfg, attribute_stalls=True)
+        model = TimingModel(program, cfg, profile=Profiler())
         res = model.run()
         assert sum(model.stall_attribution.values()) == res.cycles
 
