@@ -13,14 +13,13 @@ Expected shapes (paper Section 4.1):
 * em3d: explicit queue jumping on the backbone works in software.
 """
 
-from conftest import run_once
+from conftest import run_once, shipped
 
-from repro import bench_config
-from repro.harness import figure4, format_table
+from repro.harness import format_table, run_spec
 
 
 def test_figure4(benchmark):
-    rows = run_once(benchmark, figure4, bench_config())
+    rows = run_once(benchmark, run_spec, shipped("figure4"))
     print()
     print(format_table(rows, "Figure 4 — idiom comparison (normalized time)"))
 

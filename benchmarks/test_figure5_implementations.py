@@ -14,14 +14,13 @@ Expected shapes (paper Section 4.2):
   large share of memory stall time, more than DBP alone.
 """
 
-from conftest import run_once
+from conftest import run_once, shipped
 
-from repro import bench_config
-from repro.harness import figure5, figure5_summary, format_table
+from repro.harness import figure5_summary, format_table, run_spec
 
 
 def test_figure5(benchmark):
-    rows = run_once(benchmark, figure5, bench_config())
+    rows = run_once(benchmark, run_spec, shipped("figure5"))
     print()
     print(format_table(rows, "Figure 5 — normalized execution time"))
     summary = figure5_summary(rows)

@@ -9,14 +9,13 @@ Expected shapes (paper Section 4.3):
   and DBP configurations prefetch rib structures greedily).
 """
 
-from conftest import run_once
+from conftest import run_once, shipped
 
-from repro import bench_config
-from repro.harness import MEMORY_BOUND, figure6, format_table
+from repro.harness import MEMORY_BOUND, format_table, run_spec
 
 
 def test_figure6(benchmark):
-    rows = run_once(benchmark, figure6, bench_config())
+    rows = run_once(benchmark, run_spec, shipped("figure6"))
     print()
     print(format_table(rows, "Figure 6 — L1<->L2 bytes per baseline instruction"))
 

@@ -10,14 +10,13 @@ Expected shapes (paper Section 4.4):
   its stall reduction declines far less than DBP's.
 """
 
-from conftest import run_once
+from conftest import run_once, shipped
 
-from repro import bench_config
-from repro.harness import figure7, format_table
+from repro.harness import format_table, run_spec
 
 
 def test_figure7(benchmark):
-    rows = run_once(benchmark, figure7, bench_config())
+    rows = run_once(benchmark, run_spec, shipped("figure7"))
     print()
     print(format_table(rows, "Figure 7 — health under 70/280-cycle memory"))
 

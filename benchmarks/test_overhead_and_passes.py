@@ -1,4 +1,4 @@
-"""Section 4.2 ablations — jump-pointer creation overhead and the
+"""Section 4.2 ablations (X2) — jump-pointer creation overhead and the
 traversal-count sensitivity of hardware JPP.
 
 Expected shapes:
@@ -9,25 +9,26 @@ Expected shapes:
   passes (treeadd's four passes forfeit a quarter of the savings).
 """
 
-from conftest import run_once
+from conftest import run_once, shipped
 
-from repro import bench_config
-from repro.harness import creation_overhead, format_table, traversal_count_sweep
+from repro.harness import format_table, run_spec
 
 
-def test_creation_overhead(benchmark):
-    rows = run_once(benchmark, creation_overhead, bench_config())
+def test_x2_overhead(benchmark):
+    rows = run_once(benchmark, run_spec, shipped("x2"))
     print()
     print(format_table(rows, "A-priori jump-pointer creation overhead"))
     for row in rows:
         assert 0 < row["creation overhead%"] < 60, row["benchmark"]
 
 
-def test_traversal_count_sweep(benchmark):
-    rows = run_once(benchmark, traversal_count_sweep, bench_config())
+def test_x2_passes(benchmark):
+    rows = run_once(benchmark, run_spec, shipped("x2-passes"))
     print()
     print(format_table(rows, "treeadd: hardware vs cooperative/DBP by pass count"))
-    by_passes = {r["passes"]: r for r in rows}
+    by_passes = {}
+    for row in rows:
+        by_passes.setdefault(row["passes"], {})[row["scheme"]] = row["normalized"]
     # single pass: hardware's jump-pointers add nothing over its DBP half
     assert by_passes[1]["hardware"] >= by_passes[1]["dbp"] - 0.03
     # with more passes the jump-pointers kick in: hardware pulls ahead of

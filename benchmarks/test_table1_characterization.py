@@ -13,14 +13,13 @@ Expected shapes (paper Section 2.3 / Table 1):
   accesses are independent (em3d's from-arrays, tsp's scan).
 """
 
-from conftest import run_once
+from conftest import run_once, shipped
 
-from repro import bench_config
-from repro.harness import format_table, table1
+from repro.harness import format_table, run_spec
 
 
 def test_table1(benchmark):
-    rows = run_once(benchmark, table1, bench_config())
+    rows = run_once(benchmark, run_spec, shipped("table1"))
     print()
     print(format_table(rows, "Table 1 — benchmark characterization"))
 

@@ -9,8 +9,8 @@ Public API highlights:
 * :class:`repro.MachineConfig` — machine parameters (Table 2 defaults).
 * :mod:`repro.core` — the JPP framework: idioms, the software jump queue,
   and the Table-1 characterization.
-* :mod:`repro.harness` — experiment runners for every paper table/figure,
-  plus declarative :class:`~repro.harness.ExperimentSpec` files
+* :mod:`repro.harness` — the sweep machinery; every paper table/figure
+  is a declarative :class:`~repro.harness.ExperimentSpec` file
   (``examples/specs/``) run via :func:`~repro.harness.run_spec`.
 * :func:`repro.get_machine` / :func:`repro.machine_names` — the named
   machine registry (``table2``, ``bench``, ``small``).

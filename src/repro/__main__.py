@@ -1,4 +1,10 @@
-"""Command-line interface: reproduce tables/figures and run single configs.
+"""Command-line interface: run the paper's experiments and single configs.
+
+Every paper table and figure is a spec file under ``examples/specs/``
+(``table1``, ``figure4``–``figure7``, ``x1``, ``x2``, ``x2-passes``,
+``mshr``, ``tournament``), run with ``run-spec``.  ``--machine NAME`` and
+``--set PATH=VALUE`` choose the machine for ``run``, ``stats``,
+``trace``, ``profile``, ``run-spec`` and ``tournament`` alike.
 
 Examples::
 
@@ -6,14 +12,14 @@ Examples::
     python -m repro list machines                # ... or one registry
     python -m repro run health --scheme hardware # one benchmark, one scheme
     python -m repro run health --all             # full Figure-5 row
-    python -m repro table1                       # characterization table
-    python -m repro figure4 | figure5 | figure6 | figure7 | x1 | x2
-    python -m repro figure5 --jobs 4             # sweep across 4 processes
-    python -m repro figure7 --no-cache           # ignore the on-disk cache
-    python -m repro figure5 --timeout 300        # reap cells that hang
-    python -m repro figure5                      # rerun after Ctrl-C: resumes
+    python -m repro run health --machine table2 --set memory_latency=280
     python -m repro run treeadd --scheme software --param levels=9 --param passes=2
+    python -m repro run-spec examples/specs/table1.toml   # characterization
     python -m repro run-spec examples/specs/figure5.toml --jobs 4
+    python -m repro run-spec examples/specs/figure7.toml --no-cache
+    python -m repro run-spec examples/specs/figure5.toml --timeout 300
+    python -m repro run-spec examples/specs/figure5.toml  # after Ctrl-C: resumes
+    python -m repro run-spec examples/specs/x1.toml --small --machine small
     python -m repro run-spec mysweep.toml --small -o result.json
     python -m repro tournament --small --jobs 4  # scheme zoo, ranked
     python -m repro tournament --machine small -o tournament.json
@@ -34,7 +40,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench_config, table2_config, workload_names
+from . import workload_names
 from .audit import (
     Auditor,
     audit_workloads,
@@ -45,30 +51,21 @@ from .audit import (
 )
 from .audit.gate import DEFAULT_GOLDEN, CorruptPlan
 from .config import MSHR_MODELS, get_machine, machine_names
-from .errors import ConfigError
+from .errors import ReproError
 from .harness import (
     SCHEMES,
     scheme_names,
     BenchmarkRunner,
     ResultCache,
     SCHEME_REGISTRY,
-    SpecError,
     SweepExecutor,
     compile_spec,
-    creation_overhead,
-    figure4,
-    figure5,
     figure5_summary,
-    figure6,
-    figure7,
     format_table,
     is_tournament_spec,
     load_spec,
-    onchip_table_ablation,
     spec_artifact,
-    table1,
     tournament_summary,
-    traversal_count_sweep,
 )
 from .obs import (
     EventTrace,
@@ -101,13 +98,32 @@ def _parse_params(items: list[str]) -> dict:
     return params
 
 
-def _config(args) -> object:
-    cfg = table2_config() if args.table2 else bench_config()
-    if args.memory_latency:
-        cfg = cfg.with_memory_latency(args.memory_latency)
-    if args.interval:
-        cfg = cfg.with_jump_interval(args.interval)
-    return cfg
+def _parse_override_value(text: str):
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    try:
+        return int(text)
+    except ValueError:
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+
+def _overrides(args) -> dict:
+    """``--set PATH=VALUE`` items as a dotted-path override mapping."""
+    overrides = {}
+    for item in args.set:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise SystemExit(f"--set expects path=value, got {item!r}")
+        overrides[key] = _parse_override_value(value)
+    return overrides
+
+
+def _machine(args):
+    """The single-run machine: ``--machine`` (default bench) + ``--set``."""
+    return get_machine(args.machine or "bench").with_overrides(_overrides(args))
 
 
 def _list_workloads() -> str:
@@ -173,7 +189,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _config(args)
+    cfg = _machine(args)
     runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
     schemes = SCHEMES if args.all else (args.scheme,)
     base = runner.run("base")
@@ -202,9 +218,8 @@ def _workload_params(args) -> dict:
 
 def _run_meta(args) -> dict:
     return {
-        "machine": "table2" if args.table2 else "bench",
-        "memory_latency_override": args.memory_latency or None,
-        "jump_interval_override": args.interval or None,
+        "machine": args.machine or "bench",
+        "overrides": _overrides(args),
         "workload": args.workload,
         "params": _workload_params(args),
     }
@@ -212,7 +227,7 @@ def _run_meta(args) -> dict:
 
 def cmd_stats(args) -> int:
     """Run with full telemetry; emit tables or a schema-stable artifact."""
-    cfg = _config(args)
+    cfg = _machine(args)
     runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
     schemes = (args.scheme,) if args.scheme else SCHEMES
     runs = {}
@@ -285,7 +300,7 @@ def cmd_stats(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one scheme with event tracing; write a Chrome trace file."""
-    cfg = _config(args)
+    cfg = _machine(args)
     runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
     trace = EventTrace(limit=args.limit)
     run = runner.run(args.scheme, args.idiom, telemetry=Telemetry(trace=trace))
@@ -298,7 +313,7 @@ def cmd_trace(args) -> int:
 
 
 def _build_executor(args) -> SweepExecutor:
-    """--jobs/--cache/--timeout plumbing shared by figure commands.  One
+    """--jobs/--cache/--timeout plumbing shared by the sweep commands.  One
     obs registry spans the cache and the executor so a single dump shows
     the whole sweep's behaviour."""
     registry = MetricRegistry()
@@ -322,17 +337,9 @@ def _sweep_footer(executor: SweepExecutor) -> None:
     print(f"  {executor.describe()}", file=sys.stderr)
 
 
-def _parse_override_value(text: str):
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
+#: A spec with these columns and no axes is Figure-5 shaped: its run
+#: also prints the paper's memory-bound averages.
+_FIGURE5_COLUMNS = {"benchmark", "scheme", "normalized", "mem_reduction%"}
 
 #: Default tournament spec, resolved against the repo checkout (the CLI
 #: runs from anywhere; a cwd-relative path is tried first).
@@ -361,13 +368,7 @@ def cmd_run_spec(args) -> int:
     if args.small:
         spec = spec.small()
     if args.set:
-        extra = {}
-        for item in args.set:
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise SystemExit(f"--set expects path=value, got {item!r}")
-            extra[key] = _parse_override_value(value)
-        spec = replace(spec, overrides={**spec.overrides, **extra})
+        spec = replace(spec, overrides={**spec.overrides, **_overrides(args)})
     executor = _build_executor(args)
     compiled = compile_spec(spec)
     print(f"  {args.spec}: {len(compiled.rows)} rows over "
@@ -377,12 +378,14 @@ def cmd_run_spec(args) -> int:
     summary = None
     if is_tournament_spec(spec):
         summary = tournament_summary(rows, label_key=spec.label_key)
+        title = ("Tournament — schemes ranked by geomean normalized time "
+                 "(lower is better)")
+    elif not spec.axes and _FIGURE5_COLUMNS <= set(spec.columns):
+        summary = figure5_summary(rows)
+        title = "Memory-bound averages"
+    if summary is not None:
         print()
-        print(format_table(
-            summary,
-            "Tournament — schemes ranked by geomean normalized time "
-            "(lower is better)",
-        ))
+        print(format_table(summary, title))
     if args.output:
         meta = {
             "source": str(args.spec),
@@ -482,7 +485,7 @@ def cmd_audit(args) -> int:
 def cmd_profile(args) -> int:
     """Run one scheme under the cycle-attribution profiler: CPI stack,
     ranked hot load sites, per-level latency — conservation audited."""
-    cfg = _config(args)
+    cfg = _machine(args)
     runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
     trace = EventTrace(limit=args.limit) if args.trace else None
     profiler = Profiler()
@@ -585,40 +588,6 @@ def cmd_bench_diff(args) -> int:
     return 0
 
 
-def cmd_figure(args) -> int:
-    cfg = _config(args)
-    name = args.command
-    executor = _build_executor(args)
-    sweep = {"executor": executor}
-    if name == "table1":
-        print(format_table(table1(cfg, **sweep),
-                           "Table 1 — benchmark characterization"))
-    elif name == "figure4":
-        print(format_table(figure4(cfg, **sweep), "Figure 4 — idiom comparison"))
-    elif name == "figure5":
-        rows = figure5(cfg, **sweep)
-        print(format_table(rows, "Figure 5 — implementation comparison"))
-        print()
-        print(format_table(figure5_summary(rows), "Memory-bound averages"))
-    elif name == "figure6":
-        print(format_table(figure6(cfg, **sweep),
-                           "Figure 6 — L1<->L2 bytes per instruction"))
-    elif name == "figure7":
-        print(format_table(figure7(cfg, **sweep),
-                           "Figure 7 — latency tolerance (health)"))
-    elif name == "x1":
-        print(format_table(onchip_table_ablation(cfg, **sweep),
-                           "X1 — on-chip jump-pointer table ablation"))
-    elif name == "x2":
-        print(format_table(creation_overhead(cfg, **sweep),
-                           "X2 — jump-pointer creation overhead"))
-        print()
-        print(format_table(traversal_count_sweep(cfg, **sweep),
-                           "X2 — traversal-count sensitivity (treeadd)"))
-    _sweep_footer(executor)
-    return 0
-
-
 def _bounded(kind: type, low: float, *, strict: bool = False):
     """argparse type: ``kind(text)`` that must be >= ``low`` (> if strict)."""
     op = ">" if strict else ">="
@@ -646,14 +615,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Jump-pointer prefetching reproduction (Roth & Sohi, ISCA 1999)",
     )
-    parser.add_argument("--table2", action="store_true",
-                        help="use the paper's full-size Table-2 machine "
-                             "instead of the scaled bench machine")
-    parser.add_argument("--memory-latency", type=int, default=0,
-                        help="override main-memory latency (cycles)")
-    parser.add_argument("--interval", type=int, default=0,
-                        help="override the hardware jump interval")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # One machine choice for every command that simulates.
+    machine_opts = argparse.ArgumentParser(add_help=False)
+    machine_opts.add_argument(
+        "--machine", choices=machine_names(), default=None,
+        help="named machine (default: the spec's own; bench for single runs)")
+    machine_opts.add_argument(
+        "--set", action="append", default=[], metavar="PATH=VALUE",
+        help="dotted-path machine override, e.g. --set memory_latency=280 "
+             "or --set prefetch.jump_interval=4 (repeatable)")
 
     lst = sub.add_parser("list", help="list the experiment-axis registries")
     lst.add_argument("what", nargs="?", default="all",
@@ -661,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "workloads"),
                      help="one registry, or everything (default)")
 
-    run = sub.add_parser("run", help="run one workload")
+    run = sub.add_parser("run", parents=[machine_opts], help="run one workload")
     run.add_argument("workload", choices=workload_names())
     run.add_argument("--scheme", choices=scheme_names(), default="base")
     run.add_argument("--all", action="store_true", help="run every scheme")
@@ -673,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="use the quick test-size parameters")
 
     stats = sub.add_parser(
-        "stats",
+        "stats", parents=[machine_opts],
         help="run with full telemetry; print tables or a JSON artifact",
     )
     stats.add_argument("workload", nargs="?", default="health",
@@ -691,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the artifact here instead of stdout")
 
     trace = sub.add_parser(
-        "trace",
+        "trace", parents=[machine_opts],
         help="run one scheme with event tracing; write a Chrome "
              "trace_event file for chrome://tracing",
     )
@@ -708,27 +680,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace file path (default <workload>-<scheme>.trace.json)")
 
     spec_p = sub.add_parser(
-        "run-spec",
+        "run-spec", parents=[machine_opts],
         help="run a declarative experiment spec file (.toml or .json); "
              "see examples/specs/",
     )
     spec_p.add_argument("spec", help="path to the spec file")
-    spec_p.add_argument("--machine", choices=machine_names(), default=None,
-                        help="run on this named machine instead of the "
-                             "spec's own")
     spec_p.add_argument("--small", action="store_true",
                         help="use every workload's quick test-size "
                              "parameters (spec params still win)")
-    spec_p.add_argument("--set", action="append", default=[],
-                        metavar="PATH=VALUE",
-                        help="extra dotted-path machine override, e.g. "
-                             "--set prefetch.jump_interval=4 (repeatable)")
     spec_p.add_argument("-o", "--output", default=None, metavar="FILE",
                         help="also write the repro.experiment/1 artifact "
                              "(rows + the spec that produced them)")
 
     tour = sub.add_parser(
-        "tournament",
+        "tournament", parents=[machine_opts],
         help="race every scheme against every workload and rank them: "
              "per-cell outcome breakdowns plus the geomean-normalized "
              "summary (default spec: examples/specs/tournament.toml)",
@@ -736,16 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
     tour.add_argument("spec", nargs="?", default=None,
                       help="tournament spec file (default: the shipped "
                            "examples/specs/tournament.toml)")
-    tour.add_argument("--machine", choices=machine_names(), default=None,
-                      help="run on this named machine instead of the "
-                           "spec's own")
     tour.add_argument("--small", action="store_true",
                       help="use every workload's quick test-size "
                            "parameters (spec params still win)")
-    tour.add_argument("--set", action="append", default=[],
-                      metavar="PATH=VALUE",
-                      help="extra dotted-path machine override "
-                           "(repeatable)")
     tour.add_argument("-o", "--output", default=None, metavar="FILE",
                       help="also write the repro.experiment/1 artifact "
                            "(rows + ranked summary in meta)")
@@ -796,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "fails the audit")
 
     prof = sub.add_parser(
-        "profile",
+        "profile", parents=[machine_opts],
         help="run one scheme under the cycle-attribution profiler: "
              "CPI stack, ranked hot load sites, and per-level latency "
              "histograms, with conservation audited",
@@ -841,15 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("-o", "--output", default=None, metavar="FILE",
                     help="write the repro.bench_diff/1 JSON artifact")
 
-    figure_help = {
-        "x1": "extension: on-chip jump-pointer table ablation",
-        "x2": "extension: creation overhead + traversal-count sweep",
-    }
-    for fig in ("table1", "figure4", "figure5", "figure6", "figure7", "x1",
-                "x2", "run-spec", "tournament"):
-        p = (sub.choices[fig] if fig in ("run-spec", "tournament")
-             else sub.add_parser(
-                 fig, help=figure_help.get(fig, f"reproduce {fig}")))
+    for p in (spec_p, tour):
         p.add_argument("--jobs", type=_bounded(int, 0), default=1, metavar="N",
                        help="run sweep cells across N worker processes "
                             "(default: 1, serial; 0 = cgroup/affinity-"
@@ -886,13 +836,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_audit(args)
         if args.command == "profile":
             return cmd_profile(args)
-        if args.command == "bench-diff":
-            return cmd_bench_diff(args)
-        return cmd_figure(args)
-    except SpecError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    except ConfigError as exc:
-        # A bad --set path / value is a usage error, not a crash.
+        return cmd_bench_diff(args)
+    except ReproError as exc:
+        # A bad spec, workload, scheme or --set value is a usage error,
+        # not a crash.
         raise SystemExit(f"error: {exc}") from None
 
 

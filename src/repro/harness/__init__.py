@@ -1,4 +1,4 @@
-"""Experiment harness: scheme runner, per-figure experiments, reporting."""
+"""Experiment harness: scheme runner, spec-driven sweeps, reporting."""
 
 from .backends import WorkerBackend, detect_cpus
 from .cache import ResultCache, code_fingerprint, spec_key
@@ -14,25 +14,7 @@ from .executor import (
     SweepResults,
     error_row,
 )
-from .experiments import (
-    FIGURE4_SUBJECTS,
-    MEMORY_BOUND,
-    creation_overhead,
-    figure4,
-    figure4_spec,
-    figure5,
-    figure5_spec,
-    figure5_summary,
-    figure6,
-    figure6_spec,
-    figure7,
-    figure7_spec,
-    onchip_table_ablation,
-    small_params,
-    table1,
-    table1_spec,
-    traversal_count_sweep,
-)
+from .experiments import MEMORY_BOUND, figure5_summary
 from .reporting import format_table, normalized_bar, print_rows
 from .runner import SCHEMES, BenchmarkRunner, SchemeRun, run_scheme, scheme_plan
 from .schemes import (
@@ -90,28 +72,13 @@ __all__ = [
     "is_tournament_spec",
     "tournament_summary",
     "spec_key",
-    "FIGURE4_SUBJECTS",
     "MEMORY_BOUND",
     "SCHEMES",
     "SchemeRun",
-    "creation_overhead",
-    "figure4",
-    "figure4_spec",
-    "figure5",
-    "figure5_spec",
     "figure5_summary",
-    "figure6",
-    "figure6_spec",
-    "figure7",
-    "figure7_spec",
     "format_table",
     "normalized_bar",
-    "onchip_table_ablation",
     "print_rows",
     "run_scheme",
     "scheme_plan",
-    "small_params",
-    "table1",
-    "table1_spec",
-    "traversal_count_sweep",
 ]

@@ -10,10 +10,8 @@ report.  Specs load from TOML or JSON files (``examples/specs/``), and
 the deduplication, on-disk result cache (which is also how an
 interrupted run resumes), process-pool parallelism and timeouts of the
 :class:`~repro.harness.executor.SweepExecutor` they are given, without
-any code of their own.  The bespoke experiment functions
-(``table1``, ``figure4``–``figure7``) are thin wrappers that build the
-equivalent spec in memory; a shipped spec file and its wrapper produce
-bit-identical rows.
+any code of their own.  Every paper experiment is one shipped spec
+file; there is no second definition in code.
 
 Spec documents have this shape (TOML shown; JSON is isomorphic)::
 
@@ -50,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tomllib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -81,9 +80,8 @@ _IMPL_ENGINES = {"sw": "software", "coop": "cooperative"}
 # Row metrics
 # ----------------------------------------------------------------------
 
-#: Column name -> metric over (run, base, benchmark).  These reproduce
-#: the bespoke experiment functions' formulas exactly (same rounding),
-#: which is what makes spec rows bit-identical to the historical ones.
+#: Column name -> metric over (run, base, benchmark).  The rounding is
+#: part of each metric: printed rows are compared byte for byte.
 METRICS: dict[str, Callable[[SchemeRun, SchemeRun, str], Any]] = {
     "benchmark": lambda run, base, name: name,
     "variant": lambda run, base, name: run.variant,
@@ -99,6 +97,11 @@ METRICS: dict[str, Callable[[SchemeRun, SchemeRun, str], Any]] = {
     ),
     "bytes/inst": lambda run, base, name: round(
         run.result.hierarchy.bytes_l1_l2 / base.result.instructions, 3
+    ),
+    # A-priori slowdown of jump-pointer creation (Section 4.2): the
+    # compute-time ratio of the instrumented program to the baseline.
+    "creation overhead%": lambda run, base, name: round(
+        100 * (run.compute / base.compute - 1), 1
     ),
 }
 
@@ -137,7 +140,8 @@ OUTCOME_COLUMNS = {
 METRICS.update(OUTCOME_COLUMNS)
 
 #: Metrics that need the baseline run (a failed base fails the row).
-BASE_DEPENDENT = {"normalized", "mem_reduction%", "bytes/inst"}
+BASE_DEPENDENT = {"normalized", "mem_reduction%", "bytes/inst",
+                  "creation overhead%"}
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +155,25 @@ def _reject_unknown(kind: str, data: Mapping[str, Any], known: set[str]) -> None
             f"unknown {kind} key(s) {sorted(unknown)}; "
             f"known keys: {sorted(known)}"
         )
+
+
+_TYPE_NAMES = {bool: "a boolean", list: "a list", Mapping: "a table",
+               str: "a string"}
+
+
+def _typed(kind: str, data: Mapping[str, Any], key: str, typ: type,
+           default: Any) -> Any:
+    """``data[key]`` (or ``default``), which must be of the documented
+    ``typ``: a quoted ``"false"`` is not a boolean, and a bare string is
+    not a list of names."""
+    value = data.get(key, default)
+    ok = (isinstance(value, (list, tuple)) if typ is list
+          else isinstance(value, typ))
+    if not ok:
+        raise SpecError(
+            f"{kind} key {key!r} must be {_TYPE_NAMES[typ]}, got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -201,11 +224,12 @@ class WorkloadSel:
         if "name" not in data:
             raise SpecError(f"workload entry {data!r} has no 'name'")
         return cls(
-            name=data["name"],
-            params=dict(data.get("params", {})),
+            name=_typed("workload", data, "name", str, ""),
+            params=dict(_typed("workload", data, "params", Mapping, {})),
             idiom=data.get("idiom"),
-            idioms=tuple(data.get("idioms", ())),
-            impls=tuple(data.get("impls", ("sw", "coop"))),
+            idioms=tuple(_typed("workload", data, "idioms", list, ())),
+            impls=tuple(_typed("workload", data, "impls", list,
+                               ("sw", "coop"))),
         )
 
 
@@ -247,9 +271,9 @@ class Axis:
         if "name" not in data:
             raise SpecError(f"axis entry {data!r} has no 'name'")
         return cls(
-            name=data["name"],
-            values=tuple(data.get("values", ())),
-            set=tuple(data.get("set", ())),
+            name=_typed("axis", data, "name", str, ""),
+            values=tuple(_typed("axis", data, "values", list, ())),
+            set=tuple(_typed("axis", data, "set", list, ())),
         )
 
 
@@ -345,21 +369,24 @@ class ExperimentSpec:
             "schemes", "axes", "columns", "label_key", "profile",
             "telemetry",
         })
+        def get(key: str, typ: type, default: Any) -> Any:
+            return _typed("spec", data, key, typ, default)
+
         return cls(
-            name=data.get("name", ""),
-            title=data.get("title", ""),
-            kind=data.get("kind", "matrix"),
-            machine=data.get("machine", "bench"),
-            overrides=dict(data.get("overrides", {})),
+            name=get("name", str, ""),
+            title=get("title", str, ""),
+            kind=get("kind", str, "matrix"),
+            machine=get("machine", str, "bench"),
+            overrides=dict(get("overrides", Mapping, {})),
             workloads=tuple(
-                WorkloadSel.parse(w) for w in data.get("workloads", ())
+                WorkloadSel.parse(w) for w in get("workloads", list, ())
             ),
-            schemes=tuple(data.get("schemes", ())),
-            axes=tuple(Axis.parse(a) for a in data.get("axes", ())),
-            columns=tuple(data.get("columns", ())),
-            label_key=data.get("label_key", "scheme"),
-            profile=bool(data.get("profile", False)),
-            telemetry=bool(data.get("telemetry", False)),
+            schemes=tuple(get("schemes", list, ())),
+            axes=tuple(Axis.parse(a) for a in get("axes", list, ())),
+            columns=tuple(get("columns", list, ())),
+            label_key=get("label_key", str, "scheme"),
+            profile=get("profile", bool, False),
+            telemetry=get("telemetry", bool, False),
         )
 
     # -- convenient variations ----------------------------------------
@@ -399,13 +426,6 @@ def load_spec(path: str | Path) -> ExperimentSpec:
     p = Path(path)
     suffix = p.suffix.lower()
     if suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError:  # pragma: no cover - Python 3.10 fallback
-            raise SpecError(
-                "TOML specs need Python 3.11+ (tomllib); "
-                "use the JSON spec form instead"
-            ) from None
         try:
             with open(p, "rb") as f:
                 data = tomllib.load(f)
@@ -500,8 +520,8 @@ def compile_spec(
     spec: ExperimentSpec, cfg: MachineConfig | None = None
 ) -> CompiledSpec:
     """Lower ``spec`` to sweep cells.  ``cfg`` replaces the spec's named
-    machine (the CLI's ``--table2``-style override); the spec's dotted
-    overrides and axis settings still apply on top of it."""
+    machine; the spec's dotted overrides and axis settings still apply
+    on top of it."""
     base_cfg = (cfg if cfg is not None else get_machine(spec.machine))
     base_cfg = base_cfg.with_overrides(spec.overrides)
     # An empty scheme axis means the paper's default matrix; zoo schemes

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro import Assembler, MachineConfig, small_config
 from repro.config import CacheConfig
+from repro.harness import ExperimentSpec, WorkloadSel, load_spec
 from repro.isa.registers import A0, T0, T1, V0, ZERO
+
+#: The shipped experiment definitions (``examples/specs/*.toml``).
+SPEC_DIR = Path(__file__).resolve().parents[1] / "examples" / "specs"
 
 
 @pytest.fixture
@@ -23,6 +30,30 @@ def tiny_cfg() -> MachineConfig:
         dl1=CacheConfig(size=512, line=32, assoc=2, latency=1),
         l2=CacheConfig(size=2048, line=64, assoc=4, latency=12),
     )
+
+
+def shipped_spec(
+    name: str,
+    workloads: tuple[str | WorkloadSel, ...] | None = None,
+    **axis_values: tuple,
+) -> ExperimentSpec:
+    """The shipped ``examples/specs/<name>.toml`` at test sizes,
+    optionally narrowed to ``workloads`` (a name keeps the file's own
+    entry when it has one) and to the given values of its axes."""
+    spec = load_spec(SPEC_DIR / f"{name}.toml")
+    if workloads is not None:
+        own = {w.name: w for w in spec.workloads}
+        spec = replace(spec, workloads=tuple(
+            w if isinstance(w, WorkloadSel) else own.get(w, WorkloadSel(w))
+            for w in workloads
+        ))
+    unknown = set(axis_values) - {a.name for a in spec.axes}
+    assert not unknown, f"{name} has no axis {sorted(unknown)}"
+    spec = replace(spec, axes=tuple(
+        replace(a, values=tuple(axis_values.get(a.name, a.values)))
+        for a in spec.axes
+    ))
+    return spec.small()
 
 
 class InterruptAfter:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.__main__ import _parse_params, build_parser, main
 
+from tests.conftest import shipped_spec
+
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
@@ -30,10 +32,26 @@ def test_run_with_params_and_idiom(capsys):
 
 
 def test_machine_overrides(capsys):
+    from repro import bench_config, get_machine
+    from repro.harness import BenchmarkRunner
+    from repro.workloads import workload_class
+
     assert main([
-        "--memory-latency", "140", "--interval", "4",
-        "run", "treeadd", "--small",
+        "run", "treeadd", "--small", "--scheme", "hardware",
+        "--set", "memory_latency=140", "--set", "prefetch.jump_interval=4",
     ]) == 0
+    out = capsys.readouterr().out
+    cfg = bench_config().with_memory_latency(140).with_jump_interval(4)
+    run = BenchmarkRunner(
+        "treeadd", cfg, workload_class("treeadd").test_params()
+    ).run("hardware")
+    assert f" {run.total} " in out
+    # --machine picks the named machine the same way run-spec does.
+    assert main(["run", "treeadd", "--small", "--machine", "small"]) == 0
+    small = BenchmarkRunner(
+        "treeadd", get_machine("small"), workload_class("treeadd").test_params()
+    ).run("base")
+    assert f" {small.total} " in capsys.readouterr().out
 
 
 def test_parse_params_types():
@@ -48,10 +66,18 @@ def test_unknown_workload_rejected():
 
 
 def test_figure_commands_parse():
+    # The paper's figures run as their shipped spec files; the former
+    # per-figure subcommands and global machine flags are gone.
     parser = build_parser()
-    for fig in ("table1", "figure4", "figure5", "figure6", "figure7"):
-        args = parser.parse_args([fig])
-        assert args.command == fig
+    for fig in ("table1", "figure4", "figure5", "figure6", "figure7",
+                "x1", "x2"):
+        args = parser.parse_args(["run-spec", f"examples/specs/{fig}.toml"])
+        assert args.command == "run-spec"
+        with pytest.raises(SystemExit):
+            parser.parse_args([fig])
+    # Machines are chosen per command (--machine/--set), not globally.
+    assert [a.option_strings for a in parser._actions
+            if a.option_strings] == [["-h", "--help"]]
 
 
 def test_list_single_registry(capsys):
@@ -78,16 +104,22 @@ def _write_spec(tmp_path, spec):
 
 
 def test_run_spec_end_to_end(tmp_path, capsys):
-    from repro.harness import figure5_spec
+    import json
 
-    spec = figure5_spec(benchmarks=("treeadd",))
-    path = _write_spec(tmp_path, spec)
+    path = _write_spec(tmp_path, shipped_spec("figure5", ("treeadd",)))
+    out_file = tmp_path / "f5.json"
     assert main(["run-spec", str(path), "--machine", "small", "--small",
-                 "--no-cache"]) == 0
+                 "--no-cache", "-o", str(out_file)]) == 0
     out = capsys.readouterr().out
     assert "treeadd" in out
     for scheme in ("base", "software", "cooperative", "hardware", "dbp"):
         assert scheme in out
+    # A Figure-5 shaped spec also prints (and records) the memory-bound
+    # averages.
+    assert "Memory-bound averages" in out
+    summary = json.loads(out_file.read_text())["meta"]["summary"]
+    assert {r["scheme"] for r in summary} == {
+        "software", "cooperative", "hardware", "dbp"}
 
 
 def _tiny_spec():
@@ -116,6 +148,7 @@ def test_run_spec_artifact_and_set(tmp_path, capsys):
     assert doc["schema"] == "repro.experiment/1"
     assert doc["spec"]["overrides"] == {"memory_latency": 140}
     assert doc["meta"]["machine"] == "small"  # --machine lands in the spec
+    assert "summary" not in doc["meta"]  # not a Figure-5 or tournament spec
     assert len(doc["rows"]) == 2
     assert doc["rows"][0]["scheme"] == "base"
     assert doc["rows"][0]["normalized"] == 1.0
@@ -157,15 +190,31 @@ def test_run_spec_bad_file_is_clean_error(tmp_path):
 
 
 def test_run_spec_out_of_range_set_is_clean_error(tmp_path):
-    from repro.harness import figure5_spec
-
-    spec = figure5_spec(benchmarks=("treeadd",))
+    spec = shipped_spec("figure5", ("treeadd",))
     with pytest.raises(SystemExit) as exc:
         main(["run-spec", str(_write_spec(tmp_path, spec)), "--small",
               "--no-cache", "--set", "memory_latency=-40"])
     message = str(exc.value.code)
     assert message.startswith("error:") and "\n" not in message
     assert "memory_latency" in message
+
+
+@pytest.mark.parametrize("key,value", [
+    ("workloads", ["treead"]),
+    ("schemes", ["hardwar"]),
+])
+def test_run_spec_typo_is_clean_error(tmp_path, key, value):
+    import json
+
+    doc = {"name": "t", "workloads": ["treeadd"], "schemes": ["base"],
+           "columns": ["benchmark", "scheme", "total"], key: value}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["run-spec", str(path), "--no-cache"])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and "\n" not in message
+    assert value[0] in message
 
 
 def test_stats_text(capsys):
@@ -199,10 +248,13 @@ def test_stats_json_to_file(tmp_path, capsys):
 
     out = tmp_path / "stats.json"
     assert main(["stats", "health", "--small", "--scheme", "base",
+                 "--machine", "small", "--set", "memory_latency=140",
                  "--json", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "repro.stats/1"
     assert list(doc["engines"]) == ["base"]
+    assert doc["meta"]["machine"] == "small"
+    assert doc["meta"]["overrides"] == {"memory_latency": 140}
 
 
 def test_trace_writes_chrome_file(tmp_path, capsys):
@@ -220,13 +272,13 @@ def test_trace_writes_chrome_file(tmp_path, capsys):
 
 def test_negative_jobs_is_usage_error(capsys):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["figure5", "--jobs", "-1"])
+        build_parser().parse_args(["tournament", "--jobs", "-1"])
     assert "--jobs" in capsys.readouterr().err
-    assert build_parser().parse_args(["figure5", "--jobs", "0"]).jobs == 0
+    assert build_parser().parse_args(["tournament", "--jobs", "0"]).jobs == 0
 
 
 @pytest.mark.parametrize("command,flag,bad,edge,kind", [
-    ("figure7", "--timeout", "0", "0.5", float),
+    ("tournament", "--timeout", "0", "0.5", float),
     ("audit", "--every", "0", "1", int),
     ("audit", "--diff-sample", "-1", "0", int),
     ("profile", "--every", "0", "1", int),
@@ -253,7 +305,8 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     from repro.harness import executor as executor_module
 
     monkeypatch.setattr(executor_module, "detect_cpus", lambda: cpus)
-    args = build_parser().parse_args(["figure5", "--jobs", "0", "--no-cache"])
+    args = build_parser().parse_args(
+        ["tournament", "--jobs", "0", "--no-cache"])
     executor = _build_executor(args)
     assert executor.jobs == cpus
     assert (executor.progress is not None) is narrates
@@ -262,14 +315,14 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
 @pytest.mark.parametrize("argv", [
     ["serve", "/tmp/p.sock"],
     ["submit", "spec.toml"],
-    ["figure5", "--backend", "process"],
-    ["figure5", "--pool", "/tmp/p.sock"],
+    ["run-spec", "spec.toml", "--backend", "process"],
+    ["run-spec", "spec.toml", "--pool", "/tmp/p.sock"],
     ["run-spec", "spec.toml", "--pool-wait", "5"],
-    ["figure5", "--resume"],
-    ["figure5", "--journal", "x"],
-    ["figure5", "--retries", "1"],
-    ["figure5", "--backoff", "1"],
-    ["figure5", "--inject-faults", "x=crash"],
+    ["run-spec", "spec.toml", "--resume"],
+    ["run-spec", "spec.toml", "--journal", "x"],
+    ["run-spec", "spec.toml", "--retries", "1"],
+    ["run-spec", "spec.toml", "--backoff", "1"],
+    ["run-spec", "spec.toml", "--inject-faults", "x=crash"],
     ["--engine", "reference", "run", "treeadd", "--small"],
     ["list", "sim-engines"],
 ])

@@ -16,11 +16,12 @@ from repro.harness import (
     SweepPlan,
     SweepResults,
     error_row,
-    figure5,
-    figure7,
+    run_spec,
 )
 from repro.workloads import Workload, workload_class, workload_names
 from repro.workloads import registry as workload_registry
+
+from tests.conftest import shipped_spec
 
 SMALL = {name: workload_class(name).test_params() for name in workload_names()}
 FAST_SET = ("treeadd", "power", "health")
@@ -115,24 +116,22 @@ class TestDeduplication:
 
 class TestSerialParallelParity:
     def test_figure5_rows_identical(self, cfg):
-        params = {n: SMALL[n] for n in FAST_SET}
-        serial = figure5(cfg, benchmarks=FAST_SET, params=params)
-        parallel = figure5(cfg, benchmarks=FAST_SET, params=params,
-                           executor=SweepExecutor(jobs=4))
+        spec = shipped_spec("figure5", FAST_SET)
+        serial = run_spec(spec, cfg=cfg)
+        parallel = run_spec(spec, cfg=cfg, executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
     def test_figure7_rows_identical(self, cfg):
-        serial = figure7(cfg, latencies=(70,), intervals=(8,),
-                         params=SMALL["health"])
-        parallel = figure7(cfg, latencies=(70,), intervals=(8,),
-                           params=SMALL["health"],
-                           executor=SweepExecutor(jobs=4))
+        spec = shipped_spec("figure7", latency=(70,), interval=(8,))
+        serial = run_spec(spec, cfg=cfg)
+        parallel = run_spec(spec, cfg=cfg, executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
     @pytest.mark.slow
     def test_full_suite_parity(self, cfg):
-        serial = figure5(cfg, params=SMALL)
-        parallel = figure5(cfg, params=SMALL, executor=SweepExecutor(jobs=4))
+        spec = shipped_spec("figure5")
+        serial = run_spec(spec, cfg=cfg)
+        parallel = run_spec(spec, cfg=cfg, executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
 
@@ -166,9 +165,8 @@ class TestErrorIsolation:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_poisoned_worker_yields_error_row(self, cfg, poisoned, jobs):
-        rows = figure5(cfg, benchmarks=("treeadd", poisoned),
-                       params={"treeadd": SMALL["treeadd"]},
-                       executor=SweepExecutor(jobs=jobs))
+        rows = run_spec(shipped_spec("figure5", ("treeadd", poisoned)),
+                        cfg=cfg, executor=SweepExecutor(jobs=jobs))
         good = [r for r in rows if r["benchmark"] == "treeadd"]
         bad = [r for r in rows if r["benchmark"] == poisoned]
         # The healthy benchmark is untouched by its neighbour's failure...
@@ -199,8 +197,8 @@ class TestErrorKinds:
         assert "no-such-engine" in err    # still a usable string
 
     def test_error_rows_greppable_by_kind(self, cfg, poisoned):
-        rows = figure5(cfg, benchmarks=("treeadd", poisoned),
-                       params={"treeadd": SMALL["treeadd"]})
+        rows = run_spec(shipped_spec("figure5", ("treeadd", poisoned)),
+                        cfg=cfg)
         kinds = {r["error_kind"] for r in rows if r.get("error")}
         assert kinds == {"RuntimeError"}
 
@@ -295,8 +293,8 @@ class TestHangAndCrash:
 class TestProgress:
     def test_narration_counts_cells(self, cfg):
         lines = []
-        figure5(cfg, benchmarks=("treeadd",), params=SMALL,
-                executor=SweepExecutor(progress=lines.append))
+        run_spec(shipped_spec("figure5", ("treeadd",)), cfg=cfg,
+                 executor=SweepExecutor(progress=lines.append))
         # 5 schemes -> 5 timing + 3 distinct variants' compute cells.
         assert len(lines) == 8
         assert lines[-1].startswith("[8/8] ")

@@ -1,24 +1,14 @@
-"""Experiment harness on reduced sizes: structural invariants of every
-table/figure generator."""
+"""The shipped paper experiments on reduced sizes: structural invariants
+of every table/figure spec file, and the X1/X2 rows pinned on the
+``small`` machine."""
 
 import pytest
 
 from repro import small_config
-from repro.harness import (
-    SCHEMES,
-    creation_overhead,
-    figure4,
-    figure5,
-    figure5_summary,
-    figure6,
-    figure7,
-    onchip_table_ablation,
-    table1,
-    traversal_count_sweep,
-)
-from repro.workloads import workload_class, workload_names
+from repro.harness import SCHEMES, WorkloadSel, figure5_summary, run_spec
 
-SMALL = {name: workload_class(name).test_params() for name in workload_names()}
+from tests.conftest import shipped_spec
+
 FAST_SET = ("treeadd", "power")
 
 
@@ -27,9 +17,13 @@ def cfg():
     return small_config()
 
 
+def run(cfg, name, workloads=None, **axis_values):
+    return run_spec(shipped_spec(name, workloads, **axis_values), cfg=cfg)
+
+
 class TestTable1:
     def test_rows_cover_benchmarks(self, cfg):
-        rows = table1(cfg, benchmarks=FAST_SET, params=SMALL)
+        rows = run(cfg, "table1", FAST_SET)
         assert [r["benchmark"] for r in rows] == list(FAST_SET)
         for r in rows:
             assert 0 <= r["%lds loads"] <= 100
@@ -39,9 +33,8 @@ class TestTable1:
 
 class TestFigure4:
     def test_idiom_rows(self, cfg):
-        rows = figure4(
-            cfg, subjects={"health": ("queue", "root")}, params=SMALL
-        )
+        rows = run(cfg, "figure4",
+                   (WorkloadSel("health", idioms=("queue", "root")),))
         configs = {r["config"] for r in rows}
         assert {"base", "sw:queue", "sw:root", "coop:queue", "coop:root"} <= configs
         base = [r for r in rows if r["config"] == "base"][0]
@@ -51,7 +44,8 @@ class TestFigure4:
             assert r["memory"] >= 0
 
     def test_unavailable_variants_skipped(self, cfg):
-        rows = figure4(cfg, subjects={"treeadd": ("queue", "root")}, params=SMALL)
+        rows = run(cfg, "figure4",
+                   (WorkloadSel("treeadd", idioms=("queue", "root")),))
         configs = {r["config"] for r in rows}
         assert "sw:root" not in configs  # treeadd has no root variant
         assert "sw:queue" in configs
@@ -59,7 +53,7 @@ class TestFigure4:
 
 class TestFigure5:
     def test_all_schemes_per_benchmark(self, cfg):
-        rows = figure5(cfg, benchmarks=FAST_SET, params=SMALL)
+        rows = run(cfg, "figure5", FAST_SET)
         assert len(rows) == len(FAST_SET) * len(SCHEMES)
         for r in rows:
             if r["scheme"] == "base":
@@ -67,18 +61,15 @@ class TestFigure5:
             assert r["compute"] > 0
 
     def test_summary_shapes(self, cfg):
-        rows = figure5(cfg, benchmarks=("treeadd",), params=SMALL)
-        # patch benchmark set for summary computation
-        summary = figure5_summary(
-            [dict(r, benchmark="treeadd") for r in rows]
-        )
+        rows = run(cfg, "figure5", ("treeadd",))
+        summary = figure5_summary(rows)
         schemes = {s["scheme"] for s in summary}
         assert schemes == {"software", "cooperative", "hardware", "dbp"}
 
 
 class TestFigure6:
     def test_bandwidth_rows(self, cfg):
-        rows = figure6(cfg, benchmarks=("treeadd",), params=SMALL)
+        rows = run(cfg, "figure6", ("treeadd",))
         assert len(rows) == len(SCHEMES)
         for r in rows:
             assert r["bytes/inst"] >= 0
@@ -86,10 +77,7 @@ class TestFigure6:
 
 class TestFigure7:
     def test_latency_interval_grid(self, cfg):
-        rows = figure7(
-            cfg, latencies=(70, 140), intervals=(4,),
-            params=workload_class("health").test_params(),
-        )
+        rows = run(cfg, "figure7", latency=(70, 140), interval=(4,))
         assert len(rows) == 2 * 1 * len(SCHEMES)
         base70 = next(
             r for r in rows if r["latency"] == 70 and r["scheme"] == "base"
@@ -102,20 +90,56 @@ class TestFigure7:
 
 class TestAblations:
     def test_onchip_table(self, cfg):
-        rows = onchip_table_ablation(
-            cfg, benchmarks=("treeadd",), table_entries=64, params=SMALL
-        )
+        rows = run(cfg, "x1", ("treeadd",), table=(0, 64))
+        assert [(r["table"], r["scheme"]) for r in rows] == [
+            (0, "base"), (0, "hardware"), (64, "base"), (64, "hardware")]
         assert rows[0]["benchmark"] == "treeadd"
-        assert rows[0]["base"] > 0
+        assert rows[0]["total"] > 0
 
     def test_creation_overhead_positive(self, cfg):
-        rows = creation_overhead(cfg, benchmarks=("treeadd",), params=SMALL)
+        rows = run(cfg, "x2", ("treeadd",))
         assert rows[0]["creation overhead%"] > 0  # queue code costs compute
 
     def test_traversal_count_sweep(self, cfg):
-        rows = traversal_count_sweep(
-            cfg, passes=(1, 4), params=workload_class("treeadd").test_params()
-        )
-        assert [r["passes"] for r in rows] == [1, 4]
+        rows = run(cfg, "x2-passes", passes=(1, 4))
+        hw = {r["passes"]: r["normalized"] for r in rows
+              if r["scheme"] == "hardware"}
+        assert list(hw) == [1, 4]
         # hardware JPP gains nothing on a single pass but does with four
-        assert rows[0]["hardware"] >= rows[1]["hardware"] - 0.02
+        assert hw[1] >= hw[4] - 0.02
+
+
+class TestExtensionPins:
+    """The X1/X2 spec rows on ``small`` at test sizes, cell for cell the
+    numbers the former hand-built sweeps printed."""
+
+    def test_x1_onchip_table(self, cfg):
+        rows = run(cfg, "x1")
+        hw = {(r["benchmark"], r["table"]): r["normalized"] for r in rows
+              if r["scheme"] == "hardware"}
+        assert hw == {
+            ("em3d", 0): 0.956, ("em3d", 16384): 0.956,
+            ("health", 0): 0.973, ("health", 16384): 0.984,
+            ("treeadd", 0): 1.0, ("treeadd", 16384): 1.0,
+        }
+        # The base run has no prefetch engine: the table cannot move it.
+        base = {(r["benchmark"], r["table"]): r["total"] for r in rows
+                if r["scheme"] == "base"}
+        for name in ("em3d", "health", "treeadd"):
+            assert base[(name, 0)] == base[(name, 16384)]
+
+    def test_x2_overhead_pins(self, cfg):
+        rows = run(cfg, "x2")
+        assert rows == [
+            {"benchmark": "health", "variant": "sw:chain",
+             "creation overhead%": 23.5},
+            {"benchmark": "treeadd", "variant": "sw:queue",
+             "creation overhead%": 38.7},
+        ]
+
+    def test_x2_passes(self, cfg):
+        rows = run(cfg, "x2-passes")
+        coop = [r["normalized"] for r in rows if r["scheme"] == "cooperative"]
+        assert [r["passes"] for r in rows if r["scheme"] == "cooperative"] \
+            == [1, 2, 4, 8]
+        assert coop == [1.148, 1.141, 1.122, 1.1]

@@ -24,14 +24,14 @@ from repro.harness import (
     SweepExecutor,
     WorkerBackend,
     detect_cpus,
-    figure5,
     run_cell,
+    run_spec,
 )
 from repro.harness.backends import ProcessPoolBackend, SerialBackend
 from repro.harness.cache import spec_key
 from repro.harness.cells import CellResult
 from repro.workloads import workload_class
-from tests.conftest import InterruptAfter
+from tests.conftest import InterruptAfter, shipped_spec
 
 SMALL = {
     name: workload_class(name).test_params()
@@ -202,8 +202,8 @@ class TestAssemblyDeterminism:
 class TestKeyboardInterrupt:
     @staticmethod
     def _pair(cfg, executor):
-        return figure5(cfg, benchmarks=("treeadd", "power"), params=SMALL,
-                       executor=executor)
+        return run_spec(shipped_spec("figure5", ("treeadd", "power")),
+                        cfg=cfg, executor=executor)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_interrupt_propagates(self, cfg, jobs):

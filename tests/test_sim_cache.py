@@ -12,13 +12,12 @@ from repro.harness import (
     SweepExecutor,
     SweepPlan,
     code_fingerprint,
-    figure5,
+    run_spec,
     spec_key,
-    table1,
 )
 from repro.obs import MetricRegistry
 from repro.workloads import workload_class
-from tests.conftest import InterruptAfter
+from tests.conftest import InterruptAfter, shipped_spec
 
 TREEADD = workload_class("treeadd").test_params()
 
@@ -29,11 +28,11 @@ PAIR_CELLS = 16
 
 
 def figure5_pair(cfg, executor):
-    return figure5(cfg, benchmarks=PAIR, params=PAIR_SMALL, executor=executor)
+    return run_spec(shipped_spec("figure5", PAIR), cfg=cfg, executor=executor)
 
 
 def table1_pair(cfg, executor):
-    return table1(cfg, benchmarks=PAIR, params=PAIR_SMALL, executor=executor)
+    return run_spec(shipped_spec("table1", PAIR), cfg=cfg, executor=executor)
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +86,10 @@ class TestRoundTrip:
         assert warm == cold
 
     def test_figure5_rows_identical_cold_vs_warm(self, cfg, cache):
-        kw = dict(benchmarks=("treeadd",), params={"treeadd": TREEADD})
-        cold = figure5(cfg, executor=SweepExecutor(cache=cache), **kw)
-        assert figure5(cfg, executor=SweepExecutor(cache=cache), **kw) == cold
+        spec = shipped_spec("figure5", ("treeadd",))
+        cold = run_spec(spec, cfg=cfg, executor=SweepExecutor(cache=cache))
+        assert run_spec(spec, cfg=cfg,
+                        executor=SweepExecutor(cache=cache)) == cold
         assert cache.hits > 0
 
     def test_miss_intervals_never_cached(self, cfg, cache):

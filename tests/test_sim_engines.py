@@ -23,8 +23,10 @@ from repro import Assembler, small_config
 from repro.audit.diff import diff_commit_streams, reference_simulate
 from repro.cpu.simulator import simulate
 from repro.errors import ExecutionError
-from repro.harness import ExperimentSpec, SpecError, figure5_spec
+from repro.harness import ExperimentSpec, SpecError
 from repro.isa.registers import A0, A1, RA, T0, T1, T2, T3, V0, ZERO
+
+from tests.conftest import shipped_spec
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +141,7 @@ class TestEngineFaultParity:
 class TestSimEngineRegistry:
     def test_spec_naming_a_removed_engine_rejected(self):
         # The engine key is gone: any value is an unknown spec key.
-        doc = figure5_spec(benchmarks=("treeadd",)).to_dict()
+        doc = shipped_spec("figure5", ("treeadd",)).to_dict()
         doc["engine"] = "compiled"
         with pytest.raises(SpecError, match="engine"):
             ExperimentSpec.from_dict(doc)

@@ -1,6 +1,6 @@
 """The declarative experiment-spec layer: parsing, validation, dict
-round-trips, compilation onto the sweep machinery, bit-identical parity
-with the bespoke experiment wrappers, and warm-cache reruns."""
+round-trips, compilation onto the sweep machinery, and warm-cache
+reruns.  The shipped spec files are the paper's experiments."""
 
 import json
 
@@ -15,32 +15,19 @@ from repro.harness import (
     ResultCache,
     WorkloadSel,
     compile_spec,
-    figure4_spec,
-    figure5_spec,
-    figure6_spec,
-    figure7_spec,
     load_spec,
     run_spec,
     spec_artifact,
-    table1_spec,
 )
-from repro.harness.experiments import figure4, figure5, figure7, small_params
+from repro.workloads import workload_class
 
-try:
-    import tomllib  # noqa: F401
-    HAVE_TOMLLIB = True
-except ImportError:  # Python < 3.11
-    HAVE_TOMLLIB = False
+from tests.conftest import SPEC_DIR, shipped_spec
 
-needs_toml = pytest.mark.skipif(not HAVE_TOMLLIB, reason="tomllib (3.11+)")
-
-SPEC_BUILDERS = {
-    "examples/specs/table1.toml": table1_spec,
-    "examples/specs/figure4.toml": figure4_spec,
-    "examples/specs/figure5.toml": figure5_spec,
-    "examples/specs/figure6.toml": figure6_spec,
-    "examples/specs/figure7.toml": figure7_spec,
-}
+REPO = SPEC_DIR.parents[1]
+#: Every shipped spec file, as a repo-relative path.
+SPEC_FILES = sorted(str(p.relative_to(REPO)) for p in SPEC_DIR.glob("*.toml"))
+#: treeadd at its quick test size.
+TREEADD = workload_class("treeadd").test_params()
 
 
 # ----------------------------------------------------------------------
@@ -48,25 +35,22 @@ SPEC_BUILDERS = {
 # ----------------------------------------------------------------------
 
 class TestSpecFiles:
-    @needs_toml
-    @pytest.mark.parametrize("path", sorted(SPEC_BUILDERS))
-    def test_shipped_file_equals_builder(self, path):
-        # The shipped TOML and the wrapper's programmatic spec are the
-        # same object — so `repro run-spec` and `repro figureN` can
-        # never drift apart.
-        assert load_spec(path) == SPEC_BUILDERS[path]()
-
-    @needs_toml
-    @pytest.mark.parametrize("path", sorted(SPEC_BUILDERS))
+    @pytest.mark.parametrize("path", SPEC_FILES)
     def test_shipped_file_dict_round_trip(self, path):
-        spec = load_spec(path)
+        spec = load_spec(REPO / path)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
         # ... and the dict form survives JSON.
         blob = json.dumps(spec.to_dict(), sort_keys=True)
         assert ExperimentSpec.from_dict(json.loads(blob)) == spec
 
+    @pytest.mark.parametrize("path", SPEC_FILES)
+    def test_shipped_file_compiles_on_small(self, path):
+        spec = load_spec(REPO / path).with_machine("small").small()
+        compiled = compile_spec(spec)
+        assert compiled.rows and compiled.cell_count > 0
+
     def test_json_spec_loads(self, tmp_path):
-        spec = figure7_spec()
+        spec = load_spec(SPEC_DIR / "figure7.toml")
         path = tmp_path / "f7.json"
         path.write_text(json.dumps(spec.to_dict()))
         assert load_spec(path) == spec
@@ -174,7 +158,42 @@ class TestSpecValidation:
 
     def test_with_machine_rejects_unknown(self):
         with pytest.raises(SpecError, match="cray"):
-            figure5_spec().with_machine("cray")
+            load_spec(SPEC_DIR / "figure5.toml").with_machine("cray")
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("spec", "telemetry", "false"),
+        ("spec", "profile", "no"),
+        ("spec", "workloads", "treeadd"),
+        ("spec", "schemes", "base"),
+        ("spec", "columns", "benchmark"),
+        ("spec", "axes", {"name": "lat", "values": [70],
+                          "set": ["machine.memory_latency"]}),
+        ("spec", "overrides", [["memory_latency", 140]]),
+        ("spec", "name", 5),
+        ("spec", "title", 5),
+        ("spec", "kind", ["matrix"]),
+        ("spec", "machine", 1),
+        ("spec", "label_key", 1),
+        ("axis", "values", 70),
+        ("axis", "set", "machine.memory_latency"),
+        ("workload", "params", "levels=3"),
+        ("workload", "idioms", "queue"),
+        ("workload", "impls", "sw"),
+    ])
+    def test_wrongly_typed_value_rejected(self, where, key, value):
+        doc = {
+            "name": "t",
+            "workloads": [{"name": "treeadd"}],
+            "schemes": ["base"],
+            "columns": ["benchmark", "total"],
+            "axes": [{"name": "lat", "values": [70],
+                      "set": ["machine.memory_latency"]}],
+        }
+        target = {"spec": doc, "axis": doc["axes"][0],
+                  "workload": doc["workloads"][0]}[where]
+        target[key] = value
+        with pytest.raises(SpecError, match=f"key '{key}' must be"):
+            ExperimentSpec.from_dict(doc)
 
 
 # ----------------------------------------------------------------------
@@ -188,15 +207,12 @@ class TestCompile:
         # "baseline".  The three-kernel plan is the 24-cell sweep.
         for benchmarks, cells in ((("treeadd",), 5 + 3),
                                   (("treeadd", "em3d", "health"), 24)):
-            spec = figure5_spec(
-                benchmarks=benchmarks,
-                params={name: small_params(name) for name in benchmarks},
-            )
+            spec = shipped_spec("figure5", benchmarks)
             compiled = compile_spec(spec, small_config())
             assert compiled.cell_count == cells
 
     def test_axes_cross_product_order(self):
-        spec = figure7_spec(latencies=(70, 280), intervals=(8, 16))
+        spec = shipped_spec("figure7")
         compiled = compile_spec(spec, small_config())
         points = [(r.axis["latency"], r.axis["interval"])
                   for r in compiled.rows]
@@ -215,63 +231,12 @@ class TestCompile:
 
 
 # ----------------------------------------------------------------------
-# Execution parity with the bespoke wrappers (bit-identical rows)
-# ----------------------------------------------------------------------
-
-class TestParity:
-    def test_figure5_rows_bit_identical(self):
-        cfg = small_config()
-        params = {"treeadd": small_params("treeadd"),
-                  "health": small_params("health")}
-        direct = figure5(cfg, benchmarks=("treeadd", "health"), params=params)
-        via_spec = run_spec(
-            figure5_spec(benchmarks=("treeadd", "health"), params=params),
-            cfg=cfg)
-        assert direct == via_spec
-
-    def test_figure4_rows_bit_identical(self):
-        cfg = small_config()
-        subjects = {"mst": ("queue", "root")}
-        params = {"mst": small_params("mst")}
-        direct = figure4(cfg, subjects=subjects, params=params)
-        via_spec = run_spec(figure4_spec(subjects, params), cfg=cfg)
-        assert direct == via_spec
-        assert direct[0]["config"] == "base"
-        assert direct[0]["normalized"] == 1.0
-
-    def test_figure7_axis_rows_bit_identical(self):
-        cfg = small_config()
-        params = small_params("health")
-        direct = figure7(cfg, latencies=(70,), intervals=(4,), params=params)
-        via_spec = run_spec(
-            figure7_spec(latencies=(70,), intervals=(4,), params=params),
-            cfg=cfg)
-        assert direct == via_spec
-        assert all(r["latency"] == 70 and r["interval"] == 4 for r in direct)
-
-    @needs_toml
-    def test_spec_file_small_matches_wrapper(self):
-        # The shipped figure5 file, cut down to one workload at test
-        # size, produces the wrapper's exact rows.
-        import dataclasses
-        cfg = small_config()
-        spec = load_spec("examples/specs/figure5.toml")
-        spec = dataclasses.replace(
-            spec, workloads=(WorkloadSel(
-                "treeadd", params=small_params("treeadd")),))
-        rows = run_spec(spec, cfg=cfg)
-        assert rows == figure5(cfg, benchmarks=("treeadd",),
-                               params={"treeadd": small_params("treeadd")})
-
-
-# ----------------------------------------------------------------------
 # Caching: a warm rerun performs zero simulations
 # ----------------------------------------------------------------------
 
 class TestWarmCache:
     def test_warm_rerun_executes_nothing(self, tmp_path):
-        spec = figure5_spec(benchmarks=("treeadd",),
-                            params={"treeadd": small_params("treeadd")})
+        spec = shipped_spec("figure5", ("treeadd",))
         cfg = small_config()
 
         cold = SweepExecutor(cache=ResultCache(tmp_path))
@@ -286,7 +251,7 @@ class TestWarmCache:
     def test_spec_overrides_address_distinct_cache_entries(self, tmp_path):
         base = ExperimentSpec(
             name="x", workloads=(WorkloadSel(
-                "treeadd", params=small_params("treeadd")),),
+                "treeadd", params=TREEADD),),
             schemes=("base",), columns=("benchmark", "scheme", "total"),
         )
         varied = ExperimentSpec.from_dict(
@@ -330,7 +295,7 @@ class TestMshrModelAxis:
         spec = ExperimentSpec(
             name="mshr-x", label_key="scheme",
             workloads=(WorkloadSel(
-                "treeadd", params=small_params("treeadd")),),
+                "treeadd", params=TREEADD),),
             schemes=("base",),
             axes=(Axis(name="mshr",
                        values=("blocking", "coalescing", "full"),
@@ -344,7 +309,7 @@ class TestMshrModelAxis:
         # cells: the model is part of the config hash / cache key.
         base = ExperimentSpec(
             name="x", workloads=(WorkloadSel(
-                "treeadd", params=small_params("treeadd")),),
+                "treeadd", params=TREEADD),),
             schemes=("base",), columns=("benchmark", "scheme", "total"),
         )
         varied = ExperimentSpec.from_dict(
@@ -369,7 +334,7 @@ class TestErrorsAndArtifacts:
         # variant is missing — use idiom pinning to trigger it.
         spec = ExperimentSpec(
             name="x", workloads=(WorkloadSel(
-                "treeadd", params=small_params("treeadd"), idiom="root"),),
+                "treeadd", params=TREEADD, idiom="root"),),
             schemes=("software",), columns=("benchmark", "scheme", "total"),
         )
         with pytest.raises(Exception, match="root"):
@@ -379,7 +344,7 @@ class TestErrorsAndArtifacts:
         spec = ExperimentSpec(
             name="x", label_key="config",
             workloads=(WorkloadSel(
-                "treeadd", params=small_params("treeadd"),
+                "treeadd", params=TREEADD,
                 idioms=("queue", "root")),),
             columns=("benchmark", "config", "normalized"),
         )
@@ -389,7 +354,7 @@ class TestErrorsAndArtifacts:
         assert configs == ["base", "sw:queue", "coop:queue"]
 
     def test_artifact_embeds_spec(self):
-        spec = figure7_spec(latencies=(70,), intervals=(4,))
+        spec = shipped_spec("figure7", latency=(70,), interval=(4,))
         rows = [{"latency": 70, "interval": 4, "scheme": "base"}]
         doc = spec_artifact(spec, rows, meta={"source": "test"})
         assert doc["schema"] == "repro.experiment/1"

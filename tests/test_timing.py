@@ -5,10 +5,10 @@ import pytest
 from repro import Assembler, get_workload, simulate, simulate_decomposed, small_config
 from repro.audit import Auditor
 from repro.cpu.timing import TimingModel, _next_periodic, heap_range, periodic_due
-from repro.harness import small_params
 from repro.isa.program import HEAP_BASE
 from repro.isa.registers import A0, T0, T1, T2, T3, T4, T5, ZERO
 from repro.obs import Profiler
+from repro.workloads import workload_class
 
 from tests.conftest import assemble_list_walk, assemble_loop_sum
 
@@ -299,7 +299,7 @@ class TestNextPeriodic:
     def test_audit_sees_in_flight_occupancy(self, cfg):
         """The sweep gets the in-flight entries, not the fixed-length
         window/LSQ rings (whose length never changes)."""
-        program = get_workload("health", **small_params("health")).build(
+        program = get_workload("health", **workload_class("health").test_params()).build(
             "baseline").program
         auditor = Auditor(interval=97, strict=True)
         seen = []
@@ -351,7 +351,7 @@ BRANCH_STATS = {
 
 @pytest.mark.parametrize("workload,engine", sorted(SHAPE_CYCLES))
 def test_machine_shape_cycle_pins(workload, engine):
-    program = get_workload(workload, **small_params(workload)).build(
+    program = get_workload(workload, **workload_class(workload).test_params()).build(
         "baseline").program
     for shape, overrides in SHAPES.items():
         res = simulate(program, small_config().with_overrides(overrides),

@@ -28,20 +28,11 @@ from repro.harness import (
     load_spec,
     run_spec,
     scheme_names,
-    small_params,
     spec_key,
     tournament_summary,
 )
 from repro.obs.outcomes import OUTCOMES
 from repro.workloads import workload_class
-
-try:
-    import tomllib  # noqa: F401
-    HAVE_TOMLLIB = True
-except ImportError:  # pragma: no cover
-    HAVE_TOMLLIB = False
-
-needs_toml = pytest.mark.skipif(not HAVE_TOMLLIB, reason="tomllib (3.11+)")
 
 PARTITION = ("timely", "late", "early-evicted", "useless")
 
@@ -56,8 +47,8 @@ def tiny_tournament_spec():
                  *OUTCOMES),
     )
     return dataclasses.replace(spec, workloads=(
-        WorkloadSel("treeadd", params=small_params("treeadd")),
-        WorkloadSel("em3d", params=small_params("em3d")),
+        WorkloadSel("treeadd", params=workload_class("treeadd").test_params()),
+        WorkloadSel("em3d", params=workload_class("em3d").test_params()),
     ))
 
 
@@ -95,18 +86,15 @@ class TestTelemetrySpecValidation:
                                 telemetry=True)
         assert spec_key(plain) != spec_key(observed)
 
-    @needs_toml
     def test_shipped_tournament_spec_qualifies(self):
         spec = load_spec("examples/specs/tournament.toml")
         assert spec.telemetry
         assert is_tournament_spec(spec)
         assert set(spec.schemes) == set(scheme_names())
 
-    @needs_toml
     def test_non_telemetry_specs_do_not_qualify(self):
         assert not is_tournament_spec(load_spec("examples/specs/figure5.toml"))
 
-    @needs_toml
     def test_cannot_strip_telemetry_from_outcome_spec(self):
         spec = load_spec("examples/specs/tournament.toml")
         with pytest.raises(SpecError, match="telemetry"):
