@@ -6,10 +6,10 @@ cycles-simulated-per-second across three modes:
 * **off**     — ``telemetry=None``: the no-op fast path every normal run
   takes.  Each hook site must reduce to a single ``is None`` check.
 * **metrics** — a :class:`repro.obs.Telemetry` with the registry and
-  outcome tracker active (what ``python -m repro stats`` uses).
+  outcome tracker active (what ``python -m repro run --telemetry`` uses).
 * **trace**   — metrics plus the structured event trace.
 * **profile** — a :class:`repro.obs.Profiler` charging every commit to a
-  CPI-stack bucket (what ``python -m repro profile`` uses).
+  CPI-stack bucket (what ``python -m repro run --profile`` uses).
 
 Asserted invariants:
 

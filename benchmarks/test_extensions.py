@@ -9,64 +9,38 @@ recover (most of) the gap to a hand-tuned longer interval.
 X4 — generalization to "other classes of data structures with serialized
 access idioms, like sparse matrices": the `spmv` workload (linked rows of
 linked elements with x[col] gathers) run under the full scheme matrix.
+
+Both run their shipped spec files (``x3.toml``, ``x4.toml``); the rows
+are in long format, one per (axis point, scheme).
 """
 
-from dataclasses import replace
+from conftest import run_once, shipped
 
-from conftest import run_once
-
-from repro import bench_config
-from repro.harness import BenchmarkRunner, format_table
+from repro.harness import format_table, run_spec
 
 
 def test_adaptive_interval(benchmark):
-    def run():
-        rows = []
-        for latency in (70, 280):
-            cfg = bench_config().with_memory_latency(latency)
-            adaptive_cfg = replace(
-                cfg, prefetch=replace(cfg.prefetch, adaptive_interval=True)
-            )
-            runner = BenchmarkRunner("health", cfg)
-            base = runner.run("base")
-            fixed = runner.run("hardware")
-            adaptive = BenchmarkRunner("health", adaptive_cfg).run("hardware")
-            rows.append({
-                "latency": latency,
-                "fixed interval 8": round(fixed.normalized(base.total), 3),
-                "adaptive": round(adaptive.normalized(base.total), 3),
-            })
-        return rows
-
-    rows = run_once(benchmark, run)
+    spec = shipped("x3")
+    rows = run_once(benchmark, run_spec, spec)
     print()
-    print(format_table(rows, "X3 — adaptive jump interval (health, hardware JPP)"))
-    for row in rows:
+    print(format_table(rows, spec.title))
+    hardware = {
+        (r["latency"], r["adaptive"]): r["normalized"]
+        for r in rows if r["scheme"] == "hardware"
+    }
+    for latency in (70, 280):
         # the adaptive table must be competitive with the fixed default...
-        assert row["adaptive"] <= row["fixed interval 8"] + 0.05, row
+        assert hardware[latency, True] <= hardware[latency, False] + 0.05, (
+            latency, hardware)
     # ...and it must still beat the baseline at the long latency
-    assert rows[-1]["adaptive"] < 1.0
+    assert hardware[280, True] < 1.0
 
 
 def test_spmv_generalization(benchmark):
-    def run():
-        runner = BenchmarkRunner("spmv", bench_config())
-        matrix = runner.run_matrix()
-        base = matrix["base"]
-        return [
-            {
-                "scheme": scheme,
-                "normalized": round(run_.normalized(base.total), 3),
-                "mem_reduction%": round(
-                    100 * run_.memory_reduction(base.memory), 1
-                ),
-            }
-            for scheme, run_ in matrix.items()
-        ]
-
-    rows = run_once(benchmark, run)
+    spec = shipped("x4")
+    rows = run_once(benchmark, run_spec, spec)
     print()
-    print(format_table(rows, "X4 — spmv (sparse-matrix generalization)"))
+    print(format_table(rows, spec.title))
     by = {r["scheme"]: r["normalized"] for r in rows}
     # jump-pointer prefetching transfers to the sparse-matrix idiom:
     # every JPP scheme wins, hardware (many traversals) the most, and all

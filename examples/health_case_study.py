@@ -30,9 +30,9 @@ def main() -> None:
         "memory": base.memory,
         "bar": normalized_bar(1.0),
     }]
-    for impl, engine in (("sw", "software"), ("coop", "cooperative")):
+    for impl, scheme in (("sw", "software"), ("coop", "cooperative")):
         for idiom in ("queue", "full", "chain", "root"):
-            run = runner.run_variant(f"{impl}:{idiom}", engine)
+            run = runner.run(scheme, idiom)
             n = run.normalized(base.total)
             rows.append({
                 "config": f"{impl}:{idiom}",

@@ -1,10 +1,13 @@
 """Command-line interface: run the paper's experiments and single configs.
 
 Every paper table and figure is a spec file under ``examples/specs/``
-(``table1``, ``figure4``–``figure7``, ``x1``, ``x2``, ``x2-passes``,
-``mshr``, ``tournament``), run with ``run-spec``.  ``--machine NAME`` and
-``--set PATH=VALUE`` choose the machine for ``run``, ``stats``,
-``trace``, ``profile``, ``run-spec`` and ``tournament`` alike.
+(``table1``, ``figure4``–``figure7``, ``x1``–``x4``, ``x2-passes``,
+``mshr``, ``tournament``), run with ``run-spec``.  ``run`` is the one
+single-run command: ``--telemetry``, ``--profile`` and ``--trace FILE``
+attach its observers, and ``-o`` writes the same ``repro.experiment/1``
+artifact as ``run-spec -o``, whose embedded spec ``run-spec`` reruns.
+``--machine NAME`` and ``--set PATH=VALUE`` choose the machine for
+``run``, ``run-spec`` and ``tournament`` alike.
 
 Examples::
 
@@ -14,6 +17,9 @@ Examples::
     python -m repro run health --all             # full Figure-5 row
     python -m repro run health --machine table2 --set memory_latency=280
     python -m repro run treeadd --scheme software --param levels=9 --param passes=2
+    python -m repro run health --small --all --telemetry -o health.json
+    python -m repro run health --scheme hardware --profile  # CPI stack + hot sites
+    python -m repro run em3d --small --scheme hardware --profile --trace em3d.trace.json
     python -m repro run-spec examples/specs/table1.toml   # characterization
     python -m repro run-spec examples/specs/figure5.toml --jobs 4
     python -m repro run-spec examples/specs/figure7.toml --no-cache
@@ -23,12 +29,8 @@ Examples::
     python -m repro run-spec mysweep.toml --small -o result.json
     python -m repro tournament --small --jobs 4  # scheme zoo, ranked
     python -m repro tournament --machine small -o tournament.json
-    python -m repro stats --json                 # telemetry artifact (JSON)
-    python -m repro trace health --small -o health.trace.json
     python -m repro audit --machine small        # full simulation audit
     python -m repro audit --inject-faults 'em3d//dbp=corrupt'  # auditor drill
-    python -m repro profile health --scheme hardware   # CPI stack + hot sites
-    python -m repro profile em3d --small -o em3d.profile.json --trace em3d.trace.json
     python -m repro bench-diff BENCH_LAYERS.json layers.json --tolerance 1.5
 """
 
@@ -56,15 +58,18 @@ from .harness import (
     SCHEMES,
     scheme_names,
     BenchmarkRunner,
+    ExperimentSpec,
     ResultCache,
     SCHEME_REGISTRY,
     SweepExecutor,
+    WorkloadSel,
     compile_spec,
     figure5_summary,
     format_table,
     is_tournament_spec,
     load_spec,
     spec_artifact,
+    spec_row,
     tournament_summary,
 )
 from .obs import (
@@ -82,48 +87,27 @@ from .prefetch.engines import ENGINES
 from .workloads import workload_class
 
 
-def _parse_params(items: list[str]) -> dict:
-    params = {}
+def _key_values(items: list[str], flag: str) -> dict:
+    """``KEY=VALUE`` items of ``--param``/``--set`` as a mapping; each
+    value is a boolean (``true``/``false``), an int, a float, or else the
+    string itself."""
+    out = {}
     for item in items:
-        key, sep, value = item.partition("=")
+        key, sep, text = item.partition("=")
         if not sep:
-            raise SystemExit(f"--param expects key=value, got {item!r}")
-        try:
-            params[key] = int(value)
-        except ValueError:
+            raise SystemExit(f"{flag} expects KEY=VALUE, got {item!r}")
+        if text.lower() in ("true", "false"):
+            out[key] = text.lower() == "true"
+            continue
+        for kind in (int, float):
             try:
-                params[key] = float(value)
+                out[key] = kind(text)
+                break
             except ValueError:
-                params[key] = value
-    return params
-
-
-def _parse_override_value(text: str):
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
-
-def _overrides(args) -> dict:
-    """``--set PATH=VALUE`` items as a dotted-path override mapping."""
-    overrides = {}
-    for item in args.set:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(f"--set expects path=value, got {item!r}")
-        overrides[key] = _parse_override_value(value)
-    return overrides
-
-
-def _machine(args):
-    """The single-run machine: ``--machine`` (default bench) + ``--set``."""
-    return get_machine(args.machine or "bench").with_overrides(_overrides(args))
+                pass
+        else:
+            out[key] = text
+    return out
 
 
 def _list_workloads() -> str:
@@ -188,94 +172,33 @@ def cmd_list(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = _machine(args)
-    runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
-    schemes = SCHEMES if args.all else (args.scheme,)
-    base = runner.run("base")
-    rows = []
-    for scheme in schemes:
-        run = base if scheme == "base" else runner.run(scheme, args.idiom)
-        rows.append({
-            "scheme": scheme,
-            "variant": run.variant,
-            "cycles": run.total,
-            "compute": run.compute,
-            "memory": run.memory,
-            "normalized": round(run.normalized(base.total), 3),
-            "ipc": round(run.result.ipc, 2),
-        })
-    print(format_table(rows, f"{args.workload} on {type(cfg).__name__}"))
-    return 0
+#: The columns ``run`` prints, each a :data:`repro.harness.spec.METRICS`
+#: entry, so ``run`` and ``run-spec`` share one row definition.
+_RUN_COLUMNS = ("scheme", "variant", "cycles", "compute", "memory",
+                "normalized", "ipc")
+
+def _run_spec(args) -> ExperimentSpec:
+    """The one-workload experiment the ``run`` command line describes;
+    ``run-spec`` on it reruns the same cells."""
+    machine = args.machine or "bench"
+    spec = ExperimentSpec(
+        name=f"run-{args.workload}",
+        title=f"{args.workload} on {machine}",
+        machine=machine,
+        overrides=_key_values(args.set, "--set"),
+        workloads=(WorkloadSel(args.workload,
+                               params=_key_values(args.param, "--param"),
+                               idiom=args.idiom),),
+        schemes=SCHEMES if args.all else (args.scheme,),
+        columns=_RUN_COLUMNS,
+        telemetry=args.telemetry,
+        profile=args.profile,
+    )
+    return spec.small() if args.small else spec
 
 
-def _workload_params(args) -> dict:
-    params = _parse_params(args.param)
-    if args.small:
-        params = {**workload_class(args.workload).test_params(), **params}
-    return params
-
-
-def _run_meta(args) -> dict:
-    return {
-        "machine": args.machine or "bench",
-        "overrides": _overrides(args),
-        "workload": args.workload,
-        "params": _workload_params(args),
-    }
-
-
-def cmd_stats(args) -> int:
-    """Run with full telemetry; emit tables or a schema-stable artifact."""
-    cfg = _machine(args)
-    runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
-    schemes = (args.scheme,) if args.scheme else SCHEMES
-    runs = {}
-    base_total = None
-    for scheme in schemes:
-        print(f"  running {args.workload}/{scheme} ...", file=sys.stderr)
-        runs[scheme] = runner.run(scheme, args.idiom, telemetry=Telemetry())
-        if scheme == "base":
-            base_total = runs[scheme].total
-    if args.json:
-        engines = {}
-        for scheme, run in runs.items():
-            tele = run.result.telemetry
-            engines[scheme] = {
-                "engine": run.result.engine_name,
-                "prefetch_outcomes": tele["prefetch_outcomes"]["counts"],
-                "miss_latency": tele["metrics"]["mem.miss_latency_cycles"],
-            }
-        doc = artifact(
-            "stats",
-            {
-                "benchmark": args.workload,
-                "engines": engines,
-                "runs": {s: r.to_dict(baseline_total=base_total)
-                         for s, r in runs.items()},
-            },
-            meta=_run_meta(args),
-        )
-        if args.output:
-            dump_json(doc, args.output)
-            print(f"wrote {args.output}")
-        else:
-            print(dump_json(doc))
-        return 0
-    # Plain-text: scheme summary, then outcome and miss-latency breakdowns.
-    summary = []
-    for scheme, run in runs.items():
-        row = {
-            "scheme": scheme,
-            "variant": run.variant,
-            "cycles": run.total,
-            "memory": run.memory,
-            "ipc": round(run.result.ipc, 2),
-        }
-        if base_total:
-            row["normalized"] = round(run.normalized(base_total), 3)
-        summary.append(row)
-    print(format_table(summary, f"{args.workload} — scheme summary"))
+def _print_telemetry(runs: dict) -> None:
+    """Per-scheme prefetch-outcome and demand-miss-latency tables."""
     outcome_rows = []
     for scheme, run in runs.items():
         counts = run.result.telemetry["prefetch_outcomes"]["counts"]
@@ -284,7 +207,6 @@ def cmd_stats(args) -> int:
     if outcome_rows:
         print()
         print(format_table(outcome_rows, "Prefetch outcomes"))
-    print()
     hist_rows = []
     for scheme, run in runs.items():
         hist = run.result.telemetry["metrics"]["mem.miss_latency_cycles"]
@@ -294,22 +216,81 @@ def cmd_stats(args) -> int:
             label = f"<={b['le']}" if b["le"] is not None else "inf"
             row[label] = b["count"]
         hist_rows.append(row)
+    print()
     print(format_table(hist_rows, "Demand miss latency (cycles)"))
-    return 0
 
 
-def cmd_trace(args) -> int:
-    """Run one scheme with event tracing; write a Chrome trace file."""
-    cfg = _machine(args)
-    runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
-    trace = EventTrace(limit=args.limit)
-    run = runner.run(args.scheme, args.idiom, telemetry=Telemetry(trace=trace))
-    out = args.output or f"{args.workload}-{args.scheme}.trace.json"
-    trace.dump(out)
-    print(f"wrote {out}: {len(trace)} events "
-          f"({trace.dropped} dropped past --limit), "
-          f"{run.total} cycles simulated; open in chrome://tracing")
-    return 0
+def _print_profile(workload: str, run, auditor: Auditor) -> bool:
+    """CPI stack, top-10 hot load sites, per-level latency and the audit
+    verdict of one profiled run; False when the audit found violations."""
+    profile = run.result.profile
+    print()
+    print(format_table(
+        cpi_stack_rows(profile),
+        f"{workload}/{run.scheme} — CPI stack over {run.total} cycles",
+    ))
+    hot = hot_site_rows(profile, top=10)
+    print()
+    if hot:
+        print(format_table(hot, "Hot load sites (top 10 by stall cycles)"))
+    else:
+        print("Hot load sites: none (no linked-data loads stalled commit).")
+    lat = latency_rows(profile)
+    if lat:
+        print()
+        print(format_table(lat, "Load latency by hierarchy level (cycles)"))
+    if not auditor.ok:
+        for v in auditor.violations[:8]:
+            print(f"  VIOLATION: {v.describe()}", file=sys.stderr)
+        print(f"\nprofile audit FAILED: {auditor.violation_count} "
+              f"violation(s)", file=sys.stderr)
+        return False
+    print(f"\nprofile audit OK: {auditor.checks} sweeps, CPI-stack buckets "
+          f"sum to {run.total} cycles")
+    return True
+
+
+def cmd_run(args) -> int:
+    """One workload under one scheme (or all five), in process, with the
+    requested observers attached; ``-o`` writes ``repro.experiment/1``."""
+    spec = _run_spec(args)
+    sel = spec.workloads[0]
+    cfg = get_machine(spec.machine).with_overrides(spec.overrides)
+    runner = BenchmarkRunner(sel.name, cfg, sel.params)
+    trace = EventTrace() if args.trace else None
+    observed = args.telemetry or args.profile or trace is not None
+    auditors: dict[str, Auditor] = {}
+
+    def run(scheme: str):
+        if args.profile:
+            auditors[scheme] = Auditor(interval=512)
+        return runner.run(
+            scheme, sel.idiom,
+            telemetry=Telemetry(trace=trace) if observed else None,
+            profile=Profiler() if args.profile else None,
+            audit=auditors.get(scheme),
+        )
+
+    base = run("base") if "base" in spec.schemes else runner.run("base")
+    runs = {s: base if s == "base" else run(s) for s in spec.schemes}
+    rows = [spec_row(spec, s, r, base, sel.name) for s, r in runs.items()]
+    print(format_table(rows, spec.title))
+    if args.telemetry:
+        _print_telemetry(runs)
+    audits_ok = True
+    for scheme, auditor in auditors.items():
+        audits_ok &= _print_profile(sel.name, runs[scheme], auditor)
+    if trace is not None:
+        trace.dump(args.trace)
+        print(f"\nwrote {args.trace}: {len(trace)} events "
+              f"({trace.dropped} dropped past the {trace.limit:,}-event "
+              "cap); open in chrome://tracing")
+    if args.output:
+        meta = {"runs": {s: r.to_dict(baseline_total=base.total)
+                         for s, r in runs.items()}}
+        dump_json(spec_artifact(spec, rows, meta=meta), args.output)
+        print(f"wrote {args.output}")
+    return 0 if audits_ok else 1
 
 
 def _build_executor(args) -> SweepExecutor:
@@ -368,7 +349,8 @@ def cmd_run_spec(args) -> int:
     if args.small:
         spec = spec.small()
     if args.set:
-        spec = replace(spec, overrides={**spec.overrides, **_overrides(args)})
+        spec = replace(spec, overrides={**spec.overrides,
+                                        **_key_values(args.set, "--set")})
     executor = _build_executor(args)
     compiled = compile_spec(spec)
     print(f"  {args.spec}: {len(compiled.rows)} rows over "
@@ -482,70 +464,6 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    """Run one scheme under the cycle-attribution profiler: CPI stack,
-    ranked hot load sites, per-level latency — conservation audited."""
-    cfg = _machine(args)
-    runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
-    trace = EventTrace(limit=args.limit) if args.trace else None
-    profiler = Profiler()
-    auditor = Auditor(interval=args.every)
-    run = runner.run(
-        args.scheme,
-        args.idiom,
-        telemetry=Telemetry(trace=trace) if trace is not None else Telemetry(),
-        profile=profiler,
-        audit=auditor,
-    )
-    profile = run.result.profile
-
-    print(format_table(
-        cpi_stack_rows(profile),
-        f"{args.workload}/{run.scheme} — CPI stack over {run.total} cycles",
-    ))
-    hot = hot_site_rows(profile, top=args.top)
-    print()
-    if hot:
-        print(format_table(hot, f"Hot load sites (top {args.top} by stall cycles)"))
-    else:
-        print("Hot load sites: none (no linked-data loads stalled commit).")
-    lat = latency_rows(profile)
-    if lat:
-        print()
-        print(format_table(lat, "Load latency by hierarchy level (cycles)"))
-
-    if args.trace:
-        trace.dump(args.trace)
-        print(f"\nwrote {args.trace}: {len(trace)} events "
-              f"({trace.dropped} dropped past --limit); open in chrome://tracing")
-    if args.output:
-        doc = artifact(
-            "profile",
-            {
-                "benchmark": args.workload,
-                "scheme": run.scheme,
-                "variant": run.variant,
-                "total": run.total,
-                "compute": run.compute,
-                "memory": run.memory,
-                "profile": profile,
-            },
-            meta=_run_meta(args),
-        )
-        dump_json(doc, args.output)
-        print(f"wrote {args.output}")
-
-    if not auditor.ok:
-        for v in auditor.violations[:8]:
-            print(f"  VIOLATION: {v.describe()}", file=sys.stderr)
-        print(f"\nprofile audit FAILED: {auditor.violation_count} "
-              f"violation(s)", file=sys.stderr)
-        return 1
-    print(f"\nprofile audit OK: {auditor.checks} sweeps, CPI-stack buckets "
-          f"sum to {run.total} cycles")
-    return 0
-
-
 def _load_report(path: str) -> dict:
     try:
         with open(path) as f:
@@ -633,7 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "workloads"),
                      help="one registry, or everything (default)")
 
-    run = sub.add_parser("run", parents=[machine_opts], help="run one workload")
+    run = sub.add_parser(
+        "run", parents=[machine_opts],
+        help="run one workload under one scheme (or all five), with "
+             "optional telemetry, profiler and trace observers",
+    )
     run.add_argument("workload", choices=workload_names())
     run.add_argument("--scheme", choices=scheme_names(), default="base")
     run.add_argument("--all", action="store_true", help="run every scheme")
@@ -643,41 +565,20 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="KEY=VALUE", help="workload parameter override")
     run.add_argument("--small", action="store_true",
                      help="use the quick test-size parameters")
-
-    stats = sub.add_parser(
-        "stats", parents=[machine_opts],
-        help="run with full telemetry; print tables or a JSON artifact",
-    )
-    stats.add_argument("workload", nargs="?", default="health",
-                       choices=workload_names())
-    stats.add_argument("--scheme", choices=scheme_names(), default=None,
-                       help="restrict to one scheme (default: all five)")
-    stats.add_argument("--idiom", default=None)
-    stats.add_argument("--param", action="append", default=[],
-                       metavar="KEY=VALUE")
-    stats.add_argument("--small", action="store_true",
-                       help="use the quick test-size parameters")
-    stats.add_argument("--json", action="store_true",
-                       help="emit the repro.stats/1 JSON artifact")
-    stats.add_argument("-o", "--output", default=None,
-                       help="write the artifact here instead of stdout")
-
-    trace = sub.add_parser(
-        "trace", parents=[machine_opts],
-        help="run one scheme with event tracing; write a Chrome "
-             "trace_event file for chrome://tracing",
-    )
-    trace.add_argument("workload", nargs="?", default="health",
-                       choices=workload_names())
-    trace.add_argument("--scheme", choices=scheme_names(), default="hardware")
-    trace.add_argument("--idiom", default=None)
-    trace.add_argument("--param", action="append", default=[],
-                       metavar="KEY=VALUE")
-    trace.add_argument("--small", action="store_true")
-    trace.add_argument("--limit", type=_bounded(int, 0), default=1_000_000,
-                       help="event-buffer cap (default 1M)")
-    trace.add_argument("-o", "--output", default=None,
-                       help="trace file path (default <workload>-<scheme>.trace.json)")
+    run.add_argument("--telemetry", action="store_true",
+                     help="also print prefetch-outcome and demand-miss-"
+                          "latency tables")
+    run.add_argument("--profile", action="store_true",
+                     help="also print the CPI stack, top-10 hot load sites "
+                          "and per-level latency; CPI-stack conservation "
+                          "is audited every 512 commits (exit 1 on a "
+                          "violation)")
+    run.add_argument("--trace", default=None, metavar="FILE",
+                     help="write a Chrome trace of the run (one scheme; "
+                          "capped at 1M events)")
+    run.add_argument("-o", "--output", default=None, metavar="FILE",
+                     help="write the repro.experiment/1 artifact (rows, "
+                          "the spec that reruns them, each run in meta)")
 
     spec_p = sub.add_parser(
         "run-spec", parents=[machine_opts],
@@ -753,36 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "auditor must catch; a plan matching no cell "
                             "fails the audit")
 
-    prof = sub.add_parser(
-        "profile", parents=[machine_opts],
-        help="run one scheme under the cycle-attribution profiler: "
-             "CPI stack, ranked hot load sites, and per-level latency "
-             "histograms, with conservation audited",
-    )
-    prof.add_argument("workload", nargs="?", default="health",
-                      choices=workload_names())
-    prof.add_argument("--scheme", choices=scheme_names(), default="hardware")
-    prof.add_argument("--idiom", default=None,
-                      help="idiom for software/cooperative (default: paper's choice)")
-    prof.add_argument("--param", action="append", default=[],
-                      metavar="KEY=VALUE")
-    prof.add_argument("--small", action="store_true",
-                      help="use the quick test-size parameters")
-    prof.add_argument("--top", type=_bounded(int, 0),
-                      default=10, metavar="N",
-                      help="hot-site rows to print (default: 10)")
-    prof.add_argument("--every", type=_bounded(int, 1),
-                      default=512, metavar="N",
-                      help="auditor cadence (commits) enforcing CPI-stack "
-                           "conservation mid-run (default: 512)")
-    prof.add_argument("--trace", default=None, metavar="FILE",
-                      help="also write a Chrome trace with cpi_stack / "
-                           "load_level counter tracks")
-    prof.add_argument("--limit", type=_bounded(int, 0), default=1_000_000,
-                      help="trace event-buffer cap (default 1M)")
-    prof.add_argument("-o", "--output", default=None, metavar="FILE",
-                      help="write the repro.profile/1 JSON artifact")
-
     bd = sub.add_parser(
         "bench-diff",
         help="signed per-metric drift between two layer-budget "
@@ -820,22 +691,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.trace and args.all:
+        parser.error("run --trace records one scheme; use --scheme, not --all")
     try:
         if args.command == "list":
             return cmd_list(args)
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "stats":
-            return cmd_stats(args)
-        if args.command == "trace":
-            return cmd_trace(args)
         if args.command in ("run-spec", "tournament"):
             return cmd_run_spec(args)
         if args.command == "audit":
             return cmd_audit(args)
-        if args.command == "profile":
-            return cmd_profile(args)
         return cmd_bench_diff(args)
     except ReproError as exc:
         # A bad spec, workload, scheme or --set value is a usage error,

@@ -23,4 +23,5 @@ class ConfigError(ReproError):
 
 
 class WorkloadError(ReproError):
-    """Raised when a workload is asked for a variant it does not support."""
+    """Raised when a workload is asked for a variant or a parameter it
+    does not support."""

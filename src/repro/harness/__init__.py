@@ -16,7 +16,7 @@ from .executor import (
 )
 from .experiments import MEMORY_BOUND, figure5_summary
 from .reporting import format_table, normalized_bar, print_rows
-from .runner import SCHEMES, BenchmarkRunner, SchemeRun, run_scheme, scheme_plan
+from .runner import SCHEMES, BenchmarkRunner, SchemeRun, scheme_plan
 from .schemes import (
     SCHEME_REGISTRY,
     Scheme,
@@ -35,6 +35,7 @@ from .spec import (
     load_spec,
     run_spec,
     spec_artifact,
+    spec_row,
 )
 from .tournament import is_tournament_spec, tournament_summary
 
@@ -69,6 +70,7 @@ __all__ = [
     "paper_scheme_names",
     "scheme_names",
     "spec_artifact",
+    "spec_row",
     "is_tournament_spec",
     "tournament_summary",
     "spec_key",
@@ -79,6 +81,5 @@ __all__ = [
     "format_table",
     "normalized_bar",
     "print_rows",
-    "run_scheme",
     "scheme_plan",
 ]

@@ -250,9 +250,9 @@ class ScheduledRun:
 class SweepPlan:
     """Collects cells for one experiment, then executes them at once.
 
-    ``add_run``/``add_variant_run`` mirror ``BenchmarkRunner.run`` /
-    ``run_variant`` but defer execution: each returns a
-    :class:`ScheduledRun` handle that resolves to a full
+    ``add_run`` mirrors ``BenchmarkRunner.run`` and ``add_variant_run``
+    pairs any program variant with any engine; both defer execution and
+    return a :class:`ScheduledRun` handle that resolves to a full
     :class:`~repro.harness.runner.SchemeRun` after :meth:`execute`.
     Compute-time cells (perfect data memory, no engine) are shared across
     schemes of the same program variant by deduplication.

@@ -27,9 +27,7 @@ from ..cpu.stats import SimResult
 from ..workloads import get_workload
 from .schemes import paper_scheme_names, scheme_plan
 
-__all__ = [
-    "SCHEMES", "BenchmarkRunner", "SchemeRun", "run_scheme", "scheme_plan",
-]
+__all__ = ["SCHEMES", "BenchmarkRunner", "SchemeRun", "scheme_plan"]
 
 
 def _schemes() -> tuple[str, ...]:
@@ -134,47 +132,3 @@ class BenchmarkRunner:
             compute=self._compute_time(variant),
             result=result,
         )
-
-    def run_variant(
-        self, variant: str, engine: str, telemetry=None, profile=None, audit=None
-    ) -> SchemeRun:
-        """Arbitrary variant/engine pairing (Figure 4 idiom comparison)."""
-        result = simulate(
-            self._program(variant), self.cfg, engine=engine,
-            telemetry=telemetry, profile=profile, audit=audit,
-        )
-        return SchemeRun(
-            benchmark=self.name,
-            scheme=f"{engine}:{variant}",
-            variant=variant,
-            total=result.cycles,
-            compute=self._compute_time(variant),
-            result=result,
-        )
-
-    def run_matrix(
-        self,
-        schemes: tuple[str, ...] = SCHEMES,
-        telemetry_factory: Any | None = None,
-    ) -> dict[str, SchemeRun]:
-        """Run every scheme; ``telemetry_factory`` (e.g. ``repro.obs.
-        Telemetry``) is called once per scheme so each run records its own
-        outcome counters into ``SchemeRun.result.telemetry``."""
-        return {
-            scheme: self.run(
-                scheme,
-                telemetry=telemetry_factory() if telemetry_factory else None,
-            )
-            for scheme in schemes
-        }
-
-
-def run_scheme(
-    name: str,
-    scheme: str,
-    cfg: MachineConfig | None = None,
-    idiom: str | None = None,
-    params: dict[str, Any] | None = None,
-) -> SchemeRun:
-    """One-shot convenience wrapper around :class:`BenchmarkRunner`."""
-    return BenchmarkRunner(name, cfg, params).run(scheme, idiom)

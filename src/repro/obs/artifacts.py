@@ -9,13 +9,14 @@ Schema tags currently in use:
 
 * ``repro.sim_result/1``  — one :meth:`SimResult.to_dict`
 * ``repro.table1_row/1``  — one cached Table-1 characterization row
-* ``repro.scheme_run/1``  — one :meth:`SchemeRun.to_dict`
-* ``repro.stats/1``       — ``python -m repro stats`` (per-engine
-  prefetch-outcome counts, metric registry dumps, time decomposition)
-* ``repro.trace/1``       — sidecar metadata for a Chrome trace file
-* ``repro.profile/1``     — ``python -m repro profile`` (CPI stack,
-  hot-site table, per-level latency histograms)
+* ``repro.experiment/1``  — ``python -m repro run -o``, ``run-spec -o``
+  and ``tournament -o``: report rows plus the spec that reruns them;
+  ``run`` adds each scheme's :meth:`SchemeRun.to_dict` (telemetry and
+  profile included) under ``meta.runs``
 * ``repro.bench_diff/1``  — ``python -m repro bench-diff`` drift rows
+
+Chrome trace files (``run --trace``) are plain ``trace_event`` JSON, not
+artifacts.
 """
 
 from __future__ import annotations

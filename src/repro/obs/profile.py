@@ -262,7 +262,7 @@ class Profiler:
 
     def to_dict(self) -> dict:
         """Schema-stable profile payload (embedded in
-        ``SimResult.to_dict()`` and the ``repro.profile/1`` artifact)."""
+        ``SimResult.to_dict()``, and so in ``run -o`` artifacts)."""
         outcomes_by_pc = (
             self._outcomes.by_pc if self._outcomes is not None else {}
         )

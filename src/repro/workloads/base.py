@@ -69,7 +69,14 @@ class Workload(abc.ABC):
     expectation: str = ""
 
     def __init__(self, **params: Any) -> None:
-        self.params = {**self.default_params(), **params}
+        defaults = self.default_params()
+        unknown = set(params) - set(defaults)
+        if unknown:
+            raise WorkloadError(
+                f"{self.name}: unknown parameter(s) {sorted(unknown)}; "
+                f"valid: {sorted(defaults)}"
+            )
+        self.params = {**defaults, **params}
 
     @classmethod
     def default_params(cls) -> dict[str, Any]:

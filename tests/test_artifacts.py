@@ -72,10 +72,10 @@ class TestSchemeRunToDict:
 
 class TestArtifactDocuments:
     def test_schema_stamp_and_kind(self):
-        doc = artifact("stats", {"x": 1}, meta={"m": 2})
-        assert doc["schema"] == "repro.stats/1"
+        doc = artifact("experiment", {"x": 1}, meta={"m": 2})
+        assert doc["schema"] == "repro.experiment/1"
         assert doc["meta"] == {"m": 2} and doc["x"] == 1
-        assert schema_kind(doc) == "stats"
+        assert schema_kind(doc) == "experiment"
         assert schema_kind({"schema": "garbage"}) == ""
         assert schema_kind({}) == ""
 

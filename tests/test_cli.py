@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import _parse_params, build_parser, main
+from repro.__main__ import _key_values, build_parser, main
 
 from tests.conftest import shipped_spec
 
@@ -55,9 +55,56 @@ def test_machine_overrides(capsys):
 
 
 def test_parse_params_types():
-    assert _parse_params(["a=1", "b=1.5", "c=x"]) == {"a": 1, "b": 1.5, "c": "x"}
-    with pytest.raises(SystemExit):
-        _parse_params(["oops"])
+    # One KEY=VALUE parser serves --param and --set alike.
+    assert _key_values(["a=1", "b=1.5", "c=x", "d=True", "e=false"],
+                       "--param") == {
+        "a": 1, "b": 1.5, "c": "x", "d": True, "e": False}
+    with pytest.raises(SystemExit, match="--set expects KEY=VALUE"):
+        _key_values(["oops"], "--set")
+
+
+def test_run_title_names_machine(capsys):
+    assert main(["run", "treeadd", "--small"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "treeadd on bench"
+    assert main(["run", "treeadd", "--small", "--machine", "small"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "treeadd on small"
+
+
+def test_run_declares_one_option_set():
+    # run is the only single-run command: its observers are flags.
+    parser = build_parser()
+    run = parser._subparsers._group_actions[0].choices["run"]
+    declared = [a.dest for a in run._actions if a.dest != "help"]
+    assert sorted(declared) == sorted([
+        "workload", "scheme", "all", "idiom", "param", "small", "machine",
+        "set", "output", "trace", "telemetry", "profile"])
+
+
+def test_unknown_workload_param_is_clean_error(tmp_path, capsys):
+    import json
+
+    from repro import WorkloadError, get_workload
+
+    with pytest.raises(WorkloadError, match=r"levelz.*valid:.*levels"):
+        get_workload("treeadd", levelz=3)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "treeadd", "--small", "--param", "levelz=3"])
+    assert str(exc.value.code).startswith("error:")
+    base = {"name": "t", "schemes": ["base"],
+            "columns": ["benchmark", "scheme", "total"]}
+    for doc in (
+        {**base, "workloads": [{"name": "treeadd",
+                                "params": {"levelz": 3}}]},
+        {**base, "workloads": ["treeadd"],
+         "axes": [{"name": "n", "values": [3], "set": ["params.levelz"]}]},
+    ):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["run-spec", str(path), "--small", "--no-cache"])
+        message = str(exc.value.code)
+        assert message.startswith("error:") and "\n" not in message
+        assert "levelz" in message and "levels" in message
 
 
 def test_unknown_workload_rejected():
@@ -218,51 +265,82 @@ def test_run_spec_typo_is_clean_error(tmp_path, key, value):
 
 
 def test_stats_text(capsys):
-    assert main(["stats", "health", "--small", "--scheme", "hardware"]) == 0
+    assert main(["run", "health", "--small", "--scheme", "hardware",
+                 "--telemetry"]) == 0
     out = capsys.readouterr().out
     assert "Prefetch outcomes" in out
     assert "Demand miss latency" in out
     assert "timely" in out and "dropped" in out
 
 
-def test_stats_json_artifact(capsys):
+def test_stats_json_artifact(tmp_path, capsys):
     import json
 
-    assert main(["stats", "health", "--small", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "repro.stats/1"
+    out = tmp_path / "run.json"
+    assert main(["run", "health", "--small", "--all", "--telemetry",
+                 "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == "repro.experiment/1"
     from repro.harness import SCHEMES
 
-    # Default stats matrix is the paper five; zoo engines opt in by name.
-    assert set(doc["engines"]) == set(SCHEMES)
-    hw = doc["engines"]["hardware"]
-    assert set(hw["prefetch_outcomes"]) == {
+    # --all is the paper five; zoo engines run one at a time by name.
+    assert set(doc["meta"]["runs"]) == set(SCHEMES)
+    hw = doc["meta"]["runs"]["hardware"]["result"]
+    assert set(hw["telemetry"]["prefetch_outcomes"]["counts"]) == {
         "timely", "late", "early-evicted", "useless", "dropped",
     }
-    assert hw["miss_latency"]["type"] == "histogram"
-    assert doc["runs"]["hardware"]["result"]["cycles"] > 0
+    miss_latency = hw["telemetry"]["metrics"]["mem.miss_latency_cycles"]
+    assert miss_latency["type"] == "histogram"
+    assert hw["cycles"] > 0
+    assert [r["scheme"] for r in doc["rows"]] == list(SCHEMES)
 
 
 def test_stats_json_to_file(tmp_path, capsys):
     import json
 
     out = tmp_path / "stats.json"
-    assert main(["stats", "health", "--small", "--scheme", "base",
+    assert main(["run", "health", "--small", "--scheme", "base",
                  "--machine", "small", "--set", "memory_latency=140",
-                 "--json", "-o", str(out)]) == 0
+                 "--telemetry", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "repro.stats/1"
-    assert list(doc["engines"]) == ["base"]
-    assert doc["meta"]["machine"] == "small"
-    assert doc["meta"]["overrides"] == {"memory_latency": 140}
+    assert doc["schema"] == "repro.experiment/1"
+    assert list(doc["meta"]["runs"]) == ["base"]
+    assert doc["spec"]["machine"] == "small"
+    assert doc["spec"]["overrides"] == {"memory_latency": 140}
+    assert doc["spec"]["telemetry"] is True
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_run_artifact_spec_reruns_rows(tmp_path, capsys):
+    import json
+
+    from repro.harness import ExperimentSpec, compile_spec
+
+    out = tmp_path / "run.json"
+    assert main(["run", "health", "--small", "--all", "--idiom", "root",
+                 "--param", "iterations=2", "--machine", "small",
+                 "--set", "memory_latency=140", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    spec = ExperimentSpec.from_dict(doc["spec"])
+    assert compile_spec(spec).execute() == doc["rows"]
+    assert doc["rows"][1]["variant"] == "sw:root"
+
+
+def test_run_trace_with_all_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "health", "--small", "--all",
+              "--trace", str(tmp_path / "t.json")])
+    assert exc.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_trace_writes_chrome_file(tmp_path, capsys):
     import json
 
     out = tmp_path / "t.trace.json"
-    assert main(["trace", "health", "--small", "--scheme", "hardware",
-                 "-o", str(out)]) == 0
+    assert main(["run", "health", "--small", "--scheme", "hardware",
+                 "--trace", str(out)]) == 0
     doc = json.loads(out.read_text())
     events = doc["traceEvents"]
     assert any(e["name"] == "load-issue" for e in events)
@@ -281,10 +359,6 @@ def test_negative_jobs_is_usage_error(capsys):
     ("tournament", "--timeout", "0", "0.5", float),
     ("audit", "--every", "0", "1", int),
     ("audit", "--diff-sample", "-1", "0", int),
-    ("profile", "--every", "0", "1", int),
-    ("profile", "--top", "-1", "0", int),
-    ("profile", "--limit", "-1", "0", int),
-    ("trace", "--limit", "-1", "0", int),
 ])
 def test_out_of_range_retry_policy_is_usage_error(
     capsys, command, flag, bad, edge, kind
@@ -325,6 +399,9 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     ["run-spec", "spec.toml", "--inject-faults", "x=crash"],
     ["--engine", "reference", "run", "treeadd", "--small"],
     ["list", "sim-engines"],
+    ["stats", "health", "--small"],
+    ["trace", "health", "--small"],
+    ["profile", "health", "--small"],
 ])
 def test_removed_sweep_service_options_rejected(argv):
     with pytest.raises(SystemExit):

@@ -56,6 +56,10 @@ class SleepyWorkload(workload_class("treeadd")):
 
     name = "sleepy"
 
+    @classmethod
+    def default_params(cls):
+        return {**super().default_params(), "seconds": 0.0}
+
     def build_variant(self, variant):
         time.sleep(self.params.get("seconds", 0.0))
         return super().build_variant(variant)

@@ -351,7 +351,8 @@ class TestCli:
     def test_profile_subcommand(self, capsys):
         from repro.__main__ import main
 
-        rc = main(["profile", "health", "--small", "--scheme", "hardware"])
+        rc = main(["run", "health", "--small", "--scheme", "hardware",
+                   "--profile"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "CPI stack" in out and "profile audit OK" in out

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import WorkloadError, get_workload
-from repro.harness import SCHEMES, BenchmarkRunner, run_scheme, scheme_plan
+from repro.harness import SCHEMES, BenchmarkRunner, SweepPlan, scheme_plan
 from repro.workloads import workload_class
 
 
@@ -60,13 +60,16 @@ class TestBenchmarkRunner:
         assert r1.compute == r2.compute  # same baseline program
 
     def test_all_schemes_run(self, runner):
-        matrix = runner.run_matrix()
+        matrix = {scheme: runner.run(scheme) for scheme in SCHEMES}
         assert set(matrix) == set(SCHEMES)
         for run in matrix.values():
             assert run.total > 0
 
     def test_run_variant_direct(self, runner):
-        run = runner.run_variant("coop:queue", "cooperative")
+        plan = SweepPlan(runner.cfg)
+        handle = plan.add_variant_run("treeadd", "coop:queue", "cooperative",
+                                      runner.workload.params)
+        run = plan.execute().scheme_run(handle)
         assert run.variant == "coop:queue"
         assert run.total > 0
 
@@ -74,8 +77,8 @@ class TestBenchmarkRunner:
 def test_run_scheme_oneshot():
     from repro import small_config
 
-    run = run_scheme(
-        "power", "base", small_config(), params=workload_class("power").test_params()
-    )
+    run = BenchmarkRunner(
+        "power", small_config(), workload_class("power").test_params()
+    ).run("base")
     assert run.benchmark == "power"
     assert run.total > 0
