@@ -10,14 +10,15 @@ It shows everything a new workload needs:
   1. lay out nodes so the size-class allocator leaves padding (for the
      hardware variant) or an explicit jump-pointer field (software);
   2. install jump-pointers with `SoftwareJumpQueue` during creation;
-  3. prefetch with a load+PF pair (software) at each visit;
+  3. prefetch through the jump-pointer at each visit with
+     `emit_jump_prefetch` (software: a load+PF pair);
   4. annotate LDS loads with `pad=` so hardware JPP can find its storage.
 
 Run:  python examples/custom_workload.py
 """
 
 from repro import Assembler, bench_config, run_to_completion, simulate_decomposed
-from repro.core import SoftwareJumpQueue
+from repro.core import SoftwareJumpQueue, emit_jump_prefetch
 from repro.isa.registers import A0, T0, T1, T2, T3, T4, T5, ZERO
 
 N = 1024          # list nodes
@@ -70,9 +71,8 @@ def build(software_jpp: bool):
     a.lw(T2, A0, 0, tag="lds")
     a.label("walk")
     a.beqz(T2, "miss")
-    if software_jpp:
-        a.lw(T4, T2, OFF_JP, tag="lds")
-        a.pf(T4, 0)
+    emit_jump_prefetch(a, "sw" if software_jpp else "baseline",
+                       T2, OFF_JP, T4)
     a.lw(T3, T2, OFF_KEY, pad=16, tag="lds")
     a.bge(T3, T1, "check")
     a.lw(T2, T2, OFF_NEXT, pad=16, tag="lds")

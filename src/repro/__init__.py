@@ -7,8 +7,9 @@ Public API highlights:
   mini-ISA program on the simulated Table-2 machine.
 * :func:`repro.get_workload` — the Olden kernels and their JPP variants.
 * :class:`repro.MachineConfig` — machine parameters (Table 2 defaults).
-* :mod:`repro.core` — the JPP framework: idioms, the software jump queue,
-  and the Table-1 characterization.
+* :mod:`repro.core` — the JPP framework: the software jump queue, the
+  software/cooperative jump-pointer prefetch emitter, and the Table-1
+  characterization.
 * :mod:`repro.harness` — the sweep machinery; every paper table/figure
   is a declarative :class:`~repro.harness.ExperimentSpec` file
   (``examples/specs/``) run via :func:`~repro.harness.run_spec`.
@@ -41,7 +42,7 @@ from .cpu import (
     simulate,
     simulate_decomposed,
 )
-from .core import Idiom, characterize, recommended_interval
+from .core import characterize
 from .errors import (
     AssemblyError,
     ConfigError,
@@ -67,7 +68,6 @@ __all__ = [
     "EventTrace",
     "ExecutionError",
     "FuncUnitConfig",
-    "Idiom",
     "Interpreter",
     "MachineConfig",
     "MetricRegistry",
@@ -89,7 +89,6 @@ __all__ = [
     "get_workload",
     "machine_names",
     "make_engine",
-    "recommended_interval",
     "register_machine",
     "run_to_completion",
     "simulate",

@@ -2,12 +2,13 @@
 
 Every paper table and figure is a spec file under ``examples/specs/``
 (``table1``, ``figure4``–``figure7``, ``x1``–``x4``, ``x2-passes``,
-``mshr``, ``tournament``), run with ``run-spec``.  ``run`` is the one
-single-run command: ``--telemetry``, ``--profile`` and ``--trace FILE``
-attach its observers, and ``-o`` writes the same ``repro.experiment/1``
-artifact as ``run-spec -o``, whose embedded spec ``run-spec`` reruns.
+``mshr``, ``tournament``), run with ``run-spec``; a tournament spec
+also prints its ranked summary.  ``run`` is the one single-run command:
+``--telemetry``, ``--profile`` and ``--trace FILE`` attach its
+observers, and ``-o`` writes the same ``repro.experiment/1`` artifact as
+``run-spec -o``, whose embedded spec ``run-spec`` reruns.
 ``--machine NAME`` and ``--set PATH=VALUE`` choose the machine for
-``run``, ``run-spec`` and ``tournament`` alike.
+``run`` and ``run-spec`` alike.
 
 Examples::
 
@@ -27,8 +28,8 @@ Examples::
     python -m repro run-spec examples/specs/figure5.toml  # after Ctrl-C: resumes
     python -m repro run-spec examples/specs/x1.toml --small --machine small
     python -m repro run-spec mysweep.toml --small -o result.json
-    python -m repro tournament --small --jobs 4  # scheme zoo, ranked
-    python -m repro tournament --machine small -o tournament.json
+    python -m repro run-spec examples/specs/tournament.toml --small --jobs 4
+    python -m repro run-spec examples/specs/tournament.toml --machine small -o t.json
     python -m repro audit --machine small        # full simulation audit
     python -m repro audit --inject-faults 'em3d//dbp=corrupt'  # auditor drill
     python -m repro bench-diff BENCH_LAYERS.json layers.json --tolerance 1.5
@@ -322,28 +323,8 @@ def _sweep_footer(executor: SweepExecutor) -> None:
 #: also prints the paper's memory-bound averages.
 _FIGURE5_COLUMNS = {"benchmark", "scheme", "normalized", "mem_reduction%"}
 
-#: Default tournament spec, resolved against the repo checkout (the CLI
-#: runs from anywhere; a cwd-relative path is tried first).
-_TOURNAMENT_SPEC = "examples/specs/tournament.toml"
-
-
-def _default_tournament_spec() -> Path:
-    local = Path(_TOURNAMENT_SPEC)
-    if local.exists():
-        return local
-    return Path(__file__).resolve().parents[2] / _TOURNAMENT_SPEC
-
-
 def cmd_run_spec(args) -> int:
-    if args.command == "tournament" and args.spec is None:
-        args.spec = _default_tournament_spec()
     spec = load_spec(args.spec)
-    if args.command == "tournament" and not is_tournament_spec(spec):
-        raise SystemExit(
-            f"error: {args.spec} is not a tournament spec (needs "
-            "telemetry = true, scheme-labeled matrix rows, and the "
-            "normalized/issued/outcome columns)"
-        )
     if args.machine:
         spec = spec.with_machine(args.machine)
     if args.small:
@@ -583,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec_p = sub.add_parser(
         "run-spec", parents=[machine_opts],
         help="run a declarative experiment spec file (.toml or .json); "
-             "see examples/specs/",
+             "see examples/specs/ (a tournament spec also prints its "
+             "ranked summary)",
     )
     spec_p.add_argument("spec", help="path to the spec file")
     spec_p.add_argument("--small", action="store_true",
@@ -592,22 +574,24 @@ def build_parser() -> argparse.ArgumentParser:
     spec_p.add_argument("-o", "--output", default=None, metavar="FILE",
                         help="also write the repro.experiment/1 artifact "
                              "(rows + the spec that produced them)")
-
-    tour = sub.add_parser(
-        "tournament", parents=[machine_opts],
-        help="race every scheme against every workload and rank them: "
-             "per-cell outcome breakdowns plus the geomean-normalized "
-             "summary (default spec: examples/specs/tournament.toml)",
-    )
-    tour.add_argument("spec", nargs="?", default=None,
-                      help="tournament spec file (default: the shipped "
-                           "examples/specs/tournament.toml)")
-    tour.add_argument("--small", action="store_true",
-                      help="use every workload's quick test-size "
-                           "parameters (spec params still win)")
-    tour.add_argument("-o", "--output", default=None, metavar="FILE",
-                      help="also write the repro.experiment/1 artifact "
-                           "(rows + ranked summary in meta)")
+    spec_p.add_argument("--jobs", type=_bounded(int, 0), default=1,
+                        metavar="N",
+                        help="run sweep cells across N worker processes "
+                             "(default: 1, serial; 0 = cgroup/affinity-"
+                             "aware auto-detection)")
+    spec_p.add_argument("--no-cache", action="store_true",
+                        help="do not read or write the on-disk result cache")
+    spec_p.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="result cache location (default: "
+                             "$REPRO_CACHE_DIR or .repro_cache)")
+    spec_p.add_argument("--progress", action="store_true",
+                        help="narrate per-cell progress on stderr "
+                             "(implied whenever more than one worker runs, "
+                             "including --jobs 0 on a multi-CPU host)")
+    spec_p.add_argument("--timeout", type=_bounded(float, 0, strict=True),
+                        default=None, metavar="SEC",
+                        help="per-cell wall-clock budget; a hung worker is "
+                             "terminated and the cell becomes an error row")
 
     audit = sub.add_parser(
         "audit",
@@ -669,24 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "values (default: 0.25)")
     bd.add_argument("-o", "--output", default=None, metavar="FILE",
                     help="write the repro.bench_diff/1 JSON artifact")
-
-    for p in (spec_p, tour):
-        p.add_argument("--jobs", type=_bounded(int, 0), default=1, metavar="N",
-                       help="run sweep cells across N worker processes "
-                            "(default: 1, serial; 0 = cgroup/affinity-"
-                            "aware auto-detection)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="do not read or write the on-disk result cache")
-        p.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result cache location (default: $REPRO_CACHE_DIR "
-                            "or .repro_cache)")
-        p.add_argument("--progress", action="store_true",
-                       help="narrate per-cell progress on stderr "
-                            "(implied whenever more than one worker runs, "
-                            "including --jobs 0 on a multi-CPU host)")
-        p.add_argument("--timeout", type=_bounded(float, 0, strict=True), default=None, metavar="SEC",
-                       help="per-cell wall-clock budget; a hung worker is "
-                            "terminated and the cell becomes an error row")
     return parser
 
 
@@ -700,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_list(args)
         if args.command == "run":
             return cmd_run(args)
-        if args.command in ("run-spec", "tournament"):
+        if args.command == "run-spec":
             return cmd_run_spec(args)
         if args.command == "audit":
             return cmd_audit(args)

@@ -299,7 +299,6 @@ class PrefetchConfig(SerializableConfig):
     # Dependence predictor (DBP)
     dep_entries: int = 256
     dep_assoc: int = 4
-    dep_queries_per_cycle: int = 2
     # Prefetch request queue / prefetch buffer
     prq_entries: int = 8
     prefetch_buffer: CacheConfig = field(
@@ -308,7 +307,6 @@ class PrefetchConfig(SerializableConfig):
     # Jump-pointer hardware
     jqt_entries: int = 32
     jump_interval: int = 8
-    jpr_accesses_per_cycle: int = 1
     max_chain_depth: int = 8
     """Safety bound on recursively chained prefetches per trigger."""
     onchip_table_entries: int = 0

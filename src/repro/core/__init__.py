@@ -1,39 +1,18 @@
 """The paper's primary contribution: the jump-pointer prefetching framework.
 
-* :mod:`repro.core.idioms` — the four prefetching idioms and the three
-  implementation strategies.
-* :mod:`repro.core.jump_queue` — the software queue method for creating
-  jump-pointers, as emitted code.
+* :mod:`repro.core.jump_queue` — the four idioms, the software queue
+  method for creating jump-pointers, and the one jump-pointer prefetch
+  emitter that states the software and cooperative implementations.
+  Every workload builder emits its jump-pointer code through it.
 * :mod:`repro.core.characterization` — Table-1 program characterization.
 """
 
 from .characterization import CharacterizationRow, characterize
-from .idioms import (
-    COOPERATIVE,
-    HARDWARE,
-    IMPLEMENTATIONS,
-    SOFTWARE,
-    Idiom,
-    Implementation,
-    recommended_interval,
-)
-from .jump_queue import (
-    SoftwareJumpQueue,
-    emit_cooperative_prefetch,
-    emit_software_prefetch,
-)
+from .jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 
 __all__ = [
-    "COOPERATIVE",
     "CharacterizationRow",
-    "HARDWARE",
-    "IMPLEMENTATIONS",
-    "Idiom",
-    "Implementation",
-    "SOFTWARE",
     "SoftwareJumpQueue",
     "characterize",
-    "emit_cooperative_prefetch",
-    "emit_software_prefetch",
-    "recommended_interval",
+    "emit_jump_prefetch",
 ]

@@ -1,15 +1,36 @@
-"""Software jump-pointer creation: the queue method (Section 2.1).
+"""Software jump-pointers: the queue method and the jump-pointer prefetch.
 
-On creation or first traversal of a structure, a FIFO of the last *I* node
-addresses is maintained.  As each node is visited, a jump-pointer is
-installed from the node at the head of the queue (*home*, visited *I* hops
-ago) to the current node (*target*), and the queue advances.
+The paper's two building blocks are *jump-pointer prefetches* (through a
+pointer installed *I* nodes ahead) and *chained prefetches* (through the
+program's own pointers).  Four idioms combine them into a prefetching
+solution for one data structure (Section 2.2):
+
+* **queue jumping** — jump-pointers at every node of a "backbone-only"
+  structure (list, tree, graph of one node type), created with the queue
+  method; the whole structure is prefetched through them.
+* **full jumping** — "backbone-and-ribs" structures; every node carries a
+  jump-pointer to the node *I* hops ahead *and* to that node's rib(s); all
+  prefetches are jump-pointer prefetches and proceed in parallel.
+* **chain jumping** — jump-pointer prefetch for the backbone, chained
+  prefetches for the ribs; half the jump-pointer storage/maintenance of
+  full jumping, but prefetches serialize (needs a longer interval).
+* **root jumping** — a single jump-pointer to the *root* of the next small
+  structure; the structure is prefetched entirely with chained prefetches.
+  Immune to structure mutation, but serial and only fit for short chains.
+
+Queue method (Section 2.1): on creation or first traversal of a
+structure, a FIFO of the last *I* node addresses is maintained.  As each
+node is visited, a jump-pointer is installed from the node at the head of
+the queue (*home*, visited *I* hops ago) to the current node (*target*),
+and the queue advances.
 
 :class:`SoftwareJumpQueue` emits the corresponding mini-ISA code into a
 workload's assembler: the queue lives in static data (a circular buffer
 plus an index word), and each ``update`` call costs ~9 instructions — the
 explicit creation overhead the paper measures (e.g. health's a-priori 12%
-slowdown).
+slowdown).  :func:`emit_jump_prefetch` emits the prefetch through a
+jump-pointer, which is where the software and cooperative
+implementations differ (Section 3).
 """
 
 from __future__ import annotations
@@ -96,15 +117,19 @@ class SoftwareJumpQueue:
         a.sw(t_idx, t_addr, 0)
 
 
-def emit_software_prefetch(a: Assembler, node: int, jp_off: int, tmp: int) -> None:
-    """Software jump-pointer prefetch: a load of the jump-pointer followed
-    by a dependent non-binding prefetch (Luk & Mowry's convention)."""
-    a.lw(tmp, node, jp_off)
-    a.pf(tmp, 0)
+def emit_jump_prefetch(
+    a: Assembler, impl: str, node: int, jp_off: int, tmp: int
+) -> None:
+    """Prefetch through the jump-pointer at ``jp_off(node)``.
 
-
-def emit_cooperative_prefetch(a: Assembler, node: int, jp_off: int) -> None:
-    """Cooperative jump-pointer prefetch: the load pair is reduced to one
-    non-binding ``JPF``; hardware performs the dependent prefetch and any
-    chained prefetches (Section 3.2)."""
-    a.jpf(node, jp_off)
+    ``sw`` (software JPP) loads the jump-pointer into ``tmp`` — an LDS
+    load — and issues a dependent non-binding prefetch, Luk & Mowry's
+    convention.  ``coop`` (cooperative JPP) reduces the pair to one
+    ``JPF``; the dependence hardware performs the dependent prefetch and
+    any chained prefetches (Section 3.2).  ``baseline`` emits nothing.
+    """
+    if impl == "sw":
+        a.lw(tmp, node, jp_off, tag="lds")
+        a.pf(tmp, 0)
+    elif impl == "coop":
+        a.jpf(node, jp_off)

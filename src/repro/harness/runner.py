@@ -38,7 +38,7 @@ def _schemes() -> tuple[str, ...]:
 #: The paper's five schemes in presentation order.  Derived from the
 #: scheme registry at import time so the two can never drift — but
 #: filtered to the ``"paper"`` group, so zoo prefetchers (raced by
-#: ``repro tournament``) don't leak into the Figure 4/5/6 matrices.
+#: the tournament spec) don't leak into the Figure 4/5/6 matrices.
 #: Use :func:`repro.harness.schemes.scheme_names` for the full list.
 SCHEMES = _schemes()
 

@@ -21,7 +21,7 @@ scheme          program variant    engine         notes
 The scheme zoo (``pointer-chase``, ``stride``, ``cdp``, ``foresight`` —
 :mod:`repro.prefetch.zoo`) registers below the paper's five; all run the
 unmodified baseline program on a competing hardware prefetcher and are
-raced by ``examples/specs/tournament.toml`` / ``repro tournament``.
+raced by ``examples/specs/tournament.toml``.
 """
 
 from __future__ import annotations

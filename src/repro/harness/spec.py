@@ -38,8 +38,8 @@ Spec documents have this shape (TOML shown; JSON is isomorphic)::
     set = ["machine.prefetch.jump_interval", "params.interval"]
 
 Workload tables take ``name``, ``params``, a pinned ``idiom``, or a
-figure-4 style ``idioms``/``impls`` expansion (every available
-``sw:``/``coop:`` variant of the listed idioms, plus the base run).
+figure-4 style ``idioms`` expansion (the base run plus every available
+software then cooperative variant of the listed idioms).
 Column names are either the spec's ``label_key`` (default ``scheme``),
 an axis name, or one of the registered metrics in :data:`METRICS`.
 """
@@ -66,15 +66,12 @@ from .executor import (
     error_row,
 )
 from .runner import SchemeRun
-from .schemes import get_scheme, paper_scheme_names
+from .schemes import SCHEME_REGISTRY, get_scheme, paper_scheme_names
 
 
 class SpecError(ReproError):
     """A malformed or unsatisfiable experiment spec."""
 
-
-#: Implementation prefixes for idiom-expanded (figure-4 style) rows.
-_IMPL_ENGINES = {"sw": "software", "coop": "cooperative"}
 
 # ----------------------------------------------------------------------
 # Row metrics
@@ -184,7 +181,6 @@ class WorkloadSel:
     params: dict[str, Any] = field(default_factory=dict)
     idiom: str | None = None
     idioms: tuple[str, ...] = ()
-    impls: tuple[str, ...] = ("sw", "coop")
 
     def __post_init__(self) -> None:
         if self.idiom is not None and self.idioms:
@@ -192,12 +188,6 @@ class WorkloadSel:
                 f"workload {self.name!r}: 'idiom' pins one scheme variant; "
                 "'idioms' expands a comparison — use one or the other"
             )
-        for impl in self.impls:
-            if impl not in _IMPL_ENGINES:
-                raise SpecError(
-                    f"workload {self.name!r}: unknown impl {impl!r}; "
-                    f"choose from {sorted(_IMPL_ENGINES)}"
-                )
 
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {"name": self.name}
@@ -207,7 +197,6 @@ class WorkloadSel:
             d["idiom"] = self.idiom
         if self.idioms:
             d["idioms"] = list(self.idioms)
-            d["impls"] = list(self.impls)
         return d
 
     @classmethod
@@ -219,7 +208,7 @@ class WorkloadSel:
                 f"workload entry must be a name or a table, got {data!r}"
             )
         _reject_unknown(
-            "workload", data, {"name", "params", "idiom", "idioms", "impls"}
+            "workload", data, {"name", "params", "idiom", "idioms"}
         )
         if "name" not in data:
             raise SpecError(f"workload entry {data!r} has no 'name'")
@@ -228,8 +217,6 @@ class WorkloadSel:
             params=dict(_typed("workload", data, "params", Mapping, {})),
             idiom=data.get("idiom"),
             idioms=tuple(_typed("workload", data, "idioms", list, ())),
-            impls=tuple(_typed("workload", data, "impls", list,
-                               ("sw", "coop"))),
         )
 
 
@@ -590,22 +577,24 @@ def _plan_idiom_rows(
     profile: bool = False,
     telemetry: bool = False,
 ) -> list[_PlannedRow]:
-    """Figure-4 expansion: the base run plus every available
-    ``impl:idiom`` variant of the listed idioms."""
+    """Figure-4 expansion: the base run plus every available variant of
+    the listed idioms under each idiom-selecting scheme (``software``
+    then ``cooperative``, in registry order)."""
     workload = get_workload(sel.name, **params)
     base_sr = plan.add_run(sel.name, "base", params, cfg=cfg, profile=profile,
                            telemetry=telemetry)
     rows = [_PlannedRow(
         sel.name, "base", axis_values, run=base_sr, base=base_sr
     )]
-    for impl in sel.impls:
-        engine = _IMPL_ENGINES[impl]
+    for __, scheme in SCHEME_REGISTRY.items():
+        if scheme.variant is not None:
+            continue
         for idiom in sel.idioms:
-            variant = f"{impl}:{idiom}"
+            variant = scheme.variant_prefix + idiom
             if variant not in workload.variants:
                 continue
-            vsr = plan.add_variant_run(sel.name, variant, engine, params,
-                                       cfg=cfg, profile=profile,
+            vsr = plan.add_variant_run(sel.name, variant, scheme.engine,
+                                       params, cfg=cfg, profile=profile,
                                        telemetry=telemetry)
             rows.append(_PlannedRow(
                 sel.name, variant, axis_values, run=vsr, base=base_sr,

@@ -7,8 +7,8 @@ carries its per-prefetch outcome partition.  This module turns those
 per-cell rows into the ranked per-scheme summary: geometric-mean
 normalized execution time (the figure-of-merit; lower is better),
 aggregate timely/late/early-evicted/useless/dropped counts, and overall
-prefetch accuracy.  ``repro tournament`` and ``repro run-spec`` (on a
-telemetry spec with scheme rows) both print it.
+prefetch accuracy.  ``repro run-spec`` prints it for any spec that
+:func:`is_tournament_spec` accepts.
 
 Ranking is by geomean normalized time over the cells a scheme
 *completed*; a scheme with any failed cell is ranked after every clean

@@ -99,22 +99,6 @@ class Workload(abc.ABC):
     def build_variant(self, variant: str) -> BuiltProgram:
         """Assemble the program for ``variant``."""
 
-    # Convenience -------------------------------------------------------
-
-    def software_variants(self) -> list[str]:
-        return [v for v in self.variants if v.startswith("sw:")]
-
-    def cooperative_variants(self) -> list[str]:
-        return [v for v in self.variants if v.startswith("coop:")]
-
-    def best_variant(self, implementation: str) -> str | None:
-        """The paper's chosen idiom for this benchmark (first listed)."""
-        prefix = {"software": "sw:", "cooperative": "coop:"}[implementation]
-        for v in self.variants:
-            if v.startswith(prefix):
-                return v
-        return None
-
 
 def parse_variant(variant: str) -> tuple[str, str | None]:
     """Split ``"sw:chain"`` into ``("sw", "chain")``; baseline has no idiom."""

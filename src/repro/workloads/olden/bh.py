@@ -21,7 +21,7 @@ Layouts (bytes): cell {mass@0, cx@4, cy@8, child0..3@12..24} (28 -> class
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -262,11 +262,7 @@ class BarnesHut(Workload):
         a.fli(S7, 0.0)       # total force
         a.label("f_loop")
         a.beqz(S1, "end")
-        if impl == "sw":
-            a.lw(T4, S1, B_JP, tag="lds")
-            a.pf(T4, 0)
-        elif impl == "coop":
-            a.jpf(S1, B_JP)
+        emit_jump_prefetch(a, impl, S1, B_JP, T4)
         a.lw(S2, S1, B_X, pad=32 if impl != "baseline" else 16, tag="lds")
         a.lw(S3, S1, B_Y, pad=32 if impl != "baseline" else 16, tag="lds")
         a.mov(A0, S5)

@@ -21,7 +21,7 @@ Node layout (bytes): {value@0, left@4, right@8[, jp@12]} (16-byte class).
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -177,11 +177,7 @@ class Bisort(Workload):
         a.ret()
         a.label("s_rec")
         a.push(RA, S0, S1)
-        if impl == "sw":
-            a.lw(T0, A0, OFF_JP, tag="lds")
-            a.pf(T0, 0)
-        elif impl == "coop":
-            a.jpf(A0, OFF_JP)
+        emit_jump_prefetch(a, impl, A0, OFF_JP, T0)
         if queue is not None:
             queue.update(A0, OFF_JP, T0, T1, T2)
         a.mov(S0, A0)

@@ -26,7 +26,7 @@ exactly against a Python mirror (identical operation order).
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -211,11 +211,7 @@ class Em3d(Workload):
             a.lw(S1, T0, 0, tag="lds")
             a.label(f"c{tag}_loop")
             a.beqz(S1, f"c{tag}_done")
-            if impl == "sw":
-                a.lw(T5, S1, N_JP, tag="lds")
-                a.pf(T5, 0)
-            elif impl == "coop":
-                a.jpf(S1, N_JP)
+            emit_jump_prefetch(a, impl, S1, N_JP, T5)
             if queue is not None:
                 queue.update(S1, N_JP, T5, T6, T7)
             a.lw(S2, S1, N_VALUE, pad=NODE_CLASS, tag="lds")

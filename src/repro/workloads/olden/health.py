@@ -29,7 +29,7 @@ records are static: ``waiting@0, parent@4, next_in_visit_order@8``.
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -240,13 +240,9 @@ class Health(Workload):
             skip_rj = a.newlabel("rj_pre")
             a.lw(T5, S2, H_NEXT)
             a.li(S5, 0)
-            if impl == "coop":
-                a.beqz(T5, skip_rj)
-                a.jpf(T5, H_WAITING)
-            else:
-                a.beqz(T5, skip_rj)
-                a.lw(S5, T5, H_WAITING, tag="lds")  # j = next->waiting
-                a.pf(S5, 0)
+            a.beqz(T5, skip_rj)
+            # software: j = next->waiting, the root of the next list
+            emit_jump_prefetch(a, impl, T5, H_WAITING, S5)
             a.label(skip_rj)
             # NOTE: S5 is the root-jumping cursor here, so the splice slot
             # is tracked in T7 (reloaded per step) instead.
@@ -263,21 +259,11 @@ class Health(Workload):
         patient_in_t0 = False
         if impl != "baseline":
             if idiom == "queue":
-                if impl == "sw":
-                    a.lw(T5, S6, OFF_JP, tag="lds")
-                    a.pf(T5, 0)
-                else:
-                    a.jpf(S6, OFF_JP)
+                emit_jump_prefetch(a, impl, S6, OFF_JP, T5)
                 queue.update(S6, OFF_JP, T4, T5, T6)
             elif idiom == "full":
-                if impl == "sw":
-                    a.lw(T5, S6, OFF_JP, tag="lds")
-                    a.pf(T5, 0)
-                    a.lw(T5, S6, OFF_JPP, tag="lds")
-                    a.pf(T5, 0)
-                else:
-                    a.jpf(S6, OFF_JP)
-                    a.jpf(S6, OFF_JPP)
+                emit_jump_prefetch(a, impl, S6, OFF_JP, T5)
+                emit_jump_prefetch(a, impl, S6, OFF_JPP, T5)
                 a.lw(T0, S6, OFF_PATIENT, pad=NODE_CLASS, tag="lds")
                 patient_in_t0 = True
                 queue.update(S6, OFF_JP, T4, T5, T6, extra=[(OFF_JPP, T0)])

@@ -29,7 +29,7 @@ the test-suite cross-checks the mirror against networkx.
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -267,11 +267,7 @@ class MST(Workload):
                     a.pf(T5, 0)                            # first chain node
                 a.label(skip_rj)
             else:  # queue jumping on the remaining list
-                if impl == "sw":
-                    a.lw(T5, S1, R_JP, tag="lds")
-                    a.pf(T5, 0)
-                else:
-                    a.jpf(S1, R_JP)
+                emit_jump_prefetch(a, impl, S1, R_JP, T5)
                 queue.update(S1, R_JP, T5, T6, T7)
 
         a.lw(S2, S1, R_VPTR, pad=16, tag="lds")   # vertex record

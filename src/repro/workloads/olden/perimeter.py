@@ -21,7 +21,7 @@ class, so the hardware slot exists at +28.
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -162,11 +162,7 @@ class Perimeter(Workload):
         a.ret()
         a.label("p_rec")
         a.push(RA, S0, S1, S2)
-        if impl == "sw":
-            a.lw(T0, A0, OFF_JP, tag="lds")
-            a.pf(T0, 0)
-        elif impl == "coop":
-            a.jpf(A0, OFF_JP)
+        emit_jump_prefetch(a, impl, A0, OFF_JP, T0)
         a.mov(S0, A0)
         a.lw(T0, S0, OFF_COLOR, pad=NODE_CLASS, tag="lds")
         a.li(T1, -1)

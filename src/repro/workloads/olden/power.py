@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -201,11 +201,7 @@ class Power(Workload):
         # ---- compute(A0=node) -> value --------------------------------
         a.label("compute")
         a.push(RA, S0, S1, S2)
-        if impl == "sw":
-            a.lw(T0, A0, OFF_JP, tag="lds")
-            a.pf(T0, 0)
-        elif impl == "coop":
-            a.jpf(A0, OFF_JP)
+        emit_jump_prefetch(a, impl, A0, OFF_JP, T0)
         a.mov(S0, A0)
         a.lw(S2, S0, OFF_CHILD, pad=NODE_CLASS, tag="lds")
         a.bnez(S2, "c_inner")

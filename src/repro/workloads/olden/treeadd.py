@@ -18,7 +18,7 @@ software/cooperative install during creation and optimize every pass.
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -127,11 +127,7 @@ class TreeAdd(Workload):
         a.ret()
         a.label("sum_rec")
         a.push(RA, S0, S1)
-        if impl == "sw":
-            a.lw(T0, A0, OFF_JP, tag="lds")
-            a.pf(T0, 0)
-        elif impl == "coop":
-            a.jpf(A0, OFF_JP)
+        emit_jump_prefetch(a, impl, A0, OFF_JP, T0)
         a.mov(S0, A0)
         a.lw(S1, S0, OFF_VAL, pad=NODE_SIZE, tag="lds")
         a.lw(A0, S0, OFF_LEFT, pad=NODE_SIZE, tag="lds")

@@ -17,7 +17,7 @@ class) with a software jump-pointer.
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -164,11 +164,7 @@ class TSP(Workload):
         a.lw(S1, S0, 0, tag="lds")
         a.label("scan")
         a.beqz(S1, "pick")
-        if impl == "sw":
-            a.lw(T5, S1, OFF_JP, tag="lds")
-            a.pf(T5, 0)
-        elif impl == "coop":
-            a.jpf(S1, OFF_JP)
+        emit_jump_prefetch(a, impl, S1, OFF_JP, T5)
         a.lw(T0, S1, OFF_X, pad=32 if impl != "baseline" else 16, tag="lds")
         a.lw(T1, S1, OFF_Y, pad=32 if impl != "baseline" else 16, tag="lds")
         a.fsub(T0, T0, S2)

@@ -15,7 +15,7 @@ Strip node layout (bytes): {index@0, next@4[, jp@8]} (16-byte class).
 
 from __future__ import annotations
 
-from ...core.jump_queue import SoftwareJumpQueue
+from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -237,11 +237,7 @@ class Voronoi(Workload):
         # pair comparisons along the strip list
         a.label("pair_outer")
         a.beqz(S5, "s_ret")
-        if impl == "sw":
-            a.lw(T0, S5, N_JP, tag="lds")
-            a.pf(T0, 0)
-        elif impl == "coop":
-            a.jpf(S5, N_JP)
+        emit_jump_prefetch(a, impl, S5, N_JP, T0)
         a.lw(S2, S5, N_IDX, pad=16, tag="lds")
         a.lw(S4, S5, N_NEXT, pad=16, tag="lds")  # inner cursor
         a.li(T4, WINDOW)

@@ -23,7 +23,7 @@ cooperative/hardware schemes.
 
 from __future__ import annotations
 
-from ..core.jump_queue import SoftwareJumpQueue
+from ..core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from ..isa.assembler import Assembler
 from ..isa.interpreter import Interpreter
 from ..isa.registers import (
@@ -183,11 +183,7 @@ class SpMV(Workload):
         a.lw(S2, S1, R_ELEMS, tag="lds")
         a.label("c_elem")
         a.beqz(S2, "c_row_done")
-        if impl == "sw":
-            a.lw(T5, S2, E_JP, tag="lds")
-            a.pf(T5, 0)
-        elif impl == "coop":
-            a.jpf(S2, E_JP)
+        emit_jump_prefetch(a, impl, S2, E_JP, T5)
         a.lw(T0, S2, E_COL, pad=ELEM_CLASS, tag="lds")
         a.slli(T0, T0, 2)
         a.addi(T0, T0, s_x)

@@ -246,6 +246,19 @@ def test_run_spec_out_of_range_set_is_clean_error(tmp_path):
     assert "memory_latency" in message
 
 
+def test_removed_prefetch_knob_is_clean_error(capsys):
+    # The chase budget models the DBP query and JPR access rates; a
+    # --set of either rate is an unknown config path, not a no-op.
+    for knob in ("dep_queries_per_cycle", "jpr_accesses_per_cycle"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "treeadd", "--small",
+                  "--set", f"prefetch.{knob}=1"])
+        message = str(exc.value.code)
+        assert message.startswith("error:") and "\n" not in message
+        assert knob in message
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("key,value", [
     ("workloads", ["treead"]),
     ("schemes", ["hardwar"]),
@@ -350,13 +363,17 @@ def test_trace_writes_chrome_file(tmp_path, capsys):
 
 def test_negative_jobs_is_usage_error(capsys):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["tournament", "--jobs", "-1"])
+        build_parser().parse_args(["run-spec", "s.toml", "--jobs", "-1"])
     assert "--jobs" in capsys.readouterr().err
-    assert build_parser().parse_args(["tournament", "--jobs", "0"]).jobs == 0
+    args = build_parser().parse_args(["run-spec", "s.toml", "--jobs", "0"])
+    assert args.jobs == 0
 
 
 @pytest.mark.parametrize("command,flag,bad,edge,kind", [
-    ("tournament", "--timeout", "0", "0.5", float),
+    # This case ran on the removed ``tournament`` subcommand; its id is
+    # kept now that it runs on run-spec.
+    pytest.param("run-spec s.toml", "--timeout", "0", "0.5", float,
+                 id="tournament---timeout-0-0.5-float"),
     ("audit", "--every", "0", "1", int),
     ("audit", "--diff-sample", "-1", "0", int),
 ])
@@ -364,10 +381,10 @@ def test_out_of_range_retry_policy_is_usage_error(
     capsys, command, flag, bad, edge, kind
 ):
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args([command, flag, bad])
+        build_parser().parse_args([*command.split(), flag, bad])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
-    args = build_parser().parse_args([command, flag, edge])
+    args = build_parser().parse_args([*command.split(), flag, edge])
     assert getattr(args, flag.lstrip("-").replace("-", "_")) == kind(edge)
 
 
@@ -380,7 +397,7 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
 
     monkeypatch.setattr(executor_module, "detect_cpus", lambda: cpus)
     args = build_parser().parse_args(
-        ["tournament", "--jobs", "0", "--no-cache"])
+        ["run-spec", "s.toml", "--jobs", "0", "--no-cache"])
     executor = _build_executor(args)
     assert executor.jobs == cpus
     assert (executor.progress is not None) is narrates
@@ -402,6 +419,7 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     ["stats", "health", "--small"],
     ["trace", "health", "--small"],
     ["profile", "health", "--small"],
+    ["tournament"],
 ])
 def test_removed_sweep_service_options_rejected(argv):
     with pytest.raises(SystemExit):

@@ -1,72 +1,6 @@
-"""JPP framework: idioms, implementations, interval rule, characterization."""
+"""JPP framework: the Table-1 characterization."""
 
-import pytest
-
-from repro import Idiom, recommended_interval
-from repro.core import COOPERATIVE, HARDWARE, IMPLEMENTATIONS, SOFTWARE
 from repro.core.characterization import CharacterizationRow
-
-
-class TestIdioms:
-    def test_all_four_idioms(self):
-        assert {i.value for i in Idiom} == {"queue", "full", "chain", "root"}
-
-    def test_chained_prefetch_usage(self):
-        assert Idiom.CHAIN.uses_chained_prefetches
-        assert Idiom.ROOT.uses_chained_prefetches
-        assert not Idiom.QUEUE.uses_chained_prefetches
-        assert not Idiom.FULL.uses_chained_prefetches
-
-    def test_storage_cost(self):
-        assert Idiom.FULL.jump_pointers_per_node == 2
-        assert Idiom.CHAIN.jump_pointers_per_node == 1
-        assert Idiom.QUEUE.jump_pointers_per_node == 1
-        assert Idiom.ROOT.jump_pointers_per_node == 0
-
-    def test_per_structure_storage_cost(self):
-        # ROOT's single jump-pointer is per structure, not per node —
-        # the two accessors partition the storage cost between them.
-        assert Idiom.ROOT.jump_pointers_per_structure == 1
-        for idiom in (Idiom.QUEUE, Idiom.FULL, Idiom.CHAIN):
-            assert idiom.jump_pointers_per_structure == 0
-            assert idiom.jump_pointers_per_node >= 1
-
-    def test_every_idiom_has_some_storage(self):
-        for idiom in Idiom:
-            total = (idiom.jump_pointers_per_node
-                     + idiom.jump_pointers_per_structure)
-            assert total >= 1
-
-
-class TestImplementations:
-    def test_division_of_labour(self):
-        assert not SOFTWARE.jump_prefetch_in_hardware
-        assert not SOFTWARE.chained_prefetch_in_hardware
-        assert not COOPERATIVE.jump_prefetch_in_hardware
-        assert COOPERATIVE.chained_prefetch_in_hardware
-        assert HARDWARE.jump_prefetch_in_hardware
-        assert HARDWARE.chained_prefetch_in_hardware
-
-    def test_registry(self):
-        assert set(IMPLEMENTATIONS) == {"software", "cooperative", "hardware"}
-
-
-class TestIntervalRule:
-    def test_paper_example(self):
-        # Section 2.1: 10 cycles of work, 40-cycle access -> 4 nodes ahead
-        assert recommended_interval(10, 40) == 4
-
-    def test_chain_jumping_doubles(self):
-        # Section 2.2: full jumping at 2, chain jumping (serial hops) at 4
-        assert recommended_interval(10, 20, serial_hops=1) == 2
-        assert recommended_interval(10, 20, serial_hops=2) == 4
-
-    def test_minimum_one(self):
-        assert recommended_interval(100, 1) == 1
-
-    def test_rejects_zero_work(self):
-        with pytest.raises(ValueError):
-            recommended_interval(0, 40)
 
 
 class TestCharacterization:

@@ -3,11 +3,7 @@
 import pytest
 
 from repro import Assembler, run_to_completion
-from repro.core.jump_queue import (
-    SoftwareJumpQueue,
-    emit_cooperative_prefetch,
-    emit_software_prefetch,
-)
+from repro.core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
 from repro.isa.opcodes import Op
 from repro.isa.registers import A0, T0, T1, T2, T3, T4, ZERO
 
@@ -96,13 +92,21 @@ def test_reset_clears_state():
 
 
 def test_prefetch_emitters():
-    a = Assembler()
-    a.label("main")
-    emit_software_prefetch(a, A0, JP_OFF, T0)
-    emit_cooperative_prefetch(a, A0, JP_OFF)
-    a.halt()
-    ops = [i.op for i in a.assemble().instructions]
-    assert ops[:3] == [Op.LW, Op.PF, Op.JPF]
+    def emitted(impl):
+        a = Assembler()
+        a.label("main")
+        emit_jump_prefetch(a, impl, A0, JP_OFF, T0)
+        a.halt()
+        return a.assemble().instructions[:-1]
+
+    lw, pf = emitted("sw")
+    assert [lw.op, pf.op] == [Op.LW, Op.PF]
+    assert (lw.rd, lw.rs1, lw.imm) == (T0, A0, JP_OFF)
+    assert lw.tag == "lds"  # the jump-pointer load is an LDS load
+    assert (pf.rs1, pf.imm) == (T0, 0)
+    (jpf,) = emitted("coop")
+    assert jpf.op == Op.JPF and (jpf.rs1, jpf.imm) == (A0, JP_OFF)
+    assert emitted("baseline") == []
 
 
 def test_update_cost_is_small():

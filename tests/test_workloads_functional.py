@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 
 from repro import WorkloadError, get_workload, run_to_completion, workload_names
+from repro.harness.schemes import scheme_plan
 from repro.workloads import parse_variant, workload_class
 from repro.workloads.registry import register
 
@@ -65,8 +66,8 @@ def test_parse_variant():
 
 def test_best_variant_selection():
     w = get_workload("health", **workload_class("health").test_params())
-    assert w.best_variant("software") == "sw:chain"
-    assert w.best_variant("cooperative") == "coop:chain"
+    assert scheme_plan(w, "software") == ("sw:chain", "software")
+    assert scheme_plan(w, "cooperative") == ("coop:chain", "cooperative")
 
 
 class TestTreeadd:
