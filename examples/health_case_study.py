@@ -15,13 +15,20 @@ Run:  python examples/health_case_study.py
 """
 
 from repro import bench_config
-from repro.harness import BenchmarkRunner, format_table, normalized_bar
+from repro.harness import SweepPlan, format_table, normalized_bar
 
 
 def main() -> None:
-    cfg = bench_config()
-    runner = BenchmarkRunner("health", cfg)
-    base = runner.run("base")
+    plan = SweepPlan(bench_config())
+    base_run = plan.add_run("health", "base")
+    configs = [
+        (f"{impl}:{idiom}", plan.add_run("health", scheme, idiom=idiom))
+        for impl, scheme in (("sw", "software"), ("coop", "cooperative"))
+        for idiom in ("queue", "full", "chain", "root")
+    ]
+    configs += [(s, plan.add_run("health", s)) for s in ("hardware", "dbp")]
+    results = plan.execute()
+    base = results.scheme_run(base_run)
 
     rows = [{
         "config": "unoptimized",
@@ -30,22 +37,11 @@ def main() -> None:
         "memory": base.memory,
         "bar": normalized_bar(1.0),
     }]
-    for impl, scheme in (("sw", "software"), ("coop", "cooperative")):
-        for idiom in ("queue", "full", "chain", "root"):
-            run = runner.run(scheme, idiom)
-            n = run.normalized(base.total)
-            rows.append({
-                "config": f"{impl}:{idiom}",
-                "normalized": round(n, 3),
-                "compute": run.compute,
-                "memory": run.memory,
-                "bar": normalized_bar(n),
-            })
-    for scheme in ("hardware", "dbp"):
-        run = runner.run(scheme)
+    for config, scheduled in configs:
+        run = results.scheme_run(scheduled)
         n = run.normalized(base.total)
         rows.append({
-            "config": scheme,
+            "config": config,
             "normalized": round(n, 3),
             "compute": run.compute,
             "memory": run.memory,

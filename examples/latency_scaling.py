@@ -11,24 +11,24 @@ reduction at every point.
 Run:  python examples/latency_scaling.py
 """
 
-from repro import bench_config
-from repro.harness import BenchmarkRunner, format_table
+from repro.harness import Axis, ExperimentSpec, WorkloadSel, format_table, run_spec
 
 
 def main() -> None:
-    base_cfg = bench_config()
+    spec = ExperimentSpec(
+        name="latency-scaling",
+        machine="bench",
+        workloads=(WorkloadSel("health"),),
+        schemes=("base", "software", "hardware", "dbp"),
+        axes=(Axis("latency", (35, 70, 140, 280), ("machine.memory_latency",)),),
+        columns=("latency", "scheme", "total", "mem_reduction%"),
+    )
     rows = []
-    for latency in (35, 70, 140, 280):
-        cfg = base_cfg.with_memory_latency(latency)
-        runner = BenchmarkRunner("health", cfg)
-        base = runner.run("base")
-        row = {"mem latency": latency, "base cycles": base.total}
-        for scheme in ("software", "hardware", "dbp"):
-            run = runner.run(scheme)
-            row[f"{scheme} stall cut%"] = round(
-                100 * run.memory_reduction(base.memory), 1
-            )
-        rows.append(row)
+    for r in run_spec(spec):  # latency-major, base first at each latency
+        if r["scheme"] == "base":
+            rows.append({"mem latency": r["latency"], "base cycles": r["total"]})
+        else:
+            rows[-1][f"{r['scheme']} stall cut%"] = r["mem_reduction%"]
 
     print(format_table(rows, "health: memory-stall reduction vs memory latency"))
     print()

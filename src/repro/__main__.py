@@ -58,25 +58,26 @@ from .errors import ReproError
 from .harness import (
     SCHEMES,
     scheme_names,
-    BenchmarkRunner,
+    CellResult,
     ExperimentSpec,
     ResultCache,
     SCHEME_REGISTRY,
     SweepExecutor,
+    SweepResults,
     WorkloadSel,
     compile_spec,
     figure5_summary,
     format_table,
     is_tournament_spec,
     load_spec,
+    simulate_cell,
     spec_artifact,
-    spec_row,
     tournament_summary,
 )
+from .harness.spec import assemble_rows
 from .obs import (
     EventTrace,
     MetricRegistry,
-    Profiler,
     Telemetry,
     artifact,
     cpi_stack_rows,
@@ -255,32 +256,33 @@ def cmd_run(args) -> int:
     """One workload under one scheme (or all five), in process, with the
     requested observers attached; ``-o`` writes ``repro.experiment/1``."""
     spec = _run_spec(args)
-    sel = spec.workloads[0]
-    cfg = get_machine(spec.machine).with_overrides(spec.overrides)
-    runner = BenchmarkRunner(sel.name, cfg, sel.params)
+    compiled = compile_spec(spec)
+    # Observers attach to the shown schemes' timing cells only.
+    shown = {rp.run.timing: rp.label for rp in compiled.rows}
     trace = EventTrace() if args.trace else None
     observed = args.telemetry or args.profile or trace is not None
     auditors: dict[str, Auditor] = {}
-
-    def run(scheme: str):
-        if args.profile:
-            auditors[scheme] = Auditor(interval=512)
-        return runner.run(
-            scheme, sel.idiom,
-            telemetry=Telemetry(trace=trace) if observed else None,
-            profile=Profiler() if args.profile else None,
-            audit=auditors.get(scheme),
-        )
-
-    base = run("base") if "base" in spec.schemes else runner.run("base")
-    runs = {s: base if s == "base" else run(s) for s in spec.schemes}
-    rows = [spec_row(spec, s, r, base, sel.name) for s, r in runs.items()]
+    cells = {}
+    for cell in compiled.plan.cells():
+        telemetry = audit = None
+        if cell in shown:
+            if observed:
+                telemetry = Telemetry(trace=trace)
+            if args.profile:
+                audit = auditors[shown[cell]] = Auditor(interval=512)
+        cells[cell] = CellResult(cell, simulate_cell(
+            cell, telemetry=telemetry, audit=audit))
+    results = SweepResults(cells)
+    rows = assemble_rows(spec, compiled.rows, results)
+    runs = {rp.label: results.scheme_run(rp.run) for rp in compiled.rows}
+    base = results.scheme_run(compiled.rows[0].base)
     print(format_table(rows, spec.title))
     if args.telemetry:
         _print_telemetry(runs)
     audits_ok = True
     for scheme, auditor in auditors.items():
-        audits_ok &= _print_profile(sel.name, runs[scheme], auditor)
+        audits_ok &= _print_profile(spec.workloads[0].name, runs[scheme],
+                                    auditor)
     if trace is not None:
         trace.dump(args.trace)
         print(f"\nwrote {args.trace}: {len(trace)} events "
@@ -539,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("workload", choices=workload_names())
     run.add_argument("--scheme", choices=scheme_names(), default="base")
-    run.add_argument("--all", action="store_true", help="run every scheme")
+    run.add_argument("--all", action="store_true",
+                     help="run the paper's five schemes (zoo schemes run "
+                          "only when named with --scheme)")
     run.add_argument("--idiom", default=None,
                      help="idiom for software/cooperative (default: paper's choice)")
     run.add_argument("--param", action="append", default=[],
@@ -612,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict the invariant sweep (default: all)")
     audit.add_argument("--schemes", nargs="+", default=None, choices=scheme_names(),
                        metavar="SCHEME",
-                       help="restrict the invariant sweep (default: all five)")
+                       help="restrict the invariant sweep (default: every "
+                            "registered scheme, paper and zoo)")
     audit.add_argument("--every", type=_bounded(int, 1),
                        default=512, metavar="N",
                        help="invariant-sweep cadence in commits (default: 512)")

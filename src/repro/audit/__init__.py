@@ -40,6 +40,7 @@ from .gate import (
     audit_workloads,
     differential_check,
     fidelity_gate,
+    golden_drift,
     load_golden,
 )
 from .invariants import (
@@ -85,6 +86,7 @@ __all__ = [
     "fidelity_gate",
     "figure5_observations",
     "flatten_report",
+    "golden_drift",
     "load_golden",
     "reference_simulate",
     "regressions",

@@ -16,7 +16,8 @@ the CI ``audit`` job:
   re-runs the full timing simulation on the reference path and diffs
   final stats field-by-field.
 * :func:`fidelity_gate` — re-run the golden cells and report per-metric
-  drift (golden vs observed, signed delta) instead of a bare mismatch.
+  drift (golden vs observed, signed delta) instead of a bare mismatch;
+  :func:`golden_drift` does it for one pin.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from typing import Any, Iterable
 from ..config import get_machine
 from ..cpu.simulator import simulate
 from ..errors import WorkloadError
-from ..harness.runner import BenchmarkRunner
+from ..harness.cells import RunSpec, SweepError, simulate_cell
 from ..harness.schemes import scheme_names, scheme_plan
+from ..harness.spec import ExperimentSpec, WorkloadSel, run_spec
 from ..obs import Telemetry
 from ..workloads import get_workload, workload_class, workload_names
 from .diff import diff_commit_streams, diff_results, reference_simulate
@@ -136,15 +138,13 @@ def audit_workloads(
         cfg = cfg.with_overrides({"mshr_model": mshr_model})
     cells: list[AuditCell] = []
     for name in workloads or workload_names():
-        workload = get_workload(name, **workload_class(name).test_params())
-        programs: dict[str, Any] = {}
+        params = workload_class(name).test_params()
+        workload = get_workload(name, **params)
         for scheme in schemes or scheme_names():
             try:
-                variant, engine = scheme_plan(workload, scheme, None)
+                variant, engine = scheme_plan(workload, scheme)
             except WorkloadError:
                 continue  # workload has no variant for this scheme
-            if variant not in programs:
-                programs[variant] = workload.build(variant).program
             telemetry = Telemetry()
             auditor = Auditor(interval=interval, strict=strict)
             corrupted = drill is not None and drill.matches(
@@ -158,8 +158,8 @@ def audit_workloads(
                     # The MSHR laws only arm under the non-blocking
                     # models; drill them in the same corrupt cells.
                     corrupt_mshr_tracker(auditor, after=0)
-            simulate(
-                programs[variant], cfg, engine=engine,
+            simulate_cell(
+                RunSpec.make(name, variant, engine, cfg, params),
                 telemetry=telemetry, audit=auditor,
             )
             cells.append(AuditCell(
@@ -189,10 +189,7 @@ def _golden_cells(golden: dict[str, Any]) -> list[tuple[str, str, dict, str]]:
         idiom = entry.get("idiom")
         workload = get_workload(name, **params)
         for scheme in sorted(entry["schemes"]):
-            variant, __ = scheme_plan(
-                workload, scheme,
-                idiom if scheme in ("software", "cooperative") else None,
-            )
+            variant, __ = scheme_plan(workload, scheme, idiom)
             key = (name, variant, json.dumps(params, sort_keys=True))
             if key in seen:
                 continue
@@ -255,54 +252,60 @@ def differential_check(
 # Paper-fidelity gate over the golden cells
 # ----------------------------------------------------------------------
 
+def golden_drift(
+    label: str, entry: dict[str, Any], machine: str = "small"
+) -> list[dict[str, Any]]:
+    """Re-run one golden pin and report its per-metric drift.
+
+    The pin becomes a one-workload experiment spec (its ``idiom`` and
+    ``mshr_model`` included), so it runs the same cells as ``run-spec``.
+    Output rows name the cell, scheme and metric with the golden value,
+    the observed value, and the signed delta — so a regression reads as
+    "treeadd/hardware cycles drifted +212 (+1.8%)", not "golden file
+    mismatch".  An empty list means zero drift (the timing model is
+    pinned bit-exact).
+    """
+    spec = ExperimentSpec(
+        name=f"golden-{label}",
+        machine=machine,
+        overrides=({"mshr_model": entry["mshr_model"]}
+                   if "mshr_model" in entry else {}),
+        workloads=(WorkloadSel(entry.get("workload", label),
+                               params=dict(entry["params"]),
+                               idiom=entry.get("idiom")),),
+        schemes=tuple(sorted(entry["schemes"])),
+        columns=("scheme",) + GOLDEN_METRICS,
+    )
+    rows: list[dict[str, Any]] = []
+    for got in run_spec(spec):
+        scheme = got["scheme"]
+        if "error" in got:
+            raise SweepError(
+                f"{label}/{scheme} failed:\n{got['error_detail']}"
+            )
+        want = entry["schemes"][scheme]
+        for metric in GOLDEN_METRICS:
+            drift = got[metric] - want[metric]
+            if drift == 0:
+                continue
+            rows.append({
+                "cell": label,
+                "scheme": scheme,
+                "metric": metric,
+                "golden": want[metric],
+                "observed": got[metric],
+                "drift": f"{drift:+d}"
+                + (f" ({drift / want[metric]:+.2%})" if want[metric] else ""),
+                "ok": False,
+            })
+    return rows
+
+
 def fidelity_gate(
     golden_path: str | Path | None = None,
     machine: str = "small",
 ) -> list[dict[str, Any]]:
-    """Re-run every golden cell and report per-metric drift.
-
-    Output rows name the cell, scheme and metric with the golden value,
-    the observed value, and the signed delta — so a regression reads as
-    "treeadd/hardware cycles drifted +212 (+1.8%)", not "golden file
-    mismatch".  ``ok`` is True only at zero drift (the timing model is
-    pinned bit-exact).
-    """
+    """:func:`golden_drift` over every pin of the golden file."""
     golden = load_golden(golden_path)
-    cfg = get_machine(machine)
-    rows: list[dict[str, Any]] = []
-    for label, entry in sorted(golden.items()):
-        entry_cfg = cfg
-        if "mshr_model" in entry:
-            # Non-blocking pins carry their model next to the params.
-            entry_cfg = cfg.with_overrides(
-                {"mshr_model": entry["mshr_model"]}
-            )
-        runner = BenchmarkRunner(
-            entry.get("workload", label), entry_cfg, entry["params"]
-        )
-        idiom = entry.get("idiom")
-        for scheme, want in sorted(entry["schemes"].items()):
-            run = runner.run(
-                scheme,
-                idiom if scheme in ("software", "cooperative") else None,
-            )
-            got = {
-                "cycles": run.total,
-                "compute": run.compute,
-                "instructions": run.result.instructions,
-            }
-            for metric in GOLDEN_METRICS:
-                drift = got[metric] - want[metric]
-                if drift == 0:
-                    continue
-                rows.append({
-                    "cell": label,
-                    "scheme": scheme,
-                    "metric": metric,
-                    "golden": want[metric],
-                    "observed": got[metric],
-                    "drift": f"{drift:+d}"
-                    + (f" ({drift / want[metric]:+.2%})" if want[metric] else ""),
-                    "ok": False,
-                })
-    return rows
+    return [row for label, entry in sorted(golden.items())
+            for row in golden_drift(label, entry, machine)]

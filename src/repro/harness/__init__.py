@@ -1,8 +1,8 @@
-"""Experiment harness: scheme runner, spec-driven sweeps, reporting."""
+"""Experiment harness: scheme runs, spec-driven sweeps, reporting."""
 
 from .backends import WorkerBackend, detect_cpus
 from .cache import ResultCache, code_fingerprint, spec_key
-from .cells import run_cell
+from .cells import run_cell, simulate_cell
 from .executor import (
     CellError,
     CellResult,
@@ -16,7 +16,7 @@ from .executor import (
 )
 from .experiments import MEMORY_BOUND, figure5_summary
 from .reporting import format_table, normalized_bar, print_rows
-from .runner import SCHEMES, BenchmarkRunner, SchemeRun, scheme_plan
+from .runner import SCHEMES, SchemeRun
 from .schemes import (
     SCHEME_REGISTRY,
     Scheme,
@@ -24,6 +24,7 @@ from .schemes import (
     paper_scheme_names,
     register_scheme,
     scheme_names,
+    scheme_plan,
 )
 from .spec import (
     Axis,
@@ -35,16 +36,15 @@ from .spec import (
     load_spec,
     run_spec,
     spec_artifact,
-    spec_row,
 )
 from .tournament import is_tournament_spec, tournament_summary
 
 __all__ = [
     "Axis",
-    "BenchmarkRunner",
     "WorkerBackend",
     "detect_cpus",
     "run_cell",
+    "simulate_cell",
     "CellError",
     "CellResult",
     "CompiledSpec",
@@ -70,7 +70,6 @@ __all__ = [
     "paper_scheme_names",
     "scheme_names",
     "spec_artifact",
-    "spec_row",
     "is_tournament_spec",
     "tournament_summary",
     "spec_key",

@@ -85,9 +85,7 @@ def _worker_program(spec: RunSpec) -> Any:
     """The built program for ``spec``, memoized per worker process.
 
     Safe to reuse across cells: builds are deterministic and
-    ``simulate()`` treats the program as read-only (the in-process
-    :class:`~repro.harness.runner.BenchmarkRunner` has always reused
-    built variants the same way)."""
+    ``simulate()`` treats the program as read-only."""
     key = (spec.benchmark, spec.params, spec.variant)
     program = _worker_programs.get(key)
     if program is not None:

@@ -4,8 +4,9 @@ A sweep — serial or fanned out over a local process pool — is a set of
 :class:`RunSpec` cells, each one ``simulate()`` call.  This module owns
 the cell identity (hashable, content-addressed through
 :func:`repro.harness.cache.spec_key`, and pickled as-is to pool
-workers), the cell outcome (:class:`CellResult`), and the worker body
-that turns a spec into a result (:func:`run_cell`).
+workers), the cell outcome (:class:`CellResult`), and the one function
+that turns a spec into a result (:func:`simulate_cell`, wrapped for
+workers by :func:`run_cell`).
 
 The layers stack on top:
 
@@ -25,7 +26,7 @@ from ..config import MachineConfig
 from ..core.characterization import characterize
 from ..cpu.simulator import simulate
 from ..errors import ReproError
-from ..workloads import get_workload
+from ..workloads import get_workload, workload_class
 
 
 class SweepError(ReproError):
@@ -139,44 +140,52 @@ class Attempt:
     deadline: float | None = None
 
 
+def simulate_cell(
+    spec: RunSpec,
+    program: Any = None,
+    *,
+    telemetry: Any = None,
+    audit: Any = None,
+) -> Any:
+    """Run one cell on ``program`` (built from the spec when None) and
+    return its result; raises on failure.  ``telemetry`` stands in for
+    the context a ``telemetry=True`` cell attaches, and ``audit`` is an
+    optional :class:`~repro.audit.Auditor`."""
+    if program is None:
+        workload = get_workload(spec.benchmark, **dict(spec.params))
+        program = workload.build(spec.variant).program
+    if spec.kind == "table1":
+        cls = workload_class(spec.benchmark)
+        row, __ = characterize(spec.benchmark, program, spec.cfg,
+                               structure=cls.structure, idioms=cls.idioms)
+        return row.as_dict()
+    profiler = None
+    if spec.profile:
+        from ..obs.profile import Profiler
+
+        profiler = Profiler()
+    if telemetry is None and spec.telemetry:
+        from ..obs import Telemetry
+
+        telemetry = Telemetry()
+    return simulate(program, spec.cfg, engine=spec.engine,
+                    profile=profiler, telemetry=telemetry, audit=audit)
+
+
 def run_cell(
     spec: RunSpec,
     program_factory: Callable[[], Any] | None = None,
 ) -> tuple[str, ...]:
-    """Worker body: build the program and simulate.  Must stay a
-    module-level function (pickled by name into pool workers); never
-    raises — failures come back as ``("error", kind, traceback)``.
+    """Worker body: :func:`simulate_cell` that never raises — failures
+    come back as ``("error", kind, traceback)``.  Must stay a
+    module-level function (pickled by name into pool workers).
 
     ``program_factory`` short-circuits the workload rebuild when the
     caller holds a memoized program (the per-worker memo of
     :mod:`repro.harness.backends`)."""
     try:
-        if spec.kind == "table1":
-            workload = get_workload(spec.benchmark, **dict(spec.params))
-            program = workload.build(spec.variant).program
-            row, __ = characterize(
-                spec.benchmark, program, spec.cfg,
-                structure=workload.structure, idioms=workload.idioms,
-            )
-            return ("ok", row.as_dict())
-        if program_factory is not None:
-            program = program_factory()
-        else:
-            workload = get_workload(spec.benchmark, **dict(spec.params))
-            program = workload.build(spec.variant).program
-        profiler = None
-        if spec.profile:
-            from ..obs.profile import Profiler
-
-            profiler = Profiler()
-        telemetry = None
-        if spec.telemetry:
-            from ..obs import Telemetry
-
-            telemetry = Telemetry()
-        result = simulate(program, spec.cfg, engine=spec.engine,
-                          profile=profiler, telemetry=telemetry)
-        return ("ok", result)
+        program = program_factory() if program_factory is not None else None
+        return ("ok", simulate_cell(spec, program))
     except Exception as exc:
         return ("error", type(exc).__name__, traceback.format_exc())
 
@@ -208,4 +217,5 @@ __all__ = [
     "SweepError",
     "error_row",
     "run_cell",
+    "simulate_cell",
 ]

@@ -23,7 +23,8 @@ everything a worker backend must not reinvent:
 The layers it stands on:
 
 * :mod:`repro.harness.cells` — the cell vocabulary (:class:`RunSpec`,
-  :class:`CellResult`, the ``run_cell`` worker body);
+  :class:`CellResult`, :func:`simulate_cell` and its ``run_cell``
+  worker wrapper);
 * :mod:`repro.harness.backends` — *where* a cell runs: serially for
   ``jobs=1`` or a one-cell plan, else the local process pool.
 
@@ -57,7 +58,8 @@ from .cells import (  # noqa: F401  (re-exported)
     error_row,
     run_cell,
 )
-from .runner import SchemeRun, scheme_plan
+from .runner import SchemeRun
+from .schemes import scheme_plan
 
 Progress = Callable[[str], None]
 
@@ -250,8 +252,8 @@ class ScheduledRun:
 class SweepPlan:
     """Collects cells for one experiment, then executes them at once.
 
-    ``add_run`` mirrors ``BenchmarkRunner.run`` and ``add_variant_run``
-    pairs any program variant with any engine; both defer execution and
+    ``add_run`` plans a registered scheme and ``add_variant_run`` pairs
+    any program variant with any engine; both defer execution and
     return a :class:`ScheduledRun` handle that resolves to a full
     :class:`~repro.harness.runner.SchemeRun` after :meth:`execute`.
     Compute-time cells (perfect data memory, no engine) are shared across
@@ -265,6 +267,10 @@ class SweepPlan:
     def add(self, spec: RunSpec) -> RunSpec:
         self._specs.append(spec)
         return spec
+
+    def cells(self) -> list[RunSpec]:
+        """The distinct cells, in the order they were first planned."""
+        return list(dict.fromkeys(self._specs))
 
     def add_run(
         self,

@@ -1,38 +1,22 @@
-"""Runs workloads under the paper's five configurations.
-
-The run matrix (Section 4.2, Figure 5):
-
-==============  =================  =============  =========================
-scheme          program variant    engine         notes
-==============  =================  =============  =========================
-``base``        baseline           none           the unoptimized execution
-``software``    ``sw:<idiom>``     software       explicit prefetch code
-``cooperative`` ``coop:<idiom>``   cooperative    JPF + dependence hardware
-``hardware``    baseline           hardware       DBP + JQT/JPR
-``dbp``         baseline           dbp            comparison point [16]
-==============  =================  =============  =========================
+"""Scheme runs: the paper's five schemes and one benchmark's result
+under one of them.
 
 Each run is decomposed into compute and memory time with a second
-simulation using single-cycle data memory (the paper's methodology).
+simulation using single-cycle data memory (the paper's methodology);
+:class:`~repro.harness.executor.SweepPlan` schedules that pair of cells
+and :class:`~repro.harness.executor.SweepResults` assembles the
+:class:`SchemeRun`.  The run matrix itself is tabled in
+:mod:`repro.harness.schemes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-from ..config import MachineConfig, bench_config
-from ..cpu.simulator import simulate
 from ..cpu.stats import SimResult
-from ..workloads import get_workload
-from .schemes import paper_scheme_names, scheme_plan
+from .schemes import paper_scheme_names
 
-__all__ = ["SCHEMES", "BenchmarkRunner", "SchemeRun", "scheme_plan"]
-
-
-def _schemes() -> tuple[str, ...]:
-    """The run matrix's scheme axis: the registry's ``"paper"`` group."""
-    return tuple(paper_scheme_names())
+__all__ = ["SCHEMES", "SchemeRun"]
 
 
 #: The paper's five schemes in presentation order.  Derived from the
@@ -40,7 +24,7 @@ def _schemes() -> tuple[str, ...]:
 #: filtered to the ``"paper"`` group, so zoo prefetchers (raced by
 #: the tournament spec) don't leak into the Figure 4/5/6 matrices.
 #: Use :func:`repro.harness.schemes.scheme_names` for the full list.
-SCHEMES = _schemes()
+SCHEMES = tuple(paper_scheme_names())
 
 
 @dataclass
@@ -82,53 +66,3 @@ class SchemeRun:
             d["normalized"] = self.normalized(baseline_total)
         d["result"] = self.result.to_dict()
         return d
-
-
-class BenchmarkRunner:
-    """Runs one workload's scheme matrix, caching compute-time runs per
-    program variant (base/hardware/dbp share the baseline's)."""
-
-    def __init__(
-        self,
-        name: str,
-        cfg: MachineConfig | None = None,
-        params: dict[str, Any] | None = None,
-    ) -> None:
-        self.name = name
-        self.cfg = cfg or bench_config()
-        self.workload = get_workload(name, **(params or {}))
-        self._compute_cache: dict[str, int] = {}
-        self._built: dict[str, Any] = {}
-
-    def _program(self, variant: str):
-        if variant not in self._built:
-            self._built[variant] = self.workload.build(variant)
-        return self._built[variant].program
-
-    def _compute_time(self, variant: str) -> int:
-        if variant not in self._compute_cache:
-            res = simulate(self._program(variant), self.cfg.perfect(), engine="none")
-            self._compute_cache[variant] = res.cycles
-        return self._compute_cache[variant]
-
-    def run(
-        self,
-        scheme: str,
-        idiom: str | None = None,
-        telemetry=None,
-        profile=None,
-        audit=None,
-    ) -> SchemeRun:
-        variant, engine = scheme_plan(self.workload, scheme, idiom)
-        result = simulate(
-            self._program(variant), self.cfg, engine=engine,
-            telemetry=telemetry, profile=profile, audit=audit,
-        )
-        return SchemeRun(
-            benchmark=self.name,
-            scheme=scheme,
-            variant=variant,
-            total=result.cycles,
-            compute=self._compute_time(variant),
-            result=result,
-        )

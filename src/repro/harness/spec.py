@@ -470,7 +470,7 @@ class CompiledSpec:
     @property
     def cell_count(self) -> int:
         """Distinct simulation cells after deduplication."""
-        return len(set(self.plan._specs))
+        return len(self.plan.cells())
 
     def execute(
         self, executor: SweepExecutor | None = None
@@ -648,31 +648,16 @@ def assemble_rows(
             row.update(rp.axis)
             rows.append(row)
             continue
-        rows.append(spec_row(spec, rp.label, run, base, rp.benchmark,
-                             rp.axis))
+        row = {}
+        for col in spec.columns:
+            if col == spec.label_key:
+                row[col] = rp.label
+            elif col in rp.axis:
+                row[col] = rp.axis[col]
+            else:
+                row[col] = METRICS[col](run, base, rp.benchmark)
+        rows.append(row)
     return rows
-
-
-def spec_row(
-    spec: ExperimentSpec,
-    label: str,
-    run: SchemeRun,
-    base: SchemeRun,
-    benchmark: str,
-    axis: Mapping[str, Any] | None = None,
-) -> dict[str, object]:
-    """One report row of ``spec``: its label, the axis point's values,
-    and every other column's :data:`METRICS` entry over (run, base)."""
-    axis = axis or {}
-    row: dict[str, object] = {}
-    for col in spec.columns:
-        if col == spec.label_key:
-            row[col] = label
-        elif col in axis:
-            row[col] = axis[col]
-        else:
-            row[col] = METRICS[col](run, base, benchmark)
-    return row
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 tracing, and machine-readable run artifacts.
 
 One :class:`Telemetry` object is the per-simulation context.  Pass it to
-:func:`repro.cpu.simulator.simulate` (or a harness runner) and the
-memory hierarchy and prefetch engine register their instruments into its
+:func:`repro.cpu.simulator.simulate` (or
+:func:`repro.harness.simulate_cell`) and the memory hierarchy and
+prefetch engine register their instruments into its
 :class:`~repro.obs.metrics.MetricRegistry` and report prefetch outcomes
 to its :class:`~repro.obs.outcomes.OutcomeTracker`.  With no telemetry
 attached (the default) every hook site is a single ``is None`` check, so

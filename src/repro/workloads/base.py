@@ -61,7 +61,11 @@ class Workload(abc.ABC):
     name: str = ""
     #: Table-1 structure description
     structure: str = ""
-    #: Table-1 idiom assessment (idioms worth implementing)
+    #: Table-1 idiom assessment: the idioms the paper judges worth
+    #: implementing.  Every one has ``sw:``/``coop:`` variants, but the
+    #: variants may go further: bisort and tsp (volatile lists) and
+    #: voronoi (transient strips) list none, so Table 1 prints "-", yet
+    #: carry a queue variant that Figure 5 runs.
     idioms: tuple[str, ...] = ()
     #: variants accepted by :meth:`build` besides ``baseline``
     variants: tuple[str, ...] = ("baseline",)

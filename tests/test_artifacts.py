@@ -5,7 +5,7 @@ import io
 import json
 
 from repro import Telemetry, simulate, small_config
-from repro.harness import BenchmarkRunner
+from repro.harness import SweepPlan
 from repro.obs import artifact, dump_json, load_json, schema_kind
 
 from tests.conftest import assemble_list_walk
@@ -57,11 +57,12 @@ class TestSchemeRunToDict:
     def test_shape_and_normalization(self):
         from repro.workloads import workload_class
 
-        runner = BenchmarkRunner(
-            "health", small_config(), workload_class("health").test_params()
-        )
-        base = runner.run("base")
-        run = runner.run("hardware", telemetry=Telemetry())
+        plan = SweepPlan(small_config())
+        params = workload_class("health").test_params()
+        handles = [plan.add_run("health", s, params, telemetry=True)
+                   for s in ("base", "hardware")]
+        results = plan.execute()
+        base, run = (results.scheme_run(h) for h in handles)
         d = run.to_dict(baseline_total=base.total)
         assert d["scheme"] == "hardware"
         assert d["memory"] == d["total"] - d["compute"]

@@ -33,8 +33,14 @@ def test_run_with_params_and_idiom(capsys):
 
 def test_machine_overrides(capsys):
     from repro import bench_config, get_machine
-    from repro.harness import BenchmarkRunner
+    from repro.harness import SweepPlan
     from repro.workloads import workload_class
+
+    def total(cfg, scheme):
+        plan = SweepPlan(cfg)
+        handle = plan.add_run("treeadd", scheme,
+                              workload_class("treeadd").test_params())
+        return plan.execute().scheme_run(handle).total
 
     assert main([
         "run", "treeadd", "--small", "--scheme", "hardware",
@@ -42,16 +48,11 @@ def test_machine_overrides(capsys):
     ]) == 0
     out = capsys.readouterr().out
     cfg = bench_config().with_memory_latency(140).with_jump_interval(4)
-    run = BenchmarkRunner(
-        "treeadd", cfg, workload_class("treeadd").test_params()
-    ).run("hardware")
-    assert f" {run.total} " in out
+    assert f" {total(cfg, 'hardware')} " in out
     # --machine picks the named machine the same way run-spec does.
     assert main(["run", "treeadd", "--small", "--machine", "small"]) == 0
-    small = BenchmarkRunner(
-        "treeadd", get_machine("small"), workload_class("treeadd").test_params()
-    ).run("base")
-    assert f" {small.total} " in capsys.readouterr().out
+    small = total(get_machine("small"), "base")
+    assert f" {small} " in capsys.readouterr().out
 
 
 def test_parse_params_types():

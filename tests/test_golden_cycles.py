@@ -14,7 +14,10 @@ explicitly (so one workload can be pinned at several sizes, e.g.
 software/cooperative schemes (e.g. ``health@sw-root`` pins the
 root-jumping variant instead of the workload's default), and may pin a
 non-default MSHR model via ``mshr_model`` (e.g. ``em3d@mshr-full`` runs
-the same cell under the fully non-blocking hierarchy).
+the same cell under the fully non-blocking hierarchy).  Each pin runs
+as a one-workload experiment spec through
+:func:`repro.audit.gate.golden_drift`, the same check as ``repro
+audit``'s fidelity gate.
 """
 
 import json
@@ -22,8 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import small_config
-from repro.harness import BenchmarkRunner
+from repro.audit import golden_drift
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_cycles.json").read_text()
@@ -32,17 +34,4 @@ GOLDEN = json.loads(
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_cycles(name):
-    entry = GOLDEN[name]
-    cfg = small_config()
-    if "mshr_model" in entry:
-        cfg = cfg.with_overrides({"mshr_model": entry["mshr_model"]})
-    runner = BenchmarkRunner(entry.get("workload", name), cfg, entry["params"])
-    idiom = entry.get("idiom")
-    for scheme, want in sorted(entry["schemes"].items()):
-        run = runner.run(scheme, idiom if scheme in ("software", "cooperative") else None)
-        got = {
-            "cycles": run.total,
-            "compute": run.compute,
-            "instructions": run.result.instructions,
-        }
-        assert got == want, f"{name}/{scheme} diverged from golden"
+    assert golden_drift(name, GOLDEN[name], "small") == []

@@ -1,6 +1,9 @@
 """JPP framework: the Table-1 characterization."""
 
+import pytest
+
 from repro.core.characterization import CharacterizationRow
+from repro.workloads import workload_class, workload_names
 
 
 class TestCharacterization:
@@ -31,3 +34,13 @@ class TestCharacterization:
         assert 0.0 <= row.memory_fraction < 1.0
         assert row.miss_parallelism >= 0.0
         assert result.instructions == row.instructions
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_table1_idioms_are_implemented(name):
+    # Table 1's idioms are the worth-implementing subset of the variants
+    # (bisort, tsp and voronoi list none but still carry a queue variant).
+    cls = workload_class(name)
+    for idiom in cls.idioms:
+        assert f"sw:{idiom}" in cls.variants
+        assert f"coop:{idiom}" in cls.variants

@@ -1,19 +1,21 @@
-"""Experiment runner: scheme mapping and decompositions."""
+"""Scheme runs: scheme mapping and decompositions."""
 
 import pytest
 
-from repro import WorkloadError, get_workload
-from repro.harness import SCHEMES, BenchmarkRunner, SweepPlan, scheme_plan
+from repro import WorkloadError, get_workload, small_config
+from repro.harness import SCHEMES, SweepPlan, scheme_plan
 from repro.workloads import workload_class
+
+TREEADD = workload_class("treeadd").test_params()
 
 
 @pytest.fixture(scope="module")
-def runner(request):
-    from repro import small_config
-
-    return BenchmarkRunner(
-        "treeadd", small_config(), workload_class("treeadd").test_params()
-    )
+def matrix():
+    """treeadd's five scheme runs from one plan."""
+    plan = SweepPlan(small_config())
+    handles = {s: plan.add_run("treeadd", s, TREEADD) for s in SCHEMES}
+    results = plan.execute()
+    return {s: results.scheme_run(h) for s, h in handles.items()}
 
 
 class TestSchemePlan:
@@ -40,45 +42,44 @@ class TestSchemePlan:
             scheme_plan(w, "quantum")
 
 
-class TestBenchmarkRunner:
-    def test_base_run_decomposition(self, runner):
-        run = runner.run("base")
+class TestSchemeRuns:
+    def test_base_run_decomposition(self, matrix):
+        run = matrix["base"]
         assert run.scheme == "base"
         assert run.total > run.compute > 0
         assert run.memory == run.total - run.compute
         assert run.normalized(run.total) == 1.0
 
-    def test_memory_reduction_sign(self, runner):
-        base = runner.run("base")
-        sw = runner.run("software")
-        r = sw.memory_reduction(base.memory)
+    def test_memory_reduction_sign(self, matrix):
+        r = matrix["software"].memory_reduction(matrix["base"].memory)
         assert -2.0 < r <= 1.0
 
-    def test_compute_cache_reused(self, runner):
-        r1 = runner.run("base")
-        r2 = runner.run("dbp")
-        assert r1.compute == r2.compute  # same baseline program
+    def test_compute_cache_reused(self, matrix):
+        # base and dbp run the same baseline program: one compute cell.
+        plan = SweepPlan(small_config())
+        base = plan.add_run("treeadd", "base", TREEADD)
+        dbp = plan.add_run("treeadd", "dbp", TREEADD)
+        assert base.compute == dbp.compute
+        assert len(plan.cells()) == 3
+        assert matrix["base"].compute == matrix["dbp"].compute
 
-    def test_all_schemes_run(self, runner):
-        matrix = {scheme: runner.run(scheme) for scheme in SCHEMES}
-        assert set(matrix) == set(SCHEMES)
+    def test_all_schemes_run(self, matrix):
+        assert list(matrix) == list(SCHEMES)
         for run in matrix.values():
             assert run.total > 0
 
-    def test_run_variant_direct(self, runner):
-        plan = SweepPlan(runner.cfg)
+    def test_run_variant_direct(self):
+        plan = SweepPlan(small_config())
         handle = plan.add_variant_run("treeadd", "coop:queue", "cooperative",
-                                      runner.workload.params)
+                                      TREEADD)
         run = plan.execute().scheme_run(handle)
         assert run.variant == "coop:queue"
         assert run.total > 0
 
 
 def test_run_scheme_oneshot():
-    from repro import small_config
-
-    run = BenchmarkRunner(
-        "power", small_config(), workload_class("power").test_params()
-    ).run("base")
+    plan = SweepPlan(small_config())
+    handle = plan.add_run("power", "base", workload_class("power").test_params())
+    run = plan.execute().scheme_run(handle)
     assert run.benchmark == "power"
     assert run.total > 0

@@ -24,6 +24,7 @@ from repro.audit.diff import diff_commit_streams, reference_simulate
 from repro.cpu.simulator import simulate
 from repro.errors import ExecutionError
 from repro.harness import ExperimentSpec, SpecError
+from repro.isa.interpreter import Interpreter
 from repro.isa.registers import A0, A1, RA, T0, T1, T2, T3, V0, ZERO
 
 from tests.conftest import shipped_spec
@@ -72,6 +73,10 @@ def _random_program(ops, iters, seed, with_call):
     a.beqz(T0, "walk")
     for op, rd, rs2 in ops:
         getattr(a, op)(rd, rd, rs2)
+        # Registers are unbounded ints: keep the workloads' 32-bit
+        # discipline, or repeated squaring grows values (and run time)
+        # without limit.
+        a.andi(rd, rd, 0xFFFFFFFF)
     a.lw(V0, ZERO, arr + 4 * (seed % 8))
     a.sw(T1, ZERO, arr + 4 * ((seed + 3) % 8))
     if with_call:
@@ -93,6 +98,13 @@ def _random_program(ops, iters, seed, with_call):
         a.addi(T2, T2, 1)
         a.jr(RA)
     return a.assemble("sim_engine_prop")
+
+
+def test_random_program_values_stay_32_bit():
+    # Two squarings per iteration over eight iterations once committed
+    # a 522,046-bit value; every op is now masked back to 32 bits.
+    program = _random_program([("mul", T1, T1)] * 2, 8, 250, False)
+    assert all(value < 2**32 for __, __, value, __ in Interpreter(program).run())
 
 
 class TestEngineLockstepProps:
