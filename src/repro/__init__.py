@@ -7,9 +7,8 @@ Public API highlights:
   mini-ISA program on the simulated Table-2 machine.
 * :func:`repro.get_workload` — the Olden kernels and their JPP variants.
 * :class:`repro.MachineConfig` — machine parameters (Table 2 defaults).
-* :mod:`repro.core` — the JPP framework: the software jump queue, the
-  software/cooperative jump-pointer prefetch emitter, and the Table-1
-  characterization.
+* :mod:`repro.core` — the JPP framework: the software jump queue and
+  the software/cooperative jump-pointer prefetch emitter.
 * :mod:`repro.harness` — the sweep machinery; every paper table/figure
   is a declarative :class:`~repro.harness.ExperimentSpec` file
   (``examples/specs/``) run via :func:`~repro.harness.run_spec`.
@@ -34,7 +33,7 @@ from .config import (
     small_config,
     table2_config,
 )
-from .registry import Registry, describe_registries
+from .registry import Registry
 from .cpu import (
     Decomposition,
     SimResult,
@@ -42,7 +41,6 @@ from .cpu import (
     simulate,
     simulate_decomposed,
 )
-from .core import characterize
 from .errors import (
     AssemblyError,
     ConfigError,
@@ -55,6 +53,23 @@ from .obs import EventTrace, MetricRegistry, Telemetry
 from .workloads import BuiltProgram, Workload, get_workload, workload_names
 
 __version__ = "1.0.0"
+
+
+def describe_registries() -> dict[str, list[str]]:
+    """Names in every experiment-axis registry."""
+    from .config import MACHINES, MSHR_MODELS
+    from .harness.schemes import SCHEME_REGISTRY
+    from .prefetch.engines import ENGINES
+    from .workloads.registry import WORKLOADS
+
+    return {
+        "machines": MACHINES.names(),
+        "schemes": SCHEME_REGISTRY.names(),
+        "engines": ENGINES.names(),
+        "mshr_models": list(MSHR_MODELS),
+        "workloads": WORKLOADS.names(sort=True),
+    }
+
 
 __all__ = [
     "AssemblyError",
@@ -83,7 +98,6 @@ __all__ = [
     "WorkloadError",
     "__version__",
     "bench_config",
-    "characterize",
     "describe_registries",
     "get_machine",
     "get_workload",

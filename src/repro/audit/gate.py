@@ -252,20 +252,13 @@ def differential_check(
 # Paper-fidelity gate over the golden cells
 # ----------------------------------------------------------------------
 
-def golden_drift(
+def golden_spec(
     label: str, entry: dict[str, Any], machine: str = "small"
-) -> list[dict[str, Any]]:
-    """Re-run one golden pin and report its per-metric drift.
-
-    The pin becomes a one-workload experiment spec (its ``idiom`` and
-    ``mshr_model`` included), so it runs the same cells as ``run-spec``.
-    Output rows name the cell, scheme and metric with the golden value,
-    the observed value, and the signed delta — so a regression reads as
-    "treeadd/hardware cycles drifted +212 (+1.8%)", not "golden file
-    mismatch".  An empty list means zero drift (the timing model is
-    pinned bit-exact).
-    """
-    spec = ExperimentSpec(
+) -> ExperimentSpec:
+    """One golden pin as a one-workload experiment spec, its ``idiom``
+    and ``mshr_model`` included, so it runs the same cells as
+    ``run-spec``."""
+    return ExperimentSpec(
         name=f"golden-{label}",
         machine=machine,
         overrides=({"mshr_model": entry["mshr_model"]}
@@ -276,8 +269,22 @@ def golden_drift(
         schemes=tuple(sorted(entry["schemes"])),
         columns=("scheme",) + GOLDEN_METRICS,
     )
+
+
+def golden_drift(
+    label: str, entry: dict[str, Any], machine: str = "small"
+) -> list[dict[str, Any]]:
+    """Re-run one golden pin (its :func:`golden_spec`) and report its
+    per-metric drift.
+
+    Output rows name the cell, scheme and metric with the golden value,
+    the observed value, and the signed delta — so a regression reads as
+    "treeadd/hardware cycles drifted +212 (+1.8%)", not "golden file
+    mismatch".  An empty list means zero drift (the timing model is
+    pinned bit-exact).
+    """
     rows: list[dict[str, Any]] = []
-    for got in run_spec(spec):
+    for got in run_spec(golden_spec(label, entry, machine)):
         scheme = got["scheme"]
         if "error" in got:
             raise SweepError(

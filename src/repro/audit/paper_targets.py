@@ -155,9 +155,9 @@ def figure5_observations(
 def table1_observations(rows: list[Mapping]) -> dict[str, float]:
     """Map Table-1 characterization rows onto target keys.
 
-    Accepts the :func:`repro.harness.table1` row format (``benchmark``,
-    ``mem frac%``, ``%misses lds`` columns, percentages — see
-    :meth:`repro.core.characterization.Characterization.row`).
+    Accepts the rows of ``examples/specs/table1.toml`` (``benchmark``,
+    ``mem frac%``, ``%misses lds`` columns, percentages — see their
+    :data:`repro.harness.spec.METRICS` entries).
     """
     obs: dict[str, float] = {}
     for row in rows:

@@ -23,7 +23,6 @@ def simulate(
     program: Program,
     cfg: MachineConfig | None = None,
     engine: str | PrefetchEngine = "none",
-    collect_miss_intervals: bool = False,
     max_steps: int | None = None,
     telemetry=None,
     audit=None,
@@ -52,7 +51,6 @@ def simulate(
         program,
         cfg,
         engine,
-        collect_miss_intervals=collect_miss_intervals,
         max_steps=max_steps,
         telemetry=telemetry,
         audit=audit,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import asdict, dataclass, field
 
 from ..mem.hierarchy import HierarchyStats
@@ -60,28 +59,9 @@ class SimResult:
         """Figure 6's metric (caller normalizes by *baseline* instructions)."""
         return self.hierarchy.bytes_l1_l2 / self.instructions if self.instructions else 0.0
 
-    def miss_parallelism(self) -> float:
-        """Average number of in-flight L1 data misses, sampled at each miss
-        (Table 1's parallelism metric).  Requires the simulation to have
-        been run with ``collect_miss_intervals=True``."""
-        intervals = self.hierarchy.miss_intervals
-        if not intervals:
-            return 0.0
-        starts = sorted(s for s, __ in intervals)
-        ends = sorted(e for __, e in intervals)
-        total = 0
-        for s, __ in intervals:
-            # misses started at or before s minus misses already done at s
-            total += _count_le(starts, s) - _count_le(ends, s)
-        return total / len(intervals)
-
     def to_dict(self) -> dict:
         """JSON-safe dict of all counters, nested stats, derived metrics
-        and (when present) the telemetry dump.  Large raw samples
-        (``miss_intervals``) are reduced to their count."""
-        hier = asdict(self.hierarchy)
-        intervals = hier.pop("miss_intervals", None)
-        hier["miss_interval_count"] = len(intervals) if intervals else 0
+        and (when present) the telemetry dump."""
         return {
             "engine": self.engine_name,
             "cycles": self.cycles,
@@ -102,7 +82,7 @@ class SimResult:
                 "bytes_l1_l2_per_inst": self.bytes_l1_l2_per_inst,
             },
             "branch": asdict(self.branch),
-            "hierarchy": hier,
+            "hierarchy": asdict(self.hierarchy),
             "engine_stats": asdict(self.engine),
             "extra": dict(self.extra),
             "telemetry": self.telemetry,
@@ -111,15 +91,7 @@ class SimResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimResult":
-        """Inverse of :meth:`to_dict` (used by the on-disk result cache).
-
-        Raw ``miss_intervals`` samples are not serialized, so they come
-        back as ``None`` — identical to a run executed without
-        ``collect_miss_intervals``.
-        """
-        hier = dict(d["hierarchy"])
-        hier.pop("miss_interval_count", None)
-        hier["miss_intervals"] = None
+        """Inverse of :meth:`to_dict` (used by the on-disk result cache)."""
         return cls(
             cycles=d["cycles"],
             instructions=d["instructions"],
@@ -127,7 +99,7 @@ class SimResult:
             stores=d["stores"],
             lds_loads=d["lds_loads"],
             branch=BranchStats(**d["branch"]),
-            hierarchy=HierarchyStats(**hier),
+            hierarchy=HierarchyStats(**d["hierarchy"]),
             engine=EngineStats(**d["engine_stats"]),
             l1d_accesses=d["l1d_accesses"],
             l1d_misses=d["l1d_misses"],
@@ -140,6 +112,3 @@ class SimResult:
             profile=d.get("profile"),
         )
 
-
-def _count_le(sorted_values: list[int], x: int) -> int:
-    return bisect.bisect_right(sorted_values, x)

@@ -90,7 +90,6 @@ class TimingModel:
         program: Program,
         cfg: MachineConfig,
         engine: PrefetchEngine | None = None,
-        collect_miss_intervals: bool = False,
         max_steps: int | None = None,
         telemetry=None,
         audit=None,
@@ -109,7 +108,6 @@ class TimingModel:
         self.hierarchy = MemoryHierarchy(
             cfg,
             use_prefetch_buffer=self.engine.uses_prefetch_buffer,
-            collect_miss_intervals=collect_miss_intervals,
         )
         self.hierarchy.set_telemetry(telemetry)
         if self.profiler is not None:

@@ -1,33 +1,31 @@
 """Content-addressed on-disk simulation result cache.
 
-Every experiment cell (one ``simulate()`` call, or one Table-1
-characterization) is identified by a SHA-256 key over the *complete* set
-of inputs that determine its outcome:
+Every experiment cell (one ``simulate()`` call) is identified by a
+SHA-256 key over the *complete* set of inputs that determine its
+outcome:
 
 * the canonicalized :class:`~repro.config.MachineConfig` (every nested
   dataclass field, via ``MachineConfig.to_dict``) — covering dotted-path
   overrides from experiment spec files just like hand-built configs,
 * the workload name, its parameters, and the program variant,
-* the prefetch engine name and the cell kind (``sim``/``table1``),
+* the prefetch engine name,
 * the ``profile``/``telemetry`` observer flags (their payloads ride in
   the stored result),
 * a fingerprint of the simulator source code (every ``.py`` file in the
-  packages that influence simulation results), so any change to the ISA,
-  memory, CPU, prefetch, or workload code invalidates prior entries while
+  packages that influence simulation results or the observer payloads
+  stored with them), so any change to the ISA, memory, CPU, prefetch,
+  observability or workload code invalidates prior entries while
   harness/doc/test changes do not.
 
-The value is written atomically and durably, decoded by cell kind: a
-``sim`` cell stores the ``repro.sim_result/1`` artifact
-(``SimResult.to_dict``) and a hit deserializes back to a ``SimResult``
-that compares equal to the cold run's (modulo raw ``miss_intervals``
-samples, which are never cached); a ``table1`` cell stores its row dict
-as ``repro.table1_row/1``.  Because every cell kind is cached, rerunning
-an interrupted sweep against the same cache executes only the cells it
-had not stored.  Hit/miss/write counters are registered in a
-:class:`~repro.obs.metrics.MetricRegistry`, so sweeps can report cache
-effectiveness alongside simulation metrics; so are the entries that
-could not be read (``cache.read_errors``, recomputed) or written
-(``cache.write_errors``, the sweep keeps the result).
+The value is the ``repro.sim_result/1`` artifact (``SimResult.to_dict``),
+written atomically and durably; a hit deserializes back to a
+``SimResult`` that compares equal to the cold run's.  Because every cell
+is cached, rerunning an interrupted sweep against the same cache
+executes only the cells it had not stored.  Hit/miss/write counters are
+registered in a :class:`~repro.obs.metrics.MetricRegistry`, so sweeps
+can report cache effectiveness alongside simulation metrics; so are the
+entries that could not be read (``cache.read_errors``, recomputed) or
+written (``cache.write_errors``, the sweep keeps the result).
 
 Cache location: ``$REPRO_CACHE_DIR`` when set, else ``.repro_cache/``
 under the current working directory.
@@ -49,26 +47,15 @@ from ..obs import MetricRegistry, artifact, schema_kind
 if TYPE_CHECKING:  # pragma: no cover
     from .executor import RunSpec
 
-#: Subpackages of ``repro`` whose source participates in the code
-#: fingerprint (everything that can change simulated cycle counts).
-_FINGERPRINT_PACKAGES = ("isa", "mem", "cpu", "prefetch", "core", "workloads")
-_FINGERPRINT_MODULES = ("config.py", "errors.py")
+#: Subpackages and modules of ``repro`` whose source participates in the
+#: code fingerprint: everything that can change simulated cycle counts
+#: or the observer payloads cached with them.  Their relative imports
+#: stay inside this set.
+_FINGERPRINT_PACKAGES = ("isa", "mem", "cpu", "prefetch", "core", "obs",
+                         "workloads")
+_FINGERPRINT_MODULES = ("config.py", "errors.py", "registry.py")
 
 _fingerprint_cache: str | None = None
-
-
-def _table1_row(doc: Any) -> dict[str, Any]:
-    if not isinstance(doc, dict):
-        raise ValueError(f"table1 row is a {type(doc).__name__}, not a dict")
-    return doc
-
-
-#: Per cell kind: the entry's artifact schema, and how the cell's result
-#: encodes to and decodes from the entry's ``result`` field.
-_CODECS = {
-    "sim": ("sim_result", SimResult.to_dict, SimResult.from_dict),
-    "table1": ("table1_row", dict, _table1_row),
-}
 
 logger = logging.getLogger(__name__)
 
@@ -126,7 +113,6 @@ def canonical_spec(spec: "RunSpec") -> dict[str, Any]:
         "params": {k: v for k, v in spec.params},
         "variant": spec.variant,
         "engine": spec.engine,
-        "kind": spec.kind,
         "profile": spec.profile,
         "telemetry": spec.telemetry,
         "config": spec.cfg.to_dict(),
@@ -206,10 +192,8 @@ class ResultCache:
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, spec: "RunSpec") -> Any | None:
-        """The cached result for ``spec`` — a :class:`SimResult` for a
-        ``sim`` cell, the row dict for a ``table1`` cell — or None on a
-        miss.
+    def get(self, spec: "RunSpec") -> SimResult | None:
+        """The cached :class:`SimResult` for ``spec``, or None on a miss.
 
         A missing entry is the normal cold miss.  An entry that *exists*
         but cannot be read — permission failure, I/O error, truncated or
@@ -232,11 +216,10 @@ class ResultCache:
             self._read_errors.inc()
             self._misses.inc()
             return None
-        schema, __, decode = _CODECS[spec.kind]
         try:
-            if schema_kind(doc) != schema:
+            if schema_kind(doc) != "sim_result":
                 raise ValueError(f"unexpected schema {doc.get('schema')!r}")
-            result = decode(doc["result"])
+            result = SimResult.from_dict(doc["result"])
         except (KeyError, TypeError, ValueError):
             # Incompatible or corrupt entry: treat as a miss and let the
             # fresh result overwrite it.
@@ -246,7 +229,7 @@ class ResultCache:
         self._hits.inc()
         return result
 
-    def put(self, spec: "RunSpec", result: Any) -> Path:
+    def put(self, spec: "RunSpec", result: SimResult) -> Path:
         """Store ``result`` under ``spec``'s key (atomic + durable rename).
 
         Counts the write on ``cache.writes``; an ``OSError`` (unwritable
@@ -254,8 +237,8 @@ class ResultCache:
         re-raised for the caller to decide."""
         canonical = canonical_spec(spec)
         path = self.path(_digest(canonical))
-        schema, encode, __ = _CODECS[spec.kind]
-        doc = artifact(schema, {"spec": canonical, "result": encode(result)})
+        doc = artifact("sim_result",
+                       {"spec": canonical, "result": result.to_dict()})
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_durably(path, doc)

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from ..config import MachineConfig
-from ..core.characterization import characterize
 from ..cpu.simulator import simulate
 from ..errors import ReproError
-from ..workloads import get_workload, workload_class
+from ..workloads import get_workload
 
 
 class SweepError(ReproError):
@@ -54,23 +53,20 @@ def _freeze_params(params: dict[str, Any] | None) -> tuple[tuple[str, Any], ...]
 class RunSpec:
     """One simulation cell: a (benchmark, variant, engine, config, params)
     point of a sweep.  Hashable — identical cells deduplicate in a plan
-    and address the same on-disk cache entry.
+    and address the same on-disk cache entry.  Every cell returns a
+    :class:`SimResult`.
 
-    ``kind`` selects the worker: ``"sim"`` runs the timing simulation and
-    returns a :class:`SimResult`; ``"table1"`` runs the Table-1
-    characterization (miss-interval collection plus the compute-time run)
-    and returns the row dict.
-
-    ``profile=True`` attaches a :class:`repro.obs.Profiler` to a ``sim``
+    ``profile=True`` attaches a :class:`repro.obs.Profiler` to the
     cell; the serialized CPI stack / site table rides along in
     ``SimResult.profile`` (and therefore into the result cache — the flag
     is part of the cache key, so profiled and unprofiled runs never serve
     each other's entries).
 
     ``telemetry=True`` attaches a :class:`repro.obs.Telemetry` context to
-    a ``sim`` cell: the serialized metric registry and per-prefetch
-    outcome counts ride along in ``SimResult.telemetry`` (and into the
-    result cache — the flag is part of the cache key, like ``profile``).
+    the cell: the serialized metric registry, per-prefetch outcome counts
+    and miss parallelism ride along in ``SimResult.telemetry`` (and into
+    the result cache — the flag is part of the cache key, like
+    ``profile``).
     Cycle counts are unaffected: telemetry is a pure observer.
     """
 
@@ -79,9 +75,10 @@ class RunSpec:
     engine: str
     cfg: MachineConfig
     params: tuple[tuple[str, Any], ...] = ()
-    kind: str = "sim"
     profile: bool = False
     telemetry: bool = False
+    # Read by bench/measure.py (``spec.kind == "sim"``); not a field.
+    kind: ClassVar[str] = "sim"
 
     @classmethod
     def make(
@@ -91,12 +88,11 @@ class RunSpec:
         engine: str,
         cfg: MachineConfig,
         params: dict[str, Any] | None = None,
-        kind: str = "sim",
         profile: bool = False,
         telemetry: bool = False,
     ) -> "RunSpec":
         return cls(
-            benchmark, variant, engine, cfg, _freeze_params(params), kind,
+            benchmark, variant, engine, cfg, _freeze_params(params),
             profile, telemetry,
         )
 
@@ -106,8 +102,6 @@ class RunSpec:
 
     def describe(self) -> str:
         label = f"{self.benchmark}[{self.variant}]"
-        if self.kind != "sim":
-            return f"{label} {self.kind}"
         tag = " (compute)" if self.cfg.perfect_data_memory else ""
         if self.profile:
             tag += " +profile"
@@ -121,7 +115,7 @@ class CellResult:
     """Outcome of one executed (or cache-served) cell."""
 
     spec: RunSpec
-    result: Any = None          # SimResult for "sim", row dict for "table1"
+    result: Any = None          # the cell's SimResult
     error: str | None = None
     error_kind: str | None = None   # exception class name of the failure
     cached: bool = False            # served from the on-disk result cache
@@ -154,11 +148,6 @@ def simulate_cell(
     if program is None:
         workload = get_workload(spec.benchmark, **dict(spec.params))
         program = workload.build(spec.variant).program
-    if spec.kind == "table1":
-        cls = workload_class(spec.benchmark)
-        row, __ = characterize(spec.benchmark, program, spec.cfg,
-                               structure=cls.structure, idioms=cls.idioms)
-        return row.as_dict()
     profiler = None
     if spec.profile:
         from ..obs.profile import Profiler

@@ -9,7 +9,7 @@ everything a worker backend must not reinvent:
   produce identical rows.
 * **Replay** — the content-addressed
   :class:`~repro.harness.cache.ResultCache`, consulted before any
-  worker sees a cell.  It stores every cell kind, so rerunning an
+  worker sees a cell.  It stores every cell, so rerunning an
   interrupted sweep against the same cache executes only the cells the
   first run did not finish: resuming is just running again.  A cache
   that cannot be written (read-only, full, not a directory) is counted
@@ -120,10 +120,8 @@ class SweepExecutor:
             status = "ERROR"
         elif cell.cached:
             status = "cache hit"
-        elif cell.spec.kind == "sim":
-            status = f"{cell.result.cycles} cycles"
         else:
-            status = "done"
+            status = f"{cell.result.cycles} cycles"
         self.progress(f"[{done}/{total}] {cell.spec.describe()}: {status}")
 
     def _finish(self, cell: CellResult, done: int, total: int) -> CellResult:
@@ -305,19 +303,6 @@ class SweepPlan:
         return self._schedule(
             benchmark, f"{engine}:{variant}", variant, engine, params, cfg,
             profile, telemetry,
-        )
-
-    def add_table1(
-        self,
-        benchmark: str,
-        params: dict[str, Any] | None = None,
-        cfg: MachineConfig | None = None,
-    ) -> RunSpec:
-        return self.add(
-            RunSpec.make(
-                benchmark, "baseline", "none", cfg or self.cfg, params,
-                kind="table1",
-            )
         )
 
     def _schedule(

@@ -17,10 +17,10 @@ Spec documents have this shape (TOML shown; JSON is isomorphic)::
 
     name = "figure7"
     title = "Figure 7 — latency tolerance (health)"
-    kind = "matrix"                  # or "table1"
     machine = "bench"                # a repro.config.MACHINES name
     # overrides = {"dl1.size" = 16384}   # dotted-path machine tweaks
     # profile = true                 # CPI-stack profiler on every timing cell
+    # telemetry = true               # outcome/miss telemetry on every timing cell
 
     workloads = ["health"]           # strings or [[workloads]] tables
     schemes = ["base", "software", "cooperative", "hardware", "dbp"]
@@ -58,7 +58,6 @@ from ..errors import ReproError
 from ..obs import artifact
 from ..workloads import get_workload, workload_class
 from .executor import (
-    RunSpec,
     ScheduledRun,
     SweepExecutor,
     SweepPlan,
@@ -100,6 +99,25 @@ METRICS: dict[str, Callable[[SchemeRun, SchemeRun, str], Any]] = {
     "creation overhead%": lambda run, base, name: round(
         100 * (run.compute / base.compute - 1), 1
     ),
+    # Table 1 (Section 4.1): where JPP is needed and applicable.
+    "insts": lambda run, base, name: run.result.instructions,
+    "loads": lambda run, base, name: run.result.loads,
+    "%lds loads": lambda run, base, name: round(
+        100 * run.result.lds_load_fraction, 1
+    ),
+    "L1 miss%": lambda run, base, name: round(
+        100 * run.result.l1d_miss_ratio, 2
+    ),
+    "%misses lds": lambda run, base, name: round(
+        100 * run.result.lds_miss_fraction, 1
+    ),
+    "mem frac%": lambda run, base, name: round(
+        100 * (run.memory / run.total if run.total else 0.0), 1
+    ),
+    "structure": lambda run, base, name: workload_class(name).structure,
+    "idioms": lambda run, base, name: (
+        "/".join(workload_class(name).idioms) or "-"
+    ),
 }
 
 
@@ -120,10 +138,11 @@ def _accuracy(run: SchemeRun) -> float:
     return round(100 * _outcome_counts(run).get("timely", 0) / issued, 1)
 
 
-#: Per-prefetch outcome columns (Section-5 taxonomy, PR-1 obs layer).
-#: These read ``SimResult.telemetry`` and therefore require the spec to
-#: set ``telemetry = true`` (validated at spec construction).
-OUTCOME_COLUMNS = {
+#: Columns that read ``SimResult.telemetry`` and therefore require the
+#: spec to set ``telemetry = true`` (validated at spec construction):
+#: the per-prefetch outcomes (Section-5 taxonomy) and Table 1's average
+#: number of in-flight L1 data misses, sampled at each miss.
+TELEMETRY_COLUMNS = {
     "timely": lambda run, base, name: _outcome_counts(run).get("timely", 0),
     "late": lambda run, base, name: _outcome_counts(run).get("late", 0),
     "early-evicted": lambda run, base, name: _outcome_counts(run).get(
@@ -133,8 +152,11 @@ OUTCOME_COLUMNS = {
     "dropped": lambda run, base, name: _outcome_counts(run).get("dropped", 0),
     "issued": lambda run, base, name: _outcome_raw(run, "issued"),
     "accuracy%": lambda run, base, name: _accuracy(run),
+    "miss parallelism": lambda run, base, name: round(
+        (run.result.telemetry or {}).get("miss_parallelism", 0.0), 2
+    ),
 }
-METRICS.update(OUTCOME_COLUMNS)
+METRICS.update(TELEMETRY_COLUMNS)
 
 #: Metrics that need the baseline run (a failed base fails the row).
 BASE_DEPENDENT = {"normalized", "mem_reduction%", "bytes/inst",
@@ -270,7 +292,6 @@ class ExperimentSpec:
 
     name: str
     title: str = ""
-    kind: str = "matrix"
     machine: str = "bench"
     overrides: dict[str, Any] = field(default_factory=dict)
     workloads: tuple[WorkloadSel, ...] = ()
@@ -285,17 +306,14 @@ class ExperimentSpec:
     telemetry: bool = False
     """Attach a :class:`repro.obs.Telemetry` context to every timing
     cell (``telemetry = true`` in the spec file): per-prefetch outcome
-    counts ride into the result cache with the ``SimResult``, unlocking
-    the :data:`OUTCOME_COLUMNS` (``timely``/``late``/…) and the
-    tournament's ranked summary.  Cycle counts are unchanged."""
+    counts and miss parallelism ride into the result cache with the
+    ``SimResult``, unlocking the :data:`TELEMETRY_COLUMNS`
+    (``timely``/``late``/…/``miss parallelism``) and the tournament's
+    ranked summary.  Cycle counts are unchanged."""
 
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("experiment spec has no name")
-        if self.kind not in ("matrix", "table1"):
-            raise SpecError(
-                f"unknown spec kind {self.kind!r}; choose 'matrix' or 'table1'"
-            )
         if not self.workloads:
             raise SpecError(f"spec {self.name!r} lists no workloads")
         seen: set[str] = set()
@@ -305,10 +323,10 @@ class ExperimentSpec:
             seen.add(axis.name)
         axis_names = seen
         for col in self.columns:
-            if col in OUTCOME_COLUMNS and not self.telemetry:
+            if col in TELEMETRY_COLUMNS and not self.telemetry:
                 raise SpecError(
-                    f"column {col!r} reads per-prefetch outcomes; set "
-                    "telemetry = true in the spec to collect them"
+                    f"column {col!r} reads run telemetry; set "
+                    "telemetry = true in the spec to collect it"
                 )
             if col == self.label_key or col in axis_names or col in METRICS:
                 continue
@@ -317,8 +335,8 @@ class ExperimentSpec:
                 f"({self.label_key!r}), an axis name, or a metric from "
                 f"{sorted(METRICS)}"
             )
-        if self.kind == "matrix" and not self.columns:
-            raise SpecError(f"spec {self.name!r} (kind=matrix) needs columns")
+        if not self.columns:
+            raise SpecError(f"spec {self.name!r} needs columns")
 
     # -- serialization -------------------------------------------------
 
@@ -327,7 +345,6 @@ class ExperimentSpec:
         d: dict[str, Any] = {
             "name": self.name,
             "title": self.title,
-            "kind": self.kind,
             "machine": self.machine,
             "workloads": [w.to_dict() for w in self.workloads],
         }
@@ -352,7 +369,7 @@ class ExperimentSpec:
         if not isinstance(data, Mapping):
             raise SpecError(f"spec must be a mapping, got {type(data).__name__}")
         _reject_unknown("spec", data, {
-            "name", "title", "kind", "machine", "overrides", "workloads",
+            "name", "title", "machine", "overrides", "workloads",
             "schemes", "axes", "columns", "label_key", "profile",
             "telemetry",
         })
@@ -362,7 +379,6 @@ class ExperimentSpec:
         return cls(
             name=get("name", str, ""),
             title=get("title", str, ""),
-            kind=get("kind", str, "matrix"),
             machine=get("machine", str, "bench"),
             overrides=dict(get("overrides", Mapping, {})),
             workloads=tuple(
@@ -444,15 +460,15 @@ def load_spec(path: str | Path) -> ExperimentSpec:
 
 @dataclass
 class _PlannedRow:
-    """One output row awaiting its cells: either a table1 cell or a
-    (run, base) pair plus the axis point it belongs to."""
+    """One output row awaiting its cells: the run, the base run it is
+    normalized to (None when no column needs one), and the axis point it
+    belongs to."""
 
     benchmark: str
     label: str
     axis: dict[str, Any]
-    run: ScheduledRun | None = None
+    run: ScheduledRun
     base: ScheduledRun | None = None
-    cell: RunSpec | None = None          # table1 characterization cell
     base_fallback: str | None = None     # error text when only base failed
     # None -> use the base cell's own traceback (scheme-mode behaviour);
     # a string -> fixed text (figure-4 style "baseline run failed").
@@ -517,18 +533,13 @@ def compile_spec(
     for scheme in schemes:
         get_scheme(scheme)  # unknown names fail at compile, not mid-sweep
 
+    need_base = any(c in BASE_DEPENDENT for c in spec.columns)
     plan = SweepPlan(base_cfg)
     rows: list[_PlannedRow] = []
     for axis_values, machine_over, param_over in _axis_points(spec.axes):
         point_cfg = base_cfg.with_overrides(machine_over)
         for sel in spec.workloads:
             params = {**sel.params, **param_over}
-            if spec.kind == "table1":
-                cell = plan.add_table1(sel.name, params, cfg=point_cfg)
-                rows.append(_PlannedRow(
-                    sel.name, "characterize", axis_values, cell=cell
-                ))
-                continue
             if sel.idioms:
                 rows.extend(_plan_idiom_rows(
                     plan, sel, params, point_cfg, axis_values,
@@ -537,7 +548,7 @@ def compile_spec(
             else:
                 rows.extend(_plan_scheme_rows(
                     plan, sel, schemes, params, point_cfg, axis_values,
-                    profile=spec.profile, telemetry=spec.telemetry,
+                    need_base, profile=spec.profile, telemetry=spec.telemetry,
                 ))
     return CompiledSpec(spec, base_cfg, plan, rows)
 
@@ -549,6 +560,7 @@ def _plan_scheme_rows(
     params: dict[str, Any],
     cfg: MachineConfig,
     axis_values: dict[str, Any],
+    need_base: bool,
     profile: bool = False,
     telemetry: bool = False,
 ) -> list[_PlannedRow]:
@@ -557,11 +569,12 @@ def _plan_scheme_rows(
                         profile=profile, telemetry=telemetry)
         for s in schemes
     }
-    # Normalization needs the baseline even when it is not displayed;
-    # deduplication makes this free when "base" is already in schemes.
-    base_sr = per_scheme.get("base") or plan.add_run(
-        sel.name, "base", params, cfg=cfg, profile=profile, telemetry=telemetry,
-    )
+    # A base-dependent column needs the baseline even when it is not
+    # displayed; deduplication makes this free when "base" is a scheme.
+    base_sr = per_scheme.get("base")
+    if base_sr is None and need_base:
+        base_sr = plan.add_run(sel.name, "base", params, cfg=cfg,
+                               profile=profile, telemetry=telemetry)
     return [
         _PlannedRow(sel.name, s, axis_values, run=per_scheme[s], base=base_sr)
         for s in schemes
@@ -616,18 +629,11 @@ def assemble_rows(
     need_insts = "bytes/inst" in spec.columns
     rows: list[dict[str, object]] = []
     for rp in planned:
-        if rp.cell is not None:  # table1 characterization
-            cell = results.cell(rp.cell)
-            if cell.ok:
-                row = dict(cell.result)
-            else:
-                row = error_row(rp.benchmark, rp.label, results.error(rp.cell))
-            row.update(rp.axis)
-            rows.append(row)
-            continue
         run, err = results.resolve(rp.run)
         if rp.base is rp.run:
             base, base_err = run, err
+        elif rp.base is None:
+            base, base_err = None, None
         else:
             base, base_err = results.resolve(rp.base)
         failed = (

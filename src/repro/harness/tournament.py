@@ -103,11 +103,10 @@ def tournament_summary(
 
 def is_tournament_spec(spec) -> bool:
     """True when a spec's rows can feed :func:`tournament_summary`:
-    telemetry-attached matrix rows labeled by scheme, with the
-    normalized and outcome columns present."""
+    telemetry-attached rows labeled by scheme, with the normalized and
+    outcome columns present."""
     return (
-        spec.kind == "matrix"
-        and spec.telemetry
+        spec.telemetry
         and spec.label_key == "scheme"
         and all(c in spec.columns for c in ("normalized", "issued"))
         and all(o in spec.columns for o in OUTCOMES)

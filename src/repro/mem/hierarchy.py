@@ -84,7 +84,6 @@ class HierarchyStats:
     bytes_l1_l2: int = 0
     bytes_l2_mem: int = 0
     dtlb_cycles: int = 0
-    miss_intervals: list[tuple[int, int]] | None = None
     lds_load_misses: int = 0
     load_misses: int = 0
     # Dirty-victim L1 writebacks (counted under every model; only the
@@ -124,7 +123,6 @@ class MemoryHierarchy:
         self,
         cfg: MachineConfig,
         use_prefetch_buffer: bool = False,
-        collect_miss_intervals: bool = False,
     ) -> None:
         from .tlb import TLB  # local import to avoid cycle in docs builds
 
@@ -138,8 +136,6 @@ class MemoryHierarchy:
             Cache(cfg.prefetch.prefetch_buffer, "pb") if use_prefetch_buffer else None
         )
         self.stats = HierarchyStats()
-        if collect_miss_intervals:
-            self.stats.miss_intervals = []
         # Two-class bus accounting: demand transfers have priority and see
         # only other demand traffic; prefetch/background transfers queue
         # behind everything (`*_all`).
@@ -595,6 +591,8 @@ class MemoryHierarchy:
         obs = self._obs
         if obs is not None and not write:
             self._miss_hist.observe(ret - time)
+            obs.miss_starts.append(time)
+            obs.miss_ends.append(ret)
             trace = obs.trace
             if trace is not None:
                 trace.complete("demand-miss", time, ret - time, cat="mem",
@@ -606,8 +604,6 @@ class MemoryHierarchy:
             self._inflight = {
                 ln: rt for ln, rt in self._inflight.items() if rt > time
             }
-        if st.miss_intervals is not None and not write:
-            st.miss_intervals.append((time, ret))
         return ret
 
     def jp_store(self, addr: int, time: int) -> None:

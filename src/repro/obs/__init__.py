@@ -13,6 +13,8 @@ the untraced hot loop does not regress.
 
 from __future__ import annotations
 
+from array import array
+
 from .artifacts import artifact, dump_json, load_json, schema_kind
 from .metrics import (
     Counter,
@@ -47,17 +49,50 @@ from .trace import EventTrace
 MISS_LATENCY_BOUNDS = exponential_buckets(1, 2, 13)
 
 
+def miss_parallelism(starts: array, ends: array) -> float:
+    """Average number of in-flight L1 data misses, sampled at each miss
+    (Table 1's parallelism metric): per miss starting at ``s``, the
+    misses started at or before ``s`` minus those already done at ``s``.
+    ``starts[i]``/``ends[i]`` are one miss's request and ready cycles."""
+    if not starts:
+        return 0.0
+    starts = sorted(starts)
+    ends = sorted(ends)
+    n = len(starts)
+    total = started = done = 0
+    for s in starts:
+        while started < n and starts[started] <= s:
+            started += 1
+        while done < n and ends[done] <= s:
+            done += 1
+        total += started - done
+    return total / n
+
+
 class Telemetry:
-    """Per-simulation observability context (registry + outcomes + trace)."""
+    """Per-simulation observability context (registry + outcomes + trace).
+
+    The memory hierarchy also appends each demand-load miss's request and
+    ready cycles to ``miss_starts``/``miss_ends``; :meth:`finalize`
+    reduces them to :func:`miss_parallelism` and frees them."""
 
     def __init__(self, trace: EventTrace | None = None) -> None:
         self.registry = MetricRegistry()
         self.outcomes = OutcomeTracker(self.registry)
         self.trace = trace
+        self.miss_starts = array("q")
+        self.miss_ends = array("q")
+        self.miss_parallelism = 0.0
 
     def finalize(self) -> None:
-        """Resolve still-outstanding prefetches and freeze outcome counters."""
+        """Resolve still-outstanding prefetches, freeze outcome counters
+        and reduce the recorded miss intervals."""
         self.outcomes.finalize()
+        if self.miss_starts:
+            self.miss_parallelism = miss_parallelism(self.miss_starts,
+                                                     self.miss_ends)
+            self.miss_starts = array("q")
+            self.miss_ends = array("q")
         for outcome in OUTCOMES:
             c = self.registry.counter(
                 f"prefetch.outcome.{outcome}",
@@ -69,6 +104,7 @@ class Telemetry:
         return {
             "metrics": self.registry.to_dict(),
             "prefetch_outcomes": self.outcomes.to_dict(),
+            "miss_parallelism": self.miss_parallelism,
         }
 
 
@@ -92,6 +128,7 @@ __all__ = [
     "latency_rows",
     "linear_buckets",
     "load_json",
+    "miss_parallelism",
     "schema_kind",
     "DROPPED",
     "EARLY",

@@ -7,10 +7,10 @@ detect incompatible layout changes instead of silently misreading them.
 
 Schema tags currently in use:
 
-* ``repro.sim_result/1``  — one :meth:`SimResult.to_dict`
-* ``repro.table1_row/1``  — one cached Table-1 characterization row
-* ``repro.experiment/1``  — ``python -m repro run -o``, ``run-spec -o``
-  and ``tournament -o``: report rows plus the spec that reruns them;
+* ``repro.sim_result/1``  — one :meth:`SimResult.to_dict` (a cached
+  cell)
+* ``repro.experiment/1``  — ``python -m repro run -o`` and
+  ``run-spec -o``: report rows plus the spec that reruns them;
   ``run`` adds each scheme's :meth:`SchemeRun.to_dict` (telemetry and
   profile included) under ``meta.runs``
 * ``repro.bench_diff/1``  — ``python -m repro bench-diff`` drift rows

@@ -104,18 +104,3 @@ class Registry(Generic[T]):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Registry({self.kind}: {self.names()})"
 
-
-def describe_registries() -> dict[str, list[str]]:
-    """Names in every experiment-axis registry (CLI ``list`` backend)."""
-    from .config import MACHINES, MSHR_MODELS
-    from .harness.schemes import SCHEME_REGISTRY
-    from .prefetch.engines import ENGINES
-    from .workloads.registry import WORKLOADS
-
-    return {
-        "machines": MACHINES.names(),
-        "schemes": SCHEME_REGISTRY.names(),
-        "engines": ENGINES.names(),
-        "mshr_models": list(MSHR_MODELS),
-        "workloads": WORKLOADS.names(sort=True),
-    }

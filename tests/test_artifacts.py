@@ -42,16 +42,6 @@ class TestSimResultToDict:
         d = _result().to_dict()
         assert d["telemetry"] is None
 
-    def test_miss_intervals_reduced_to_count(self):
-        program, __ = assemble_list_walk(32)
-        res = simulate(program, small_config(), engine="none",
-                       collect_miss_intervals=True)
-        d = res.to_dict()
-        assert d["hierarchy"]["miss_interval_count"] == len(
-            res.hierarchy.miss_intervals
-        )
-        assert "miss_intervals" not in d["hierarchy"]
-
 
 class TestSchemeRunToDict:
     def test_shape_and_normalization(self):

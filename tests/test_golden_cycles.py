@@ -26,6 +26,8 @@ from pathlib import Path
 import pytest
 
 from repro.audit import golden_drift
+from repro.audit.gate import golden_spec
+from repro.harness import compile_spec
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_cycles.json").read_text()
@@ -35,3 +37,14 @@ GOLDEN = json.loads(
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_cycles(name):
     assert golden_drift(name, GOLDEN[name], "small") == []
+
+
+def test_pin_plans_no_unused_base_cell():
+    # The zoo pins list no `base` scheme and no column normalizes to it,
+    # so em3d@zoo is its four zoo timing cells plus the one compute cell
+    # they share: no baseline timing cell is planned.
+    entry = GOLDEN["em3d@zoo"]
+    compiled = compile_spec(golden_spec("em3d@zoo", entry, "small"))
+    assert compiled.cell_count == 5
+    assert all(rp.base is None for rp in compiled.rows)
+    assert golden_drift("em3d@zoo", entry, "small") == []

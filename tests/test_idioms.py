@@ -2,38 +2,42 @@
 
 import pytest
 
-from repro.core.characterization import CharacterizationRow
 from repro.workloads import workload_class, workload_names
+
+from tests.conftest import shipped_spec
+
+#: Table 1's columns, in the paper's order.
+TABLE1_COLUMNS = ["benchmark", "insts", "loads", "%lds loads", "L1 miss%",
+                  "%misses lds", "miss parallelism", "mem frac%",
+                  "structure", "idioms"]
+
+
+def table1_rows(*names):
+    from repro import small_config
+    from repro.harness import run_spec
+
+    return run_spec(shipped_spec("table1", names), cfg=small_config())
 
 
 class TestCharacterization:
     def test_row_as_dict_keys(self):
-        row = CharacterizationRow(
-            name="x", instructions=10, loads=5, lds_load_fraction=0.5,
-            l1d_miss_ratio=0.1, lds_miss_fraction=0.9, miss_parallelism=1.5,
-            memory_fraction=0.6, structure="list", idioms=("queue",),
-        )
-        d = row.as_dict()
-        assert d["benchmark"] == "x"
-        assert d["%lds loads"] == 50.0
-        assert d["idioms"] == "queue"
+        (row,) = table1_rows("health")
+        assert list(row) == TABLE1_COLUMNS
+        assert row["benchmark"] == "health"
+        cls = workload_class("health")
+        assert row["structure"] == cls.structure
+        assert row["idioms"] == "/".join(cls.idioms)
 
     def test_characterize_small_workload(self):
-        from repro import get_workload, small_config
-        from repro.core import characterize
-        from repro.workloads import workload_class
-
-        w = get_workload("treeadd", **workload_class("treeadd").test_params())
-        built = w.build("baseline")
-        row, result = characterize(
-            "treeadd", built.program, small_config(),
-            structure=w.structure, idioms=w.idioms,
-        )
-        assert 0.0 <= row.lds_load_fraction <= 1.0
-        assert 0.0 <= row.l1d_miss_ratio <= 1.0
-        assert 0.0 <= row.memory_fraction < 1.0
-        assert row.miss_parallelism >= 0.0
-        assert result.instructions == row.instructions
+        (row,) = table1_rows("treeadd")
+        assert 0.0 <= row["%lds loads"] <= 100.0
+        assert 0.0 <= row["L1 miss%"] <= 100.0
+        assert 0.0 <= row["mem frac%"] < 100.0
+        assert row["miss parallelism"] >= 0.0
+        assert row["insts"] > 0
+        # No idiom judged worth implementing prints as "-".
+        (bisort,) = table1_rows("bisort")
+        assert bisort["idioms"] == "-"
 
 
 @pytest.mark.parametrize("name", workload_names())

@@ -1,13 +1,18 @@
 """Metric registry: counters and histogram bucketing edge cases."""
 
+import random
+from array import array
+
 import pytest
 
 from repro.obs import (
     Counter,
     Histogram,
     MetricRegistry,
+    Telemetry,
     exponential_buckets,
     linear_buckets,
+    miss_parallelism,
 )
 
 
@@ -248,3 +253,45 @@ class TestPercentile:
         assert percentile_from_dict(d, 0.5) is None
         with pytest.raises(ValueError):
             percentile_from_dict(d, 2.0)
+
+
+class TestMissParallelism:
+    """Table 1's miss parallelism: per miss starting at s, the misses
+    started at or before s minus those already done at s, averaged."""
+
+    # (start, ready) in recording order: B starts before A, E ties A's
+    # start, and C starts on the very cycle B's data is ready.
+    INTERVALS = [(10, 20), (5, 12), (12, 30), (25, 26), (10, 15)]
+
+    def test_hand_worked_set(self):
+        starts = array("q", [s for s, __ in self.INTERVALS])
+        ends = array("q", [e for __, e in self.INTERVALS])
+        # A@10: 3-0, B@5: 1-0, C@12: 4-1 (B is done), D@25: 5-3, E@10: 3-0
+        assert miss_parallelism(starts, ends) == 12 / 5
+
+    def test_no_misses(self):
+        assert miss_parallelism(array("q"), array("q")) == 0.0
+
+    def test_matches_definition_on_random_sets(self):
+        rng = random.Random(7)
+        for __ in range(50):
+            pairs = []
+            for __ in range(rng.randint(1, 40)):
+                s = rng.randint(0, 60)
+                pairs.append((s, s + rng.randint(1, 30)))
+            want = sum(
+                sum(t <= s for t, __ in pairs) - sum(e <= s for __, e in pairs)
+                for s, __ in pairs
+            ) / len(pairs)
+            got = miss_parallelism(array("q", [s for s, __ in pairs]),
+                                   array("q", [e for __, e in pairs]))
+            assert got == want
+
+    def test_telemetry_reduces_and_frees_at_finalize(self):
+        tele = Telemetry()
+        for s, e in self.INTERVALS:
+            tele.miss_starts.append(s)
+            tele.miss_ends.append(e)
+        tele.finalize()
+        assert tele.to_dict()["miss_parallelism"] == 12 / 5
+        assert len(tele.miss_starts) == len(tele.miss_ends) == 0

@@ -198,15 +198,6 @@ class TestSpecIdentityProps:
             RunSpec.make("health", "baseline", engine, cfg, bumped)
         ) != spec_key(spec)
 
-    @given(param_dicts)
-    @settings(max_examples=15, deadline=None)
-    def test_key_separates_cell_kinds(self, params):
-        cfg = small_config()
-        sim = RunSpec.make("health", "baseline", "none", cfg, params)
-        table1 = RunSpec.make("health", "baseline", "none", cfg, params,
-                              kind="table1")
-        assert spec_key(sim) != spec_key(table1)
-
     @given(st.integers(min_value=10, max_value=500))
     @settings(max_examples=15, deadline=None)
     def test_key_covers_machine_config(self, latency):

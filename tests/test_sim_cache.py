@@ -1,10 +1,13 @@
 """On-disk result cache: keying, round-trips, corruption, counters,
 durability, and resuming an interrupted sweep by rerunning it."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import small_config
 from repro.harness import (
     ResultCache,
@@ -13,8 +16,10 @@ from repro.harness import (
     SweepPlan,
     code_fingerprint,
     run_spec,
+    simulate_cell,
     spec_key,
 )
+from repro.harness.cache import _FINGERPRINT_MODULES, _FINGERPRINT_PACKAGES
 from repro.obs import MetricRegistry
 from repro.workloads import workload_class
 from tests.conftest import InterruptAfter, shipped_spec
@@ -50,6 +55,31 @@ class TestKeying:
         fp = code_fingerprint()
         assert fp == code_fingerprint()
         assert len(fp) == 64 and int(fp, 16) >= 0
+
+    def test_fingerprint_covers_its_own_imports(self):
+        """Every relative import of a fingerprinted module resolves to a
+        fingerprinted package or module, so no code that decides a cached
+        result can change without changing the key."""
+        root = Path(repro.__file__).resolve().parent
+        covered = set(_FINGERPRINT_PACKAGES) | {
+            m.removesuffix(".py") for m in _FINGERPRINT_MODULES
+        }
+        files = [root / m for m in _FINGERPRINT_MODULES]
+        for pkg in _FINGERPRINT_PACKAGES:
+            files.extend((root / pkg).rglob("*.py"))
+        escapes = []
+        for path in files:
+            here = path.relative_to(root).parent.parts
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom) or not node.level:
+                    continue
+                base = here[:len(here) - (node.level - 1)]
+                target = base + (tuple(node.module.split("."))
+                                 if node.module else ())
+                if not target or target[0] not in covered:
+                    escapes.append(f"{path.relative_to(root)}: "
+                                   f"{'.' * node.level}{node.module or ''}")
+        assert escapes == []
 
     def test_key_covers_every_input(self, cfg):
         base = RunSpec.make("treeadd", "baseline", "none", cfg, TREEADD)
@@ -92,17 +122,17 @@ class TestRoundTrip:
                         executor=SweepExecutor(cache=cache)) == cold
         assert cache.hits > 0
 
-    def test_miss_intervals_never_cached(self, cfg, cache):
-        from repro.cpu.simulator import simulate
-        from repro.workloads import get_workload
-        program = get_workload("treeadd", **TREEADD).build("baseline").program
-        spec = RunSpec.make("treeadd", "baseline", "none", cfg, TREEADD)
-        result = simulate(program, cfg, engine="none",
-                          collect_miss_intervals=True)
+    def test_miss_parallelism_survives_round_trip(self, cfg, cache):
+        spec = RunSpec.make("em3d", "baseline", "none", cfg,
+                            workload_class("em3d").test_params(),
+                            telemetry=True)
+        result = simulate_cell(spec)
+        parallelism = result.telemetry["miss_parallelism"]
+        assert parallelism > 1.0  # em3d overlaps some of its misses
         cache.put(spec, result)
         back = cache.get(spec)
-        assert back.hierarchy.miss_intervals is None
-        assert back.cycles == result.cycles
+        assert back.telemetry["miss_parallelism"] == parallelism
+        assert back == result
 
 
 class TestRobustness:
@@ -192,12 +222,12 @@ class TestCorruptCacheEntry:
 class TestInterruptedSweep:
     """Resuming is rerunning: an interrupted sweep rerun against the same
     cache executes exactly the cells the interrupted run did not store,
-    for every cell kind."""
+    for every shipped experiment shape."""
 
     @pytest.mark.parametrize("sweep,cells,jobs", [
         (figure5_pair, PAIR_CELLS, 1),
         (figure5_pair, PAIR_CELLS, 2),
-        (table1_pair, len(PAIR), 1),
+        (table1_pair, 2 * len(PAIR), 1),
     ], ids=["figure5-1", "figure5-2", "table1-1"])
     def test_warm_rerun_executes_only_missing_cells(self, cfg, tmp_path,
                                                     sweep, cells, jobs):

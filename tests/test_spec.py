@@ -81,9 +81,13 @@ class TestSpecValidation:
             })
 
     def test_unknown_kind(self):
-        with pytest.raises(SpecError, match="kind"):
-            ExperimentSpec(name="x", kind="figure99",
-                           workloads=(WorkloadSel("health"),))
+        # Every spec is a scheme matrix: a `kind` key is rejected, not
+        # silently ignored.
+        with pytest.raises(SpecError, match="'kind'"):
+            ExperimentSpec.from_dict({
+                "name": "x", "kind": "table1", "workloads": ["health"],
+                "schemes": ["base"], "columns": ["benchmark", "insts"],
+            })
 
     def test_no_workloads(self):
         with pytest.raises(SpecError, match="no workloads"):
@@ -174,7 +178,6 @@ class TestSpecValidation:
         ("spec", "overrides", [["memory_latency", 140]]),
         ("spec", "name", 5),
         ("spec", "title", 5),
-        ("spec", "kind", ["matrix"]),
         ("spec", "machine", 1),
         ("spec", "label_key", 1),
         ("axis", "values", 70),
