@@ -42,6 +42,18 @@ class TestSimResultToDict:
         d = _result().to_dict()
         assert d["telemetry"] is None
 
+    def test_miss_intervals_reduced_to_count(self):
+        # The per-miss (start, ready) pairs are reduced to one reading at
+        # finalize: neither the artifact nor the live Telemetry keeps them.
+        tele = Telemetry()
+        d = _result(tele).to_dict()
+        misses = d["telemetry"]["metrics"]["mem.miss_latency_cycles"]["count"]
+        assert misses > 0
+        assert d["telemetry"]["miss_parallelism"] >= 1.0  # a miss counts itself
+        assert len(tele.miss_starts) == len(tele.miss_ends) == 0
+        assert "miss_intervals" not in d["hierarchy"]
+        assert not {"miss_starts", "miss_ends"} & set(d["telemetry"])
+
 
 class TestSchemeRunToDict:
     def test_shape_and_normalization(self):

@@ -134,6 +134,19 @@ class TestRoundTrip:
         assert back.telemetry["miss_parallelism"] == parallelism
         assert back == result
 
+    def test_miss_intervals_never_cached(self, cfg, cache):
+        spec = RunSpec.make("treeadd", "baseline", "none", cfg, TREEADD,
+                            telemetry=True)
+        result = simulate_cell(spec)
+        path = cache.put(spec, result)
+        stored = path.read_text()
+        for raw in ("miss_intervals", "miss_starts", "miss_ends"):
+            assert raw not in stored
+        back = cache.get(spec)
+        assert back.cycles == result.cycles
+        assert back.telemetry["miss_parallelism"] == (
+            result.telemetry["miss_parallelism"])
+
 
 class TestRobustness:
     def test_corrupt_entry_is_a_miss(self, cfg, cache):
