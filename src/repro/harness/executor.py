@@ -339,21 +339,16 @@ class SweepResults:
     def __init__(self, cells: dict[RunSpec, CellResult]) -> None:
         self.cells = cells
 
-    def cell(self, spec: RunSpec) -> CellResult:
-        return self.cells[spec]
-
     @staticmethod
     def _cell_error(cell: CellResult) -> CellError | None:
         if cell.error is None:
             return None
         return CellError(cell.error, cell.error_kind or "")
 
-    def error(self, run: ScheduledRun | RunSpec) -> CellError | None:
+    def error(self, run: ScheduledRun) -> CellError | None:
         """The first error among the cells backing ``run`` (None if ok).
         The returned string carries the exception class name as
         ``.kind``, which error rows surface for grepping."""
-        if isinstance(run, RunSpec):
-            return self._cell_error(self.cells[run])
         return (
             self._cell_error(self.cells[run.timing])
             or self._cell_error(self.cells[run.compute])

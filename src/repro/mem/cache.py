@@ -2,12 +2,17 @@
 
 This models cache *contents* (hit/miss/eviction and dirty state); access
 *timing* (buses, MSHRs, miss latencies) lives in
-:class:`repro.mem.hierarchy.MemoryHierarchy`.  The dirty-bit set drives
-the hierarchy's write-back accounting: stores mark lines dirty, and a
-fill that evicts a dirty victim returns ``evicted_dirty=True`` so the
-hierarchy can charge the victim write-back to the bus — background-only
-under ``mshr_model="blocking"``, contending with demand traffic under
-the non-blocking models.
+:class:`repro.mem.hierarchy.MemoryHierarchy`.
+
+Each set is a dict from line address to its dirty bit, kept in recency
+order — the one LRU idiom every table of the simulated machine uses: a
+touch pops the key and re-inserts it, so the least recently used line is
+the dict's first key and eviction takes it without a scan.  The dirty
+bits drive the hierarchy's write-back accounting: stores mark lines
+dirty, and a fill that evicts a dirty victim returns
+``evicted_dirty=True`` so the hierarchy can charge the victim write-back
+to the bus — background-only under ``mshr_model="blocking"``, contending
+with demand traffic under the non-blocking models.
 """
 
 from __future__ import annotations
@@ -31,17 +36,15 @@ class CacheStats:
 
 
 class Cache:
-    """Tag array of a set-associative write-back cache with true LRU."""
+    """Tag array of a set-associative write-back LRU cache."""
 
-    __slots__ = ("cfg", "name", "stats", "_sets", "_dirty", "_seq", "_line_mask", "_set_mask", "_line_shift")
+    __slots__ = ("cfg", "name", "stats", "_sets", "_line_mask", "_set_mask", "_line_shift")
 
     def __init__(self, cfg: CacheConfig, name: str = "cache") -> None:
         self.cfg = cfg
         self.name = name
         self.stats = CacheStats()
-        self._sets: list[dict[int, int]] = [dict() for _ in range(cfg.sets)]
-        self._dirty: set[int] = set()
-        self._seq = 0
+        self._sets: list[dict[int, bool]] = [dict() for _ in range(cfg.sets)]
         self._line_mask = ~(cfg.line - 1)
         self._line_shift = cfg.line.bit_length() - 1
         self._set_mask = cfg.sets - 1
@@ -58,15 +61,13 @@ class Cache:
         line = addr & self._line_mask
         s = self._sets[self._set_index(line)]
         self.stats.accesses += 1
-        self._seq += 1
-        if line in s:
-            s[line] = self._seq
-            if write:
-                self._dirty.add(line)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
+        dirty = s.pop(line, None)
+        if dirty is None:
+            self.stats.misses += 1
+            return False
+        s[line] = dirty or write
+        self.stats.hits += 1
+        return True
 
     def probe(self, addr: int) -> bool:
         """Hit check without touching LRU or statistics."""
@@ -81,36 +82,25 @@ class Cache:
         """
         line = addr & self._line_mask
         s = self._sets[self._set_index(line)]
-        self._seq += 1
-        if line in s:
-            s[line] = self._seq
-            if dirty:
-                self._dirty.add(line)
+        was_dirty = s.pop(line, None)
+        if was_dirty is not None:
+            s[line] = was_dirty or dirty
             return None, False
         evicted = None
         evicted_dirty = False
         if len(s) >= self.cfg.assoc:
-            evicted = min(s, key=s.__getitem__)
-            del s[evicted]
-            evicted_dirty = evicted in self._dirty
-            self._dirty.discard(evicted)
+            evicted = next(iter(s))
+            evicted_dirty = s.pop(evicted)
             self.stats.evictions += 1
             if evicted_dirty:
                 self.stats.writebacks += 1
-        s[line] = self._seq
-        if dirty:
-            self._dirty.add(line)
+        s[line] = dirty
         return evicted, evicted_dirty
 
     def invalidate(self, addr: int) -> bool:
         """Remove the line holding ``addr``; returns True if it was present."""
         line = addr & self._line_mask
-        s = self._sets[self._set_index(line)]
-        if line in s:
-            del s[line]
-            self._dirty.discard(line)
-            return True
-        return False
+        return self._sets[self._set_index(line)].pop(line, None) is not None
 
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets)

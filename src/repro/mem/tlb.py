@@ -21,26 +21,24 @@ class TLB:
     """Translate is modelled as: hit = 0 extra cycles, miss = fixed hardware
     miss-handling penalty (30 cycles in Table 2)."""
 
-    __slots__ = ("cfg", "stats", "_entries", "_seq", "_page_shift")
+    __slots__ = ("cfg", "stats", "_entries", "_page_shift")
 
     def __init__(self, cfg: TLBConfig) -> None:
         self.cfg = cfg
         self.stats = TLBStats()
-        self._entries: dict[int, int] = {}
-        self._seq = 0
+        self._entries: dict[int, bool] = {}  # pages in recency order
         self._page_shift = cfg.page_size.bit_length() - 1
 
     def translate(self, addr: int) -> int:
         """Returns the extra latency (0 on hit, miss penalty on miss)."""
         page = addr >> self._page_shift
-        self._seq += 1
+        entries = self._entries
         self.stats.accesses += 1
-        if page in self._entries:
-            self._entries[page] = self._seq
+        if entries.pop(page, False):
+            entries[page] = True
             return 0
         self.stats.misses += 1
-        if len(self._entries) >= self.cfg.entries:
-            victim = min(self._entries, key=self._entries.__getitem__)
-            del self._entries[victim]
-        self._entries[page] = self._seq
+        if len(entries) >= self.cfg.entries:
+            del entries[next(iter(entries))]
+        entries[page] = True
         return self.cfg.miss_penalty

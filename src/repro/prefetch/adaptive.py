@@ -14,20 +14,21 @@ interval, steered by the observed *timeliness* of its jump prefetches:
 * a prefetch is **early** when its data sat unused for much longer than
   a memory latency (risking eviction and staleness) → narrow.
 
-Feedback arrives through :meth:`feedback`; after ``ADAPT_EVERY``
+Each outcome arrives through :meth:`observe`; after ``ADAPT_EVERY``
 observations the interval doubles or halves within
-``[MIN_INTERVAL, max_interval]``.  Existing queue contents are preserved
-on re-sizing (truncated from the old end when narrowing), so adaptation
-does not restart the pipeline of pending jump-pointers.
+``[MIN_INTERVAL, max_interval]``.  The table overrides only
+:meth:`interval_of`; the base table's ``advance`` re-sizes a queue whose
+interval changed, keeping its newest entries (truncated from the old end
+when narrowing), so adaptation does not restart the pipeline of pending
+jump-pointers.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import PrefetchConfig
-from ..obs.outcomes import EARLY, LATE, TIMELY
+from ..obs.outcomes import EARLY, LATE
 from .jqt import JumpQueueTable
 
 
@@ -38,7 +39,6 @@ class AdaptiveStats:
     timely: int = 0
     widenings: int = 0
     narrowings: int = 0
-    intervals: dict[int, int] = field(default_factory=dict)
 
 
 class AdaptiveJumpQueueTable(JumpQueueTable):
@@ -58,36 +58,6 @@ class AdaptiveJumpQueueTable(JumpQueueTable):
 
     def interval_of(self, pc: int) -> int:
         return self._intervals.get(pc, self._interval)
-
-    def advance(self, pc: int, addr: int) -> int | None:
-        """As in the base table, but against the PC's own interval."""
-        self._seq += 1
-        interval = self.interval_of(pc)
-        entry = self._queues.get(pc)
-        if entry is None:
-            if len(self._queues) >= self._entries:
-                victim = min(self._queues, key=lambda k: self._queues[k][1])
-                del self._queues[victim]
-                self.stats.entry_evictions += 1
-            q: deque[int] = deque(maxlen=interval)
-            self._queues[pc] = (q, self._seq)
-        else:
-            q, __ = entry
-            if q.maxlen != interval:
-                # re-size preserving the newest entries
-                q = deque(list(q)[-interval:], maxlen=interval)
-            self._queues[pc] = (q, self._seq)
-        home = None
-        if len(q) == interval:
-            home = q[0]
-        q.append(addr)
-        if home is not None:
-            self.stats.installs += 1
-        return home
-
-    def feedback(self, pc: int, late: bool, early: bool) -> None:
-        """Boolean-flag compatibility wrapper around :meth:`observe`."""
-        self.observe(pc, LATE if late else EARLY if early else TIMELY)
 
     def observe(self, pc: int, outcome: str) -> None:
         """Report one jump-prefetch timeliness outcome for ``pc``, using
@@ -117,4 +87,3 @@ class AdaptiveJumpQueueTable(JumpQueueTable):
         elif n_early >= total * self.VOTE and interval > self.MIN_INTERVAL:
             self._intervals[pc] = interval // 2
             st.narrowings += 1
-        st.intervals = dict(self._intervals)

@@ -184,6 +184,16 @@ class PrefetchEngine:
     def on_sw_prefetch(self, inst: Instruction, addr: int, time: int) -> None:
         pass
 
+    def sw_prefetch(self, inst: Instruction, addr: int, time: int) -> None:
+        """Execute a non-binding ``PF`` of ``addr``: it goes straight to
+        the hierarchy (no PRQ), tagged ``"sw"`` for outcome telemetry."""
+        self.stats.sw_prefetches += 1
+        done = self.hierarchy.prefetch_request(addr, time)
+        if done is not None and self.obs is not None:
+            self.obs.outcomes.record_issue(
+                addr & self.line_mask, "sw", inst.index, time, done
+            )
+
 
 class SoftwarePrefetchEngine(PrefetchEngine):
     """Executes the program's non-binding ``PF`` instructions.
@@ -196,10 +206,4 @@ class SoftwarePrefetchEngine(PrefetchEngine):
 
     name = "software"
 
-    def on_sw_prefetch(self, inst: Instruction, addr: int, time: int) -> None:
-        self.stats.sw_prefetches += 1
-        done = self.hierarchy.prefetch_request(addr, time)
-        if done is not None and self.obs is not None:
-            self.obs.outcomes.record_issue(
-                addr & self.line_mask, "sw", inst.index, time, done
-            )
+    on_sw_prefetch = PrefetchEngine.sw_prefetch

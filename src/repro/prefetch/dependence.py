@@ -30,28 +30,23 @@ class DependencePredictor:
     def __init__(self, pcfg: PrefetchConfig) -> None:
         self._sets = max(1, pcfg.dep_entries // pcfg.dep_assoc)
         self._assoc = pcfg.dep_assoc
-        self._table: dict[int, dict[int, tuple[dict[int, int], int]]] = {}
-        self._seq = 0
-        self.learned = 0
+        #: set index -> {producer pc -> {consumer pc -> offset}}, each set
+        #: in recency order (the LRU idiom of :mod:`repro.mem.cache`)
+        self._table: dict[int, dict[int, dict[int, int]]] = {}
         self.evicted = 0
 
     def learn(self, producer_pc: int, consumer_pc: int, offset: int) -> bool:
         """Record that consumer's address = producer's value + offset."""
         if not MIN_OFFSET <= offset <= MAX_OFFSET:
             return False
-        idx = producer_pc % self._sets
-        s = self._table.setdefault(idx, {})
-        self._seq += 1
-        if producer_pc not in s:
+        s = self._table.setdefault(producer_pc % self._sets, {})
+        consumers = s.pop(producer_pc, None)
+        if consumers is None:
             if len(s) >= self._assoc:
-                victim = min(s, key=lambda k: s[k][1])
-                del s[victim]
+                del s[next(iter(s))]
                 self.evicted += 1
-            s[producer_pc] = ({}, self._seq)
-        consumers, __ = s[producer_pc]
-        s[producer_pc] = (consumers, self._seq)
-        if consumer_pc not in consumers:
-            self.learned += 1
+            consumers = {}
+        s[producer_pc] = consumers
         consumers[consumer_pc] = offset
         return True
 
@@ -63,11 +58,10 @@ class DependencePredictor:
         chase loop consumes it before any ``learn`` can run); wrap in
         ``list``/``dict`` to snapshot."""
         s = self._table.get(producer_pc % self._sets)
-        if not s or producer_pc not in s:
+        consumers = s.pop(producer_pc, None) if s else None
+        if consumers is None:
             return self._EMPTY
-        consumers, __ = s[producer_pc]
-        self._seq += 1
-        s[producer_pc] = (consumers, self._seq)
+        s[producer_pc] = consumers
         return consumers.items()
 
     def is_recurrent(self, pc: int) -> bool:
@@ -86,9 +80,8 @@ class DependencePredictor:
         """Lookup without LRU update (used by recurrence tests).  Returns
         a live (consumer_pc, offset) view, like :meth:`lookup`."""
         s = self._table.get(producer_pc % self._sets)
-        if not s or producer_pc not in s:
-            return self._EMPTY
-        return s[producer_pc][0].items()
+        consumers = s.get(producer_pc) if s else None
+        return self._EMPTY if consumers is None else consumers.items()
 
 
 class ValueCorrelator:
@@ -96,15 +89,13 @@ class ValueCorrelator:
 
     def __init__(self, capacity: int = 64) -> None:
         self._capacity = capacity
-        self._entries: dict[int, tuple[int, int]] = {}  # value -> (pc, seq)
-        self._seq = 0
+        self._entries: dict[int, int] = {}  # value -> pc, recency order
 
     def record(self, value: int, pc: int) -> None:
-        self._seq += 1
-        if value not in self._entries and len(self._entries) >= self._capacity:
-            victim = min(self._entries, key=lambda k: self._entries[k][1])
-            del self._entries[victim]
-        self._entries[value] = (pc, self._seq)
+        entries = self._entries
+        if entries.pop(value, None) is None and len(entries) >= self._capacity:
+            del entries[next(iter(entries))]
+        entries[value] = pc
 
     def match(self, value: int) -> int | None:
         """JPF PC that fetched ``value``, if remembered.
@@ -113,10 +104,7 @@ class ValueCorrelator:
         jump-pointer's value — a node's value, rib pointer and next field —
         gets its own correlation; entries age out by capacity.
         """
-        hit = self._entries.get(value)
-        if hit is None:
-            return None
-        pc, __ = hit
-        self._seq += 1
-        self._entries[value] = (pc, self._seq)
+        pc = self._entries.pop(value, None)
+        if pc is not None:
+            self._entries[value] = pc
         return pc

@@ -25,7 +25,8 @@ from __future__ import annotations
 from ..config import PrefetchConfig
 from ..errors import ConfigError
 from ..isa.instruction import Instruction
-from ..obs.outcomes import EARLY, LATE, classify_timeliness
+from ..isa.opcodes import Op
+from ..obs.outcomes import classify_timeliness
 from ..registry import Registry
 from .base import EngineStats, PrefetchEngine, SoftwarePrefetchEngine
 from .dependence import DependencePredictor, ValueCorrelator
@@ -267,15 +268,8 @@ class CooperativeEngine(DBPEngine):
         self.correlator = ValueCorrelator()
 
     def on_sw_prefetch(self, inst: Instruction, addr: int, time: int) -> None:
-        from ..isa.opcodes import Op
-
         if inst.op == Op.PF:
-            self.stats.sw_prefetches += 1
-            done = self.hierarchy.prefetch_request(addr, time)
-            if done is not None and self.obs is not None:
-                self.obs.outcomes.record_issue(
-                    addr & self.line_mask, "sw", inst.index, time, done
-                )
+            self.sw_prefetch(inst, addr, time)
             return
         # JPF: hardware performs the second (non-binding) load of the
         # software prefetch pair: read the jump-pointer, prefetch its
@@ -332,13 +326,16 @@ class HardwareJPPEngine(DBPEngine):
         self._jump_outstanding: dict[int, tuple[int, int]] = {}
 
     def _adapt_feedback(self, addr: int, time: int) -> None:
+        """Report a demand access's timeliness against an outstanding jump
+        prefetch of its line to the adaptive JQT's ``observe``."""
         line = addr & self.line_mask
         record = self._jump_outstanding.pop(line, None)
         if record is None:
             return
         pc, done = record
-        outcome = classify_timeliness(time, done, early_slack=self.EARLY_SLACK)
-        self.jqt.feedback(pc, late=outcome == LATE, early=outcome == EARLY)
+        self.jqt.observe(
+            pc, classify_timeliness(time, done, early_slack=self.EARLY_SLACK)
+        )
 
     def on_load_issue(self, inst: Instruction, addr: int, time: int) -> None:
         pc = inst.index
@@ -350,9 +347,7 @@ class HardwareJPPEngine(DBPEngine):
         if inst.pad <= 0 and not self.storage.onchip:
             return  # no padding: hardware has nowhere to look
         jp = self.storage.load(self.timing_mem, addr, inst.pad)
-        self.jqt.stats.retrievals += 1
         if not self.valid_pointer(jp):
-            self.jqt.stats.retrieval_misses += 1
             return
         done = self.request(jp, time, kind="jump", pc=pc)
         if done is not None and isinstance(inst.imm, int):
@@ -398,13 +393,12 @@ class HardwareJPPEngine(DBPEngine):
                 f"{len(jqt._queues)} JQT entries > "
                 f"capacity {self.pcfg.jqt_entries}",
             ))
-        depth_limit = getattr(jqt, "max_interval", jqt.interval)
-        for pc, (q, __) in jqt._queues.items():
-            if len(q) > depth_limit:
+        for pc, q in jqt._queues.items():
+            if len(q) > jqt.max_interval:
                 violations.append((
                     "jump-queue-depth",
                     f"pc {pc}: queue depth {len(q)} > "
-                    f"interval limit {depth_limit}",
+                    f"interval limit {jqt.max_interval}",
                 ))
         if (
             self.storage.onchip

@@ -24,23 +24,28 @@ from ..mem.allocator import jump_slot
 @dataclass
 class JQTStats:
     installs: int = 0
-    retrievals: int = 0
-    retrieval_misses: int = 0
     entry_evictions: int = 0
 
 
 class JumpQueueTable:
-    """Fully-associative table of per-PC address queues (32 entries)."""
+    """Fully-associative table of per-PC address queues (32 entries).
+
+    The queues are kept in recency order (the LRU idiom of
+    :mod:`repro.mem.cache`).  Each PC's queue holds :meth:`interval_of`
+    addresses — the configured interval here; the adaptive table
+    (:class:`repro.prefetch.adaptive.AdaptiveJumpQueueTable`) overrides it
+    per PC from timeliness outcomes reported to its ``observe``.
+    """
 
     def __init__(self, pcfg: PrefetchConfig) -> None:
         self._entries = pcfg.jqt_entries
         self._interval = pcfg.jump_interval
-        self._queues: dict[int, tuple[deque[int], int]] = {}
-        self._seq = 0
+        #: deepest queue any PC may hold (the audit's depth bound)
+        self.max_interval = pcfg.jump_interval
+        self._queues: dict[int, deque[int]] = {}
         self.stats = JQTStats()
 
-    @property
-    def interval(self) -> int:
+    def interval_of(self, pc: int) -> int:
         return self._interval
 
     def advance(self, pc: int, addr: int) -> int | None:
@@ -48,31 +53,27 @@ class JumpQueueTable:
         effective address ``addr``.
 
         Returns the *home* address a jump-pointer (home -> addr) should be
-        installed at, or None while the queue is still filling.
+        installed at, or None while the queue is still filling.  A queue
+        whose interval changed is re-sized keeping its newest entries, so
+        adaptation does not restart the pipeline of pending jump-pointers.
         """
-        self._seq += 1
-        entry = self._queues.get(pc)
-        if entry is None:
-            if len(self._queues) >= self._entries:
-                victim = min(self._queues, key=lambda k: self._queues[k][1])
-                del self._queues[victim]
+        interval = self.interval_of(pc)
+        queues = self._queues
+        q = queues.pop(pc, None)
+        if q is None:
+            if len(queues) >= self._entries:
+                del queues[next(iter(queues))]
                 self.stats.entry_evictions += 1
-            q: deque[int] = deque(maxlen=self._interval)
-            self._queues[pc] = (q, self._seq)
-        else:
-            q, __ = entry
-            self._queues[pc] = (q, self._seq)
+            q = deque(maxlen=interval)
+        elif q.maxlen != interval:
+            q = deque(q, maxlen=interval)
+        queues[pc] = q
         home = None
-        if len(q) == self._interval:
+        if len(q) == interval:
             home = q[0]
-        q.append(addr)
-        if home is not None:
             self.stats.installs += 1
+        q.append(addr)
         return home
-
-    def feedback(self, pc: int, late: bool, early: bool) -> None:
-        """Timeliness feedback hook; the fixed-interval table ignores it
-        (see :class:`repro.prefetch.adaptive.AdaptiveJumpQueueTable`)."""
 
 
 class JumpPointerStorage:
@@ -89,19 +90,16 @@ class JumpPointerStorage:
     def __init__(self, pcfg: PrefetchConfig) -> None:
         self.onchip = pcfg.onchip_table_entries > 0
         self._capacity = pcfg.onchip_table_entries
-        self._table: dict[int, tuple[int, int]] = {}
-        self._seq = 0
+        self._table: dict[int, int] = {}  # home -> target, recency order
 
     def store(self, timing_mem, home_addr: int, pad: int, target: int) -> int | None:
         """Install jump-pointer home->target; returns the written memory
         address in padding mode (for bandwidth accounting), else None."""
         if self.onchip:
-            self._seq += 1
-            key = home_addr
-            if key not in self._table and len(self._table) >= self._capacity:
-                victim = min(self._table, key=lambda k: self._table[k][1])
-                del self._table[victim]
-            self._table[key] = (target, self._seq)
+            table = self._table
+            if table.pop(home_addr, None) is None and len(table) >= self._capacity:
+                del table[next(iter(table))]
+            table[home_addr] = target
             return None
         if pad <= 0:
             return None
@@ -112,12 +110,9 @@ class JumpPointerStorage:
     def load(self, timing_mem, addr: int, pad: int) -> int | None:
         """Retrieve the jump-pointer at the node containing ``addr``."""
         if self.onchip:
-            hit = self._table.get(addr)
-            if hit is None:
-                return None
-            target, __ = hit
-            self._seq += 1
-            self._table[addr] = (target, self._seq)
+            target = self._table.pop(addr, None)
+            if target is not None:
+                self._table[addr] = target
             return target
         if pad <= 0:
             return None

@@ -6,6 +6,7 @@ from repro import simulate, small_config
 from repro.config import PrefetchConfig
 from repro.cpu import make_engine
 from repro.cpu.timing import TimingModel
+from repro.obs.outcomes import EARLY, LATE, TIMELY
 from repro.prefetch.adaptive import AdaptiveJumpQueueTable
 
 from tests.conftest import assemble_list_walk
@@ -19,7 +20,7 @@ def make_table(interval=4, max_interval=32):
 
 def feed(table, pc, late, early, times):
     for __ in range(times):
-        table.feedback(pc, late=late, early=early)
+        table.observe(pc, LATE if late else EARLY if early else TIMELY)
 
 
 class TestAdaptation:
@@ -47,7 +48,7 @@ class TestAdaptation:
     def test_mixed_feedback_below_vote_threshold(self):
         t = make_table(interval=8)
         for i in range(t.ADAPT_EVERY):
-            t.feedback(7, late=(i % 2 == 0), early=False)
+            t.observe(7, LATE if i % 2 == 0 else TIMELY)
         assert t.interval_of(7) == 8  # 50% late < 62.5% vote
 
     def test_bounded_above_and_below(self):

@@ -1,12 +1,15 @@
-"""Set-associative cache model: LRU, eviction, dirty tracking."""
+"""Set-associative cache model: LRU, eviction, dirty tracking; the TLB
+and on-chip jump-pointer table against the same LRU oracle."""
 
 from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, PrefetchConfig, TLBConfig
 from repro.mem.cache import Cache
+from repro.mem.tlb import TLB
+from repro.prefetch.jqt import JumpPointerStorage
 
 
 def small_cache(assoc=2, sets=4, line=32):
@@ -87,46 +90,96 @@ class TestBasics:
 
 
 class _ReferenceLRU:
-    """Oracle: per-set OrderedDict LRU."""
+    """Oracle: per-set OrderedDict LRU with a dirty bit per line."""
 
     def __init__(self, assoc, sets, line):
         self.assoc, self.sets, self.line = assoc, sets, line
         self.data = [OrderedDict() for __ in range(sets)]
+        self.writebacks = 0
 
     def _set(self, addr):
         line = addr // self.line * self.line
-        return line, (addr // self.line) % self.sets
+        return line, self.data[(addr // self.line) % self.sets]
 
-    def access(self, addr):
-        line, s = self._set(addr)
-        if line in self.data[s]:
-            self.data[s].move_to_end(line)
+    def access(self, addr, write=False):
+        line, d = self._set(addr)
+        if line in d:
+            d.move_to_end(line)
+            d[line] = d[line] or write
             return True
         return False
 
-    def fill(self, addr):
-        line, s = self._set(addr)
-        if line in self.data[s]:
-            self.data[s].move_to_end(line)
-            return
-        if len(self.data[s]) >= self.assoc:
-            self.data[s].popitem(last=False)
-        self.data[s][line] = True
+    def fill(self, addr, dirty=False):
+        """Returns ``(evicted_line, evicted_dirty)`` like ``Cache.fill``."""
+        line, d = self._set(addr)
+        if line in d:
+            d.move_to_end(line)
+            d[line] = d[line] or dirty
+            return None, False
+        victim = (None, False)
+        if len(d) >= self.assoc:
+            victim = d.popitem(last=False)
+            self.writebacks += victim[1]
+        d[line] = dirty
+        return victim
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1023), min_size=1, max_size=400))
-@settings(max_examples=60, deadline=None)
-def test_matches_reference_lru(addresses):
-    c = small_cache(assoc=2, sets=4)
-    ref = _ReferenceLRU(assoc=2, sets=4, line=32)
-    for raw in addresses:
-        addr = raw * 4
-        got = c.access(addr)
-        want = ref.access(addr)
-        assert got == want
-        if not got:
-            c.fill(addr)
-            ref.fill(addr)
+def _cache_step(cache, ref, addr, write):
+    hit = cache.access(addr, write)
+    assert hit == ref.access(addr, write)
+    if not hit:
+        assert cache.fill(addr, dirty=write) == ref.fill(addr, dirty=write)
+    assert cache.stats.writebacks == ref.writebacks
+
+
+def _tlb_step(tlb, ref, addr, write):
+    hit = tlb.translate(addr) == 0
+    assert hit == ref.access(addr)
+    if not hit:
+        ref.fill(addr)
+
+
+def _onchip_step(storage, ref, addr, write):
+    """A write installs a jump-pointer at the block's home, a read
+    retrieves it; both refresh the entry's recency."""
+    home = addr & ~255
+    if write:
+        storage.store(None, home, 16, home + 4)
+        ref.fill(home)
+    else:
+        want = home + 4 if ref.access(home) else None
+        assert storage.load(None, home, 16) == want
+
+
+#: Each LRU table of the simulated machine against the same oracle:
+#: (make the table, the oracle's (assoc, sets, line) shape, one step).
+LRU_TABLES = {
+    "cache": (lambda: small_cache(assoc=2, sets=4, line=128), (2, 4, 128),
+              _cache_step),
+    "tlb": (lambda: TLB(TLBConfig(entries=4, page_size=256)), (4, 1, 256),
+            _tlb_step),
+    "onchip-jp": (
+        lambda: JumpPointerStorage(PrefetchConfig(onchip_table_entries=4)),
+        (4, 1, 256), _onchip_step,
+    ),
+}
+
+
+@given(
+    st.sampled_from(sorted(LRU_TABLES)),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1023), st.booleans()),
+        # every step is checked, so a long run covers its prefixes too
+        min_size=64, max_size=200,
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_matches_reference_lru(table, accesses):
+    make, shape, step = LRU_TABLES[table]
+    lru = make()
+    ref = _ReferenceLRU(*shape)
+    for raw, write in accesses:
+        step(lru, ref, raw * 4, write)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4095), min_size=1, max_size=500))

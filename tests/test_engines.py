@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro import Assembler, simulate
+from repro import Assembler, get_workload, simulate, small_config
 from repro.cpu import make_engine
 from repro.cpu.timing import TimingModel
+from repro.harness.schemes import scheme_plan
 from repro.isa.registers import A0, T0, T1, T2, ZERO
+from repro.workloads import workload_class
 
 from tests.conftest import assemble_list_walk
 
@@ -279,3 +281,75 @@ class TestRechaseTableBound:
             engine._recent_chase[(1, 64 * i)] = 0
         violations = engine.audit_check(0)
         assert any(inv == "rechase-table-bound" for inv, __ in violations)
+
+
+#: Machine settings whose prefetch tables replace or adapt at the sizes
+#: below: an on-chip jump-pointer table of 4 entries (the X1 ablation's
+#: smallest point), the adaptive JQT (X3), and a 1-entry JQT beside an
+#: 8-entry dependence predictor.
+TABLE_SETTINGS = {
+    "onchip-4": {"prefetch.onchip_table_entries": 4},
+    "adaptive": {"prefetch.adaptive_interval": True},
+    "tiny-tables": {"prefetch.jqt_entries": 1, "prefetch.dep_entries": 8},
+}
+#: (setting, scheme, workload, params over test_params) -> (cycles, JQT
+#: entry evictions, predictor evictions, widenings, narrowings, distinct
+#: on-chip homes, correlator occupancy), all on ``small``.  The test sizes
+#: never adapt the interval, so the adaptive cases run larger instances.
+TABLE_PINS = {
+    ("onchip-4", "hardware", "em3d", ()): (7057, 0, 0, 0, 0, 48, 0),
+    ("onchip-4", "hardware", "health", ()): (6969, 0, 0, 0, 0, 39, 0),
+    ("onchip-4", "hardware", "treeadd", ()): (2985, 0, 0, 0, 0, 126, 0),
+    ("adaptive", "hardware", "em3d",
+     (("n_e", 128), ("n_h", 128), ("iterations", 4))): (62150, 0, 0, 3, 0, 0, 0),
+    ("adaptive", "hardware", "mst", (("n", 32),)): (76573, 0, 0, 0, 1, 0, 0),
+    ("tiny-tables", "hardware", "em3d", ()): (7049, 5, 20, 0, 0, 0, 0),
+    ("tiny-tables", "hardware", "treeadd", ()): (2985, 125, 0, 0, 0, 0, 0),
+    ("tiny-tables", "hardware", "mst", ()): (6489, 81, 2, 0, 0, 0, 0),
+    ("tiny-tables", "cooperative", "em3d",
+     (("n_e", 128), ("n_h", 128), ("iterations", 4))): (62344, 0, 46, 0, 0, 0, 64),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_PINS), ids=lambda k: "-".join(k[:3]))
+def test_prefetch_table_cycle_pins(key):
+    """Cycle pins for the LRU-replaced JQT, dependence predictor, value
+    correlator and on-chip jump-pointer table, and for the adaptive
+    interval's re-sized queues; each case asserts its path ran."""
+    setting, scheme, workload, params = key
+    cfg = small_config().with_overrides(TABLE_SETTINGS[setting])
+    wl = get_workload(workload, **{**workload_class(workload).test_params(),
+                                   **dict(params)})
+    variant, engine_name = scheme_plan(wl, scheme)
+    engine = make_engine(engine_name, cfg)
+    homes = set()
+    jqt = getattr(engine, "jqt", None)
+    if jqt is not None:
+        store = engine.storage.store
+
+        def spy(timing_mem, home_addr, pad, target):
+            homes.add(home_addr)
+            return store(timing_mem, home_addr, pad, target)
+
+        engine.storage.store = spy
+    res = simulate(wl.build(variant).program, cfg, engine=engine)
+    adapt = getattr(jqt, "adapt_stats", None)
+    correlator = getattr(engine, "correlator", None)
+    got = (
+        res.cycles,
+        jqt.stats.entry_evictions if jqt is not None else 0,
+        engine.predictor.evicted,
+        adapt.widenings if adapt else 0,
+        adapt.narrowings if adapt else 0,
+        len(homes) if jqt is not None and engine.storage.onchip else 0,
+        len(correlator._entries) if correlator is not None else 0,
+    )
+    assert got == TABLE_PINS[key]
+    if setting == "onchip-4":
+        assert len(engine.storage._table) == 4 < got[5]
+    elif setting == "adaptive":
+        assert got[3] + got[4] > 0
+    else:
+        assert got[1] + got[2] > 0
+    if correlator is not None:
+        assert len(correlator._entries) == correlator._capacity

@@ -18,6 +18,7 @@ from repro.harness import (
     error_row,
     run_spec,
 )
+from repro.harness.executor import ScheduledRun
 from repro.workloads import Workload, workload_class, workload_names
 from repro.workloads import registry as workload_registry
 
@@ -94,6 +95,13 @@ def _bystanders(cfg):
     ]
 
 
+def cell_error(cells, spec):
+    """The error ``resolve`` reports for a run backed by ``spec`` alone
+    (as both its timing and its compute cell)."""
+    run = ScheduledRun(spec.benchmark, "base", spec.variant, spec, spec)
+    return SweepResults(cells).resolve(run)[1]
+
+
 class TestRunSpec:
     def test_params_frozen_and_order_insensitive(self, cfg):
         a = RunSpec.make("treeadd", "baseline", "none", cfg, {"levels": 3, "passes": 2})
@@ -158,14 +166,15 @@ class TestErrorIsolation:
                                     cfg, SMALL["treeadd"]))
         results = plan.execute()
         assert results.scheme_run(sr).total > 0
-        assert results.error(bad) is not None
+        failed = replace(sr, timing=bad)
         with pytest.raises(SweepError):
-            results.scheme_run(replace(sr, timing=bad))
+            results.scheme_run(failed)
         # resolve() is the non-raising form the row assemblers use.
         run, err = results.resolve(sr)
         assert err is None and run.total > 0
-        run, err = results.resolve(replace(sr, timing=bad))
-        assert run is None and err == results.error(bad)
+        run, err = results.resolve(failed)
+        assert run is None and "no-such-engine" in err
+        assert err == results.error(failed)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_poisoned_worker_yields_error_row(self, cfg, poisoned, jobs):
@@ -195,8 +204,7 @@ class TestErrorKinds:
         plan = SweepPlan(cfg)
         bad = plan.add(RunSpec.make("treeadd", "baseline", "no-such-engine",
                                     cfg, SMALL["treeadd"]))
-        results = plan.execute()
-        err = results.error(bad)
+        err = cell_error(plan.execute().cells, bad)
         assert err is not None and err.kind == "ConfigError"
         assert "no-such-engine" in err    # still a usable string
 
@@ -217,7 +225,7 @@ class TestHangAndCrash:
         ex = SweepExecutor(timeout=1.0)
         cells = ex.execute([slow, fast])
         assert cells[fast].ok
-        row = error_row("sleepy", "base", SweepResults(cells).error(slow))
+        row = error_row("sleepy", "base", cell_error(cells, slow))
         assert row["error_kind"] == "TimeoutError"
         assert "exceeded --timeout" in row["error_detail"]
         assert ex.stats()["timeouts"] == 1
@@ -256,7 +264,7 @@ class TestHangAndCrash:
         ex = SweepExecutor(jobs=2, timeout=1.0)
         cells = ex.execute([hung, fast])
         assert cells[fast].ok
-        row = error_row("sleepy", "base", SweepResults(cells).error(hung))
+        row = error_row("sleepy", "base", cell_error(cells, hung))
         assert row["error_kind"] == "TimeoutError"
         assert "exceeded --timeout" in row["error_detail"]
         assert ex.stats()["timeouts"] == 1
@@ -283,7 +291,7 @@ class TestHangAndCrash:
         others = _bystanders(cfg)
         ex = SweepExecutor(jobs=2)
         cells = ex.execute([crash, *others])
-        row = error_row("crashing", "base", SweepResults(cells).error(crash))
+        row = error_row("crashing", "base", cell_error(cells, crash))
         assert row["error_kind"] == "BrokenProcessPool"
         # A dying worker fails every cell in flight in its pool: at most
         # the one bystander sharing it.  The rest run in a rebuilt pool.

@@ -166,7 +166,9 @@ class TestPrefetch:
     def test_jp_store_hit_marks_dirty(self, cfg):
         h = warmed(MemoryHierarchy(cfg))
         h.jp_store(ADDR + 12, 100)
-        assert ADDR & ~31 in h.dl1._dirty
+        set_stride = 512 // 2  # sets*line: two more lines evict ADDR's
+        victims = [h.dl1.fill(ADDR + k * set_stride) for k in (1, 2)]
+        assert victims == [(None, False), (ADDR & ~31, True)]
 
     def test_jp_store_miss_writes_around(self, cfg):
         h = MemoryHierarchy(cfg)

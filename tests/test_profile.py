@@ -335,7 +335,7 @@ class TestHarnessAxis:
             scheduled = plan.add_run("treeadd", "base", params=params,
                                      profile=True)
             results = plan.execute(SweepExecutor(cache=ResultCache(tmp_path)))
-            return scheduled, results.cell(scheduled.timing)
+            return scheduled, results.cells[scheduled.timing]
 
         __, cell = run_once()
         assert cell.ok and cell.result.profile is not None
