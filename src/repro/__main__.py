@@ -8,7 +8,7 @@ also prints its ranked summary.  ``run`` is the one single-run command:
 observers, and ``-o`` writes the same ``repro.experiment/1`` artifact as
 ``run-spec -o``, whose embedded spec ``run-spec`` reruns.
 ``--machine NAME`` and ``--set PATH=VALUE`` choose the machine for
-``run`` and ``run-spec`` alike.
+``run``, ``run-spec`` and ``audit`` alike.
 
 Examples::
 
@@ -31,6 +31,7 @@ Examples::
     python -m repro run-spec examples/specs/tournament.toml --small --jobs 4
     python -m repro run-spec examples/specs/tournament.toml --machine small -o t.json
     python -m repro audit --machine small        # full simulation audit
+    python -m repro audit --set mshr_model=coalescing --no-gate
     python -m repro audit --inject-faults 'em3d//dbp=corrupt'  # auditor drill
     python -m repro bench-diff BENCH_LAYERS.json layers.json --tolerance 1.5
 """
@@ -53,7 +54,7 @@ from .audit import (
     regressions,
 )
 from .audit.gate import DEFAULT_GOLDEN, CorruptPlan
-from .config import MSHR_MODELS, get_machine, machine_names
+from .config import get_machine, machine_names
 from .errors import ReproError
 from .harness import (
     SCHEMES,
@@ -367,24 +368,28 @@ def cmd_run_spec(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    """Invariant sweep + differential validation + golden-drift gate."""
+    """Invariant sweep + differential validation + golden-drift gate.
+    ``--set`` applies to the sweep and the differential stats sample;
+    the gate runs each golden pin with the pin's own overrides."""
     failures = 0
+    machine = args.machine or "small"
+    overrides = _key_values(args.set, "--set")
 
     drill = args.inject_faults
     if drill is not None:
         print(f"  injecting faults: {drill.describe()}", file=sys.stderr)
     cells = audit_workloads(
-        machine=args.machine,
+        machine=machine,
         workloads=args.workloads or None,
         schemes=args.schemes or None,
         interval=args.every,
         drill=drill,
         strict=args.strict,
-        mshr_model=args.mshr_model,
+        overrides=overrides,
     )
     print(format_table(
         [c.row() for c in cells],
-        f"Invariant sweep — {args.machine} machine, every {args.every} commits",
+        f"Invariant sweep — {machine} machine, every {args.every} commits",
     ))
     for cell in cells:
         if cell.corrupted:
@@ -413,8 +418,8 @@ def cmd_audit(args) -> int:
               f"check and fidelity gate)", file=sys.stderr)
     else:
         diff_rows = differential_check(
-            golden, machine=args.machine, full_stats_sample=args.diff_sample,
-            mshr_model=args.mshr_model,
+            golden, machine=machine, full_stats_sample=args.diff_sample,
+            overrides=overrides,
         )
         print()
         print(format_table(
@@ -431,7 +436,7 @@ def cmd_audit(args) -> int:
                           file=sys.stderr)
 
     if not args.no_gate and golden.exists():
-        drift = fidelity_gate(golden, machine=args.machine)
+        drift = fidelity_gate(golden, machine=machine)
         print()
         if drift:
             failures += len(drift)
@@ -522,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     machine_opts = argparse.ArgumentParser(add_help=False)
     machine_opts.add_argument(
         "--machine", choices=machine_names(), default=None,
-        help="named machine (default: the spec's own; bench for single runs)")
+        help="named machine (default: the spec's own for run-spec, bench "
+             "for run, small for audit)")
     machine_opts.add_argument(
         "--set", action="append", default=[], metavar="PATH=VALUE",
         help="dotted-path machine override, e.g. --set memory_latency=280 "
@@ -598,19 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "terminated and the cell becomes an error row")
 
     audit = sub.add_parser(
-        "audit",
+        "audit", parents=[machine_opts],
         help="run the simulation auditor: invariant sweep over the "
              "workload/scheme matrix, differential fast-vs-reference "
-             "interpreter validation, and the golden-drift fidelity gate",
+             "interpreter validation, and the golden-drift fidelity gate "
+             "(--set applies to the sweep and the differential stats "
+             "sample; each golden pin keeps its own overrides)",
     )
-    audit.add_argument("--machine", choices=machine_names(), default="small",
-                       help="named machine for the sweep (default: small)")
-    audit.add_argument("--mshr-model", choices=list(MSHR_MODELS),
-                       default=None, metavar="MODEL",
-                       help="override the machine's MSHR model for the "
-                            "invariant sweep and differential stats sample "
-                            "(blocking | coalescing | full; default: the "
-                            "machine's own setting)")
     audit.add_argument("--workloads", nargs="+", default=None,
                        choices=workload_names(), metavar="WORKLOAD",
                        help="restrict the invariant sweep (default: all)")

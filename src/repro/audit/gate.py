@@ -1,23 +1,31 @@
 """The audit gate: invariant sweeps, differential checks, fidelity drift.
 
 Three entry points, composed by the ``repro audit`` CLI subcommand and
-the CI ``audit`` job:
+the CI ``audit`` job.  Each names its machine as every command does: a
+named machine plus dotted-path overrides (``--machine``/``--set``), and
+each plans its cells through :func:`~repro.harness.spec.compile_spec`:
 
-* :func:`audit_workloads` — run every registered workload under every
-  scheme on a named machine with an :class:`~repro.audit.Auditor`
+* :func:`audit_workloads` — run every registered workload at its test
+  size under every scheme with an :class:`~repro.audit.Auditor`
   attached; any conservation-law violation fails the gate.  A
   :class:`CorruptPlan` (``repro audit --inject-faults``) routes the cells
   it matches through
-  :func:`~repro.audit.invariants.corrupt_outcome_tracker` — the drill
-  proving the auditor actually catches mis-classified outcomes.
-* :func:`differential_check` — for every golden-pinned cell, run the
-  decode-table and reference interpreters in lockstep and report the
-  first divergent committed instruction; a sample of cells additionally
-  re-runs the full timing simulation on the reference path and diffs
-  final stats field-by-field.
+  :func:`~repro.audit.invariants.corrupt_outcome_tracker` and
+  :func:`~repro.audit.invariants.corrupt_mshr_tracker` — the drill
+  proving the auditor actually catches mis-classified outcomes and
+  skewed MSHR bookkeeping.
+* :func:`differential_check` — for every distinct program the golden
+  pins run, run the decode-table and reference interpreters in
+  lockstep and report the first divergent committed instruction; a
+  sample of programs additionally re-runs the full timing simulation on
+  the reference path and diffs final stats field-by-field.
 * :func:`fidelity_gate` — re-run the golden cells and report per-metric
   drift (golden vs observed, signed delta) instead of a bare mismatch;
   :func:`golden_drift` does it for one pin.
+
+A golden pin is ``{"params", "schemes"}`` plus optional ``workload``,
+``idiom`` and ``overrides`` (dotted-path machine overrides applied on
+top of the gate's machine; the ``@mshr-*`` pins set the MSHR model).
 """
 
 from __future__ import annotations
@@ -26,16 +34,15 @@ import json
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from ..config import get_machine
 from ..cpu.simulator import simulate
-from ..errors import WorkloadError
-from ..harness.cells import RunSpec, SweepError, simulate_cell
-from ..harness.schemes import scheme_names, scheme_plan
-from ..harness.spec import ExperimentSpec, WorkloadSel, run_spec
+from ..harness.cells import SweepError, simulate_cell
+from ..harness.schemes import scheme_names
+from ..harness.spec import ExperimentSpec, WorkloadSel, compile_spec, run_spec
 from ..obs import Telemetry
-from ..workloads import get_workload, workload_class, workload_names
+from ..workloads import get_workload, workload_names
 from .diff import diff_commit_streams, diff_results, reference_simulate
 from .invariants import Auditor, corrupt_mshr_tracker, corrupt_outcome_tracker
 
@@ -121,81 +128,54 @@ def audit_workloads(
     interval: int = 512,
     drill: CorruptPlan | None = None,
     strict: bool = False,
-    mshr_model: str | None = None,
+    overrides: Mapping[str, Any] | None = None,
 ) -> list[AuditCell]:
     """Sweep the invariant checker over the workload/scheme matrix.
 
-    Workloads run at their quick test sizes on the named machine;
-    ``mshr_model`` overrides the machine's MSHR model so the
-    non-blocking hierarchies run under the same sweep (and arm the MSHR
-    conservation laws).  Cells matched by the ``drill`` plan get a
-    deliberately broken outcome tracker — plus, under a non-blocking
-    model, a skewed MSHR allocation counter; with a working auditor
-    those cells (and only those) report violations.
+    Workloads run at their quick test sizes on the named machine with
+    the dotted-path ``overrides`` applied (a non-blocking MSHR model
+    arms the MSHR conservation laws).  Cells matched by the ``drill``
+    plan get a deliberately broken outcome tracker and a skewed MSHR
+    allocation counter (inert under ``blocking``); with a working
+    auditor those cells (and only those) report violations.
     """
-    cfg = get_machine(machine)
-    if mshr_model is not None:
-        cfg = cfg.with_overrides({"mshr_model": mshr_model})
+    spec = ExperimentSpec(
+        name="audit",
+        machine=machine,
+        overrides=dict(overrides or {}),
+        workloads=tuple(WorkloadSel(name)
+                        for name in workloads or workload_names()),
+        schemes=tuple(schemes or scheme_names()),
+        columns=("scheme",),
+    ).small()
     cells: list[AuditCell] = []
-    for name in workloads or workload_names():
-        params = workload_class(name).test_params()
-        workload = get_workload(name, **params)
-        for scheme in schemes or scheme_names():
-            try:
-                variant, engine = scheme_plan(workload, scheme)
-            except WorkloadError:
-                continue  # workload has no variant for this scheme
-            telemetry = Telemetry()
-            auditor = Auditor(interval=interval, strict=strict)
-            corrupted = drill is not None and drill.matches(
-                name, variant, engine
-            )
-            if corrupted:
-                # after=0: tiny test-size runs issue few prefetches,
-                # so mis-classify from the very first one.
-                corrupt_outcome_tracker(telemetry.outcomes, after=0)
-                if cfg.mshr_model != "blocking":
-                    # The MSHR laws only arm under the non-blocking
-                    # models; drill them in the same corrupt cells.
-                    corrupt_mshr_tracker(auditor, after=0)
-            simulate_cell(
-                RunSpec.make(name, variant, engine, cfg, params),
-                telemetry=telemetry, audit=auditor,
-            )
-            cells.append(AuditCell(
-                benchmark=name, scheme=scheme, variant=variant,
-                engine=engine, checks=auditor.checks,
-                violations=list(auditor.violations), corrupted=corrupted,
-            ))
+    for rp in compile_spec(spec).rows:
+        cell = rp.run.timing
+        telemetry = Telemetry()
+        auditor = Auditor(interval=interval, strict=strict)
+        corrupted = drill is not None and drill.matches(
+            cell.benchmark, cell.variant, cell.engine
+        )
+        if corrupted:
+            # after=0: tiny test-size runs issue few prefetches, so
+            # mis-classify from the very first one.
+            corrupt_outcome_tracker(telemetry.outcomes, after=0)
+            corrupt_mshr_tracker(auditor, after=0)
+        simulate_cell(cell, telemetry=telemetry, audit=auditor)
+        cells.append(AuditCell(
+            benchmark=cell.benchmark, scheme=rp.label, variant=cell.variant,
+            engine=cell.engine, checks=auditor.checks,
+            violations=list(auditor.violations), corrupted=corrupted,
+        ))
     return cells
 
 
 # ----------------------------------------------------------------------
-# Differential validation over the golden-pinned cells
+# Differential validation over the golden-pinned programs
 # ----------------------------------------------------------------------
 
 def load_golden(path: str | Path | None = None) -> dict[str, Any]:
     return json.loads(Path(path or DEFAULT_GOLDEN).read_text())
-
-
-def _golden_cells(golden: dict[str, Any]) -> list[tuple[str, str, dict, str]]:
-    """Distinct (workload, variant, params, label) cells pinned by the
-    golden file — deduped across schemes that share a program variant."""
-    cells: list[tuple[str, str, dict, str]] = []
-    seen: set[tuple[str, str, str]] = set()
-    for label, entry in sorted(golden.items()):
-        name = entry.get("workload", label)
-        params = dict(entry["params"])
-        idiom = entry.get("idiom")
-        workload = get_workload(name, **params)
-        for scheme in sorted(entry["schemes"]):
-            variant, __ = scheme_plan(workload, scheme, idiom)
-            key = (name, variant, json.dumps(params, sort_keys=True))
-            if key in seen:
-                continue
-            seen.add(key)
-            cells.append((name, variant, params, label))
-    return cells
 
 
 def differential_check(
@@ -203,27 +183,32 @@ def differential_check(
     machine: str = "small",
     full_stats_sample: int = 2,
     max_steps: int | None = 5_000_000,
-    mshr_model: str | None = None,
+    overrides: Mapping[str, Any] | None = None,
 ) -> list[dict[str, Any]]:
-    """Engine vs reference-path diff for every golden-pinned cell.
+    """Engine vs reference-path diff for every golden-pinned program.
 
-    Every distinct program variant in the golden file gets a lockstep
-    committed-instruction stream diff of the table interpreter against
-    the reference; the first ``full_stats_sample`` cells also re-run the
-    complete timing simulation with the reference interpreter, diffing
-    the resulting stats field-by-field against the table run.
-    ``mshr_model`` overrides the machine's MSHR model for the stats
-    sample (the commit-stream diff is architectural and
-    timing-independent).  Returns one row per cell; ``ok`` is False on
-    any divergence.
+    Every distinct program the golden pins run (their
+    :func:`golden_spec` timing cells, deduplicated across schemes that
+    share a variant) gets a lockstep committed-instruction stream diff
+    of the table interpreter against the reference; the first
+    ``full_stats_sample`` programs also re-run the complete timing
+    simulation with the reference interpreter on the named machine with
+    ``overrides`` applied, diffing the resulting stats field-by-field
+    against the table run (the commit-stream diff is architectural and
+    timing-independent).  Returns one row per program; ``ok`` is False
+    on any divergence.
     """
-    cfg = get_machine(machine)
-    if mshr_model is not None:
-        cfg = cfg.with_overrides({"mshr_model": mshr_model})
+    cfg = get_machine(machine).with_overrides(overrides)
+    programs: dict[tuple, str] = {}
+    for label, entry in sorted(load_golden(golden_path).items()):
+        for rp in compile_spec(golden_spec(label, entry, machine)).rows:
+            cell = rp.run.timing
+            programs.setdefault((cell.benchmark, cell.variant, cell.params),
+                                label)
     rows: list[dict[str, Any]] = []
     sampled = 0
-    for name, variant, params, label in _golden_cells(load_golden(golden_path)):
-        program = get_workload(name, **params).build(variant).program
+    for (name, variant, params), label in programs.items():
+        program = get_workload(name, **dict(params)).build(variant).program
         divergence = diff_commit_streams(program, max_steps=max_steps)
         stat_diffs = []
         mode = "stream"
@@ -256,13 +241,12 @@ def golden_spec(
     label: str, entry: dict[str, Any], machine: str = "small"
 ) -> ExperimentSpec:
     """One golden pin as a one-workload experiment spec, its ``idiom``
-    and ``mshr_model`` included, so it runs the same cells as
+    and ``overrides`` included, so it runs the same cells as
     ``run-spec``."""
     return ExperimentSpec(
         name=f"golden-{label}",
         machine=machine,
-        overrides=({"mshr_model": entry["mshr_model"]}
-                   if "mshr_model" in entry else {}),
+        overrides=dict(entry.get("overrides", {})),
         workloads=(WorkloadSel(entry.get("workload", label),
                                params=dict(entry["params"]),
                                idiom=entry.get("idiom")),),

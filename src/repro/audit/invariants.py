@@ -9,7 +9,7 @@ audit=Auditor())``) and sweeps the model's conservation laws every
   bookkeeping (``issued_at``) bounded by its prune policy;
 * **memory hierarchy** — per level ``hits + misses == accesses``,
   resident lines ≤ capacity, TLB misses ≤ accesses, prefetch request
-  accounting, and — under the non-blocking ``mshr_model`` settings — the
+  accounting, and — under the non-blocking MSHR models — the
   MSHR conservation laws (allocated == retired + outstanding, coalesce
   and per-entry target accounting, occupancy peak ≤
   ``max_outstanding_misses``); see
@@ -216,20 +216,6 @@ class Auditor:
         self.checks += 1
         self._sweep_components(n_committed, cycle)
 
-    # -- reporting ------------------------------------------------------
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "invariant": v.invariant,
-                "component": v.component,
-                "commit": v.commit,
-                "cycle": v.cycle,
-                "message": v.message,
-            }
-            for v in self.violations
-        ]
-
 
 def corrupt_outcome_tracker(tracker, after: int = 8):
     """Deterministically mis-classify prefetch outcomes in ``tracker``.
@@ -264,8 +250,9 @@ def corrupt_mshr_tracker(auditor, after: int = 0):
     injected through the :class:`Auditor` hooks (the hierarchy itself is
     ``__slots__``-ed, so its methods cannot be wrapped per-instance),
     which also guarantees every corrupted sweep sees the skew.  Only
-    meaningful under a non-blocking ``mshr_model`` — the law is gated off
-    under ``blocking``.  Returns the auditor for chaining.
+    meaningful under a non-blocking MSHR model — the law is gated off
+    under ``blocking``, so the skew is inert there.  Returns the auditor
+    for chaining.
     """
     state = {"n": 0}
 

@@ -14,7 +14,12 @@ overrides::
 which is how experiment spec files (:mod:`repro.harness.spec`) describe
 machine variations.  Named machines live in the :data:`MACHINES`
 registry ("table2", "bench", "small"); :func:`register_machine` adds new
-ones.
+ones.  A machine is always a name plus such overrides: a spec's
+``machine``/``overrides`` keys, or ``--machine``/``--set`` on ``run``,
+``run-spec`` and ``audit``.  Bounds of the modelled hardware that no
+experiment varies are constants (:data:`ADAPTIVE_MAX_INTERVAL` here,
+``DBPEngine.CHASE_BUDGET`` and ``MAX_CHAIN_DEPTH`` in
+:mod:`repro.prefetch.engines`), not fields.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ from .registry import Registry
 #: bus contention, ``full`` adds critical-word-first fill and
 #: hit-during-refill on top of coalescing.
 MSHR_MODELS: tuple[str, ...] = ("blocking", "coalescing", "full")
+
+#: Widest per-PC jump interval the adaptive jump queue table
+#: (:mod:`repro.prefetch.adaptive`) widens to; a machine with
+#: ``prefetch.adaptive_interval`` set must start at or below it.
+ADAPTIVE_MAX_INTERVAL = 64
 
 
 def _check_power_of_two(name: str, value: int) -> None:
@@ -307,19 +317,23 @@ class PrefetchConfig(SerializableConfig):
     # Jump-pointer hardware
     jqt_entries: int = 32
     jump_interval: int = 8
-    max_chain_depth: int = 8
-    """Safety bound on recursively chained prefetches per trigger."""
     onchip_table_entries: int = 0
     """If non-zero, store jump-pointers in an on-chip table of this many
     entries instead of allocator padding (the Section 3.3 ablation)."""
     adaptive_interval: bool = False
     """Enable the adaptive per-PC jump interval (the paper's Section 6
-    future-work item; see :mod:`repro.prefetch.adaptive`)."""
-    adaptive_max_interval: int = 64
+    future-work item; see :mod:`repro.prefetch.adaptive`); each PC's
+    interval then starts at ``jump_interval`` and widens to at most
+    :data:`ADAPTIVE_MAX_INTERVAL`."""
 
     def __post_init__(self) -> None:
         for name in ("prq_entries", "jqt_entries", "jump_interval"):
             _check_positive(f"prefetch.{name}", getattr(self, name))
+        if self.adaptive_interval and self.jump_interval > ADAPTIVE_MAX_INTERVAL:
+            raise ConfigError(
+                f"prefetch.jump_interval {self.jump_interval} exceeds the "
+                f"adaptive interval's ceiling {ADAPTIVE_MAX_INTERVAL}"
+            )
 
 
 @dataclass(frozen=True)
@@ -380,13 +394,6 @@ class MachineConfig(SerializableConfig):
             raise ConfigError(
                 f"alloc_latency must be non-negative, got {self.alloc_latency}"
             )
-
-    def with_memory_latency(self, latency: int) -> "MachineConfig":
-        """The Figure 7 sweep: same machine, different main-memory latency."""
-        return self.with_overrides({"memory_latency": latency})
-
-    def with_jump_interval(self, interval: int) -> "MachineConfig":
-        return self.with_overrides({"prefetch.jump_interval": interval})
 
     def perfect(self) -> "MachineConfig":
         """Variant used to measure compute time (single-cycle data memory)."""

@@ -15,7 +15,7 @@ from .executor import (
     error_row,
 )
 from .experiments import MEMORY_BOUND, figure5_summary
-from .reporting import format_table, normalized_bar, print_rows
+from .reporting import format_table, normalized_bar
 from .runner import SCHEMES, SchemeRun
 from .schemes import (
     SCHEME_REGISTRY,
@@ -79,6 +79,5 @@ __all__ = [
     "figure5_summary",
     "format_table",
     "normalized_bar",
-    "print_rows",
     "scheme_plan",
 ]

@@ -96,10 +96,6 @@ class RunSpec:
             profile, telemetry,
         )
 
-    @property
-    def params_dict(self) -> dict[str, Any]:
-        return dict(self.params)
-
     def describe(self) -> str:
         label = f"{self.benchmark}[{self.variant}]"
         tag = " (compute)" if self.cfg.perfect_data_memory else ""

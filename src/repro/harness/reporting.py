@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 def format_table(rows: list[dict[str, object]], title: str | None = None) -> str:
     """Render a list of dicts as an aligned text table.
@@ -45,7 +43,3 @@ def normalized_bar(value: float, scale: int = 40) -> str:
     """ASCII bar for normalized execution times (1.0 = full scale)."""
     n = max(0, min(scale * 2, round(value * scale)))
     return "#" * n
-
-
-def print_rows(rows: Iterable[dict[str, object]], title: str | None = None) -> None:
-    print(format_table(list(rows), title))

@@ -479,7 +479,6 @@ class CompiledSpec:
     """A spec lowered onto the sweep machinery, ready to execute."""
 
     spec: ExperimentSpec
-    cfg: MachineConfig
     plan: SweepPlan
     rows: list[_PlannedRow]
 
@@ -519,14 +518,10 @@ def _axis_points(
     return points
 
 
-def compile_spec(
-    spec: ExperimentSpec, cfg: MachineConfig | None = None
-) -> CompiledSpec:
-    """Lower ``spec`` to sweep cells.  ``cfg`` replaces the spec's named
-    machine; the spec's dotted overrides and axis settings still apply
-    on top of it."""
-    base_cfg = (cfg if cfg is not None else get_machine(spec.machine))
-    base_cfg = base_cfg.with_overrides(spec.overrides)
+def compile_spec(spec: ExperimentSpec) -> CompiledSpec:
+    """Lower ``spec`` to sweep cells on its named machine, with its
+    dotted overrides and then each axis point's settings applied."""
+    base_cfg = get_machine(spec.machine).with_overrides(spec.overrides)
     # An empty scheme axis means the paper's default matrix; zoo schemes
     # must be named explicitly (as tournament.toml does).
     schemes = spec.schemes or tuple(paper_scheme_names())
@@ -550,7 +545,7 @@ def compile_spec(
                     plan, sel, schemes, params, point_cfg, axis_values,
                     need_base, profile=spec.profile, telemetry=spec.telemetry,
                 ))
-    return CompiledSpec(spec, base_cfg, plan, rows)
+    return CompiledSpec(spec, plan, rows)
 
 
 def _plan_scheme_rows(
@@ -671,13 +666,11 @@ def assemble_rows(
 # ----------------------------------------------------------------------
 
 def run_spec(
-    spec: ExperimentSpec,
-    cfg: MachineConfig | None = None,
-    executor: SweepExecutor | None = None,
+    spec: ExperimentSpec, executor: SweepExecutor | None = None
 ) -> list[dict[str, object]]:
     """Compile and execute ``spec`` (serially and uncached without an
     ``executor``); returns the report rows."""
-    return compile_spec(spec, cfg).execute(executor)
+    return compile_spec(spec).execute(executor)
 
 
 def spec_artifact(

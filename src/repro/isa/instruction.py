@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from .opcodes import (
-    BRANCH_OPS,
-    CONTROL_OPS,
-    MEM_OPS,
-    Op,
-)
+from .opcodes import BRANCH_OPS, Op
 from .registers import reg_name
 
 #: Base virtual address of the text segment; instruction *i* lives at
@@ -53,18 +48,6 @@ class Instruction:
     def address(self) -> int:
         """Virtual address of this instruction."""
         return TEXT_BASE + WORD * self.index
-
-    @property
-    def is_mem(self) -> bool:
-        return self.op in MEM_OPS
-
-    @property
-    def is_control(self) -> bool:
-        return self.op in CONTROL_OPS
-
-    @property
-    def is_cond_branch(self) -> bool:
-        return self.op in BRANCH_OPS
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = [self.op.name.lower()]

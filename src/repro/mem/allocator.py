@@ -87,10 +87,6 @@ class SizeClassAllocator:
             c <<= 1
         self._heap_end = region
 
-    @property
-    def heap_end(self) -> int:
-        return self._heap_end
-
     def alloc(self, size: int) -> int:
         """Allocate ``size`` bytes; returns the (class-aligned) block address."""
         klass = size_class(size)

@@ -22,8 +22,7 @@ MSHR models (``MachineConfig.mshr_model``)
 
 The data side supports three MSHR fidelity levels, selectable per machine
 (spec files: ``overrides = {"mshr_model" = "coalescing"}``; CLI:
-``repro audit --mshr-model full``, ``repro run-spec --set
-mshr_model=coalescing``):
+``--set mshr_model=full`` on ``run``, ``run-spec`` or ``audit``):
 
 * ``blocking`` (default) — the historical model above, bit-exact: misses
   are capped by the MSHR file, merges with in-flight lines see the
@@ -114,7 +113,7 @@ class MemoryHierarchy:
         "cfg", "il1", "dl1", "l2", "itlb", "dtlb", "pb", "stats",
         "_l2_bus_demand", "_l2_bus_all", "_mem_bus_demand", "_mem_bus_all",
         "_mshr_done", "_inflight", "_pf_lines", "_pf_inflight", "_perfect",
-        "_demand_fill_estimate", "_obs", "_miss_hist", "_dl1_line_mask",
+        "_demand_fill_estimate", "_obs", "_dl1_line_mask",
         "_prof", "_nb", "_full", "_mshr_entries", "_mshr_hist",
         "_last_demand_ready", "_last_data_ready", "_wb_until",
     )
@@ -176,7 +175,6 @@ class MemoryHierarchy:
         )
         # Optional observability context (None = zero-overhead fast path).
         self._obs: "Telemetry | None" = None
-        self._miss_hist = None
         self._mshr_hist = None
         # Optional profiler (same contract): notes the service level and
         # latency of every demand load for the CPI stack / site table.
@@ -189,13 +187,8 @@ class MemoryHierarchy:
         instruments into its metric registry."""
         self._obs = obs
         if obs is not None:
-            from ..obs import MISS_LATENCY_BOUNDS, linear_buckets
+            from ..obs import linear_buckets
 
-            self._miss_hist = obs.registry.histogram(
-                "mem.miss_latency_cycles",
-                MISS_LATENCY_BOUNDS,
-                help="demand L1 data-miss latency (request to fill)",
-            )
             self._mshr_hist = obs.registry.histogram(
                 "mem.mshr_occupancy",
                 linear_buckets(1, 1, self.cfg.max_outstanding_misses),
@@ -203,7 +196,6 @@ class MemoryHierarchy:
                      "(non-blocking mshr models only)",
             )
         else:
-            self._miss_hist = None
             self._mshr_hist = None
 
     def set_profiler(self, prof) -> None:
@@ -590,7 +582,6 @@ class MemoryHierarchy:
             self._prof.note_access(self._prof._l2_source, ret - time)
         obs = self._obs
         if obs is not None and not write:
-            self._miss_hist.observe(ret - time)
             obs.miss_starts.append(time)
             obs.miss_ends.append(ret)
             trace = obs.trace

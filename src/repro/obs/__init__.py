@@ -74,7 +74,8 @@ class Telemetry:
 
     The memory hierarchy also appends each demand-load miss's request and
     ready cycles to ``miss_starts``/``miss_ends``; :meth:`finalize`
-    reduces them to :func:`miss_parallelism` and frees them."""
+    reduces them to the ``mem.miss_latency_cycles`` histogram and
+    :func:`miss_parallelism`, then frees them."""
 
     def __init__(self, trace: EventTrace | None = None) -> None:
         self.registry = MetricRegistry()
@@ -88,6 +89,13 @@ class Telemetry:
         """Resolve still-outstanding prefetches, freeze outcome counters
         and reduce the recorded miss intervals."""
         self.outcomes.finalize()
+        hist = self.registry.histogram(
+            "mem.miss_latency_cycles",
+            MISS_LATENCY_BOUNDS,
+            help="demand L1 data-miss latency (request to fill)",
+        )
+        for start, end in zip(self.miss_starts, self.miss_ends):
+            hist.observe(end - start)
         if self.miss_starts:
             self.miss_parallelism = miss_parallelism(self.miss_starts,
                                                      self.miss_ends)

@@ -16,7 +16,7 @@ interval, steered by the observed *timeliness* of its jump prefetches:
 
 Each outcome arrives through :meth:`observe`; after ``ADAPT_EVERY``
 observations the interval doubles or halves within
-``[MIN_INTERVAL, max_interval]``.  The table overrides only
+``[MIN_INTERVAL, ADAPTIVE_MAX_INTERVAL]``.  The table overrides only
 :meth:`interval_of`; the base table's ``advance`` re-sizes a queue whose
 interval changed, keeping its newest entries (truncated from the old end
 when narrowing), so adaptation does not restart the pipeline of pending
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import PrefetchConfig
+from ..config import ADAPTIVE_MAX_INTERVAL, PrefetchConfig
 from ..obs.outcomes import EARLY, LATE
 from .jqt import JumpQueueTable
 
@@ -49,9 +49,9 @@ class AdaptiveJumpQueueTable(JumpQueueTable):
     #: fraction of observations that must agree before adapting
     VOTE = 0.625
 
-    def __init__(self, pcfg: PrefetchConfig, max_interval: int = 64) -> None:
+    def __init__(self, pcfg: PrefetchConfig) -> None:
         super().__init__(pcfg)
-        self.max_interval = max_interval
+        self.max_interval = ADAPTIVE_MAX_INTERVAL
         self._intervals: dict[int, int] = {}
         self._votes: dict[int, list[int]] = {}  # pc -> [late, early, total]
         self.adapt_stats = AdaptiveStats()

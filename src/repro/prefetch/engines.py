@@ -70,7 +70,7 @@ class DBPEngine(PrefetchEngine):
     #: per elapsed window (or whenever the table overflows this bound)
     #: every entry too old to ever suppress again is dropped.  Trigger
     #: times are not monotone — chained fill times run up to
-    #: ``max_chain_depth`` memory latencies ahead of the commit-time
+    #: ``MAX_CHAIN_DEPTH`` memory latencies ahead of the commit-time
     #: triggers, and completion times within the instruction window skew
     #: backwards — so aging is measured against a monotone high-water
     #: clock with a slack covering the machine's worst-case completion
@@ -85,6 +85,9 @@ class DBPEngine(PrefetchEngine):
     #: and the predictor's 2 queries/cycle: the speculative unroll proceeds
     #: a bounded distance per arrival rather than fanning out exponentially.
     CHASE_BUDGET = 16
+    #: Hops one unroll may chain from its trigger; the other bound on the
+    #: same unroll as ``CHASE_BUDGET``.
+    MAX_CHAIN_DEPTH = 8
 
     def __init__(self, pcfg: PrefetchConfig | None = None) -> None:
         super().__init__(pcfg)
@@ -101,12 +104,12 @@ class DBPEngine(PrefetchEngine):
         # Worst-case gap between the high-water trigger time and any later
         # trigger: in-flight completion times span at most the instruction
         # window's dependent-miss chain, plus the chained-prefetch unroll
-        # runs max_chain_depth fills further ahead.  Per-hop cost is one
+        # runs MAX_CHAIN_DEPTH fills further ahead.  Per-hop cost is one
         # full memory access with generous queueing margin.
         cfg = self.cfg
         hop = cfg.memory_latency + cfg.l2.latency + 64
         self._chase_slack = self.RECHASE_WINDOW + hop * (
-            cfg.window + self.pcfg.max_chain_depth
+            cfg.window + self.MAX_CHAIN_DEPTH
         )
 
     # -- learning ------------------------------------------------------
@@ -139,7 +142,7 @@ class DBPEngine(PrefetchEngine):
     def _trigger(self, producer_pc: int, value: int, time: int) -> None:
         """Start one unroll with a fresh chase budget."""
         self._budget = self.CHASE_BUDGET
-        self._chase(producer_pc, value, time, self.pcfg.max_chain_depth)
+        self._chase(producer_pc, value, time, self.MAX_CHAIN_DEPTH)
 
     def _chase(self, producer_pc: int, value: int, time: int, depth: int) -> None:
         """Speculatively unroll the traversal kernel from ``value``.
@@ -317,9 +320,7 @@ class HardwareJPPEngine(DBPEngine):
         if self.pcfg.adaptive_interval:
             from .adaptive import AdaptiveJumpQueueTable
 
-            self.jqt: JumpQueueTable = AdaptiveJumpQueueTable(
-                self.pcfg, max_interval=self.pcfg.adaptive_max_interval
-            )
+            self.jqt: JumpQueueTable = AdaptiveJumpQueueTable(self.pcfg)
         else:
             self.jqt = JumpQueueTable(self.pcfg)
         self.storage = JumpPointerStorage(self.pcfg)

@@ -19,14 +19,6 @@ def lcg(seed: int) -> int:
     return (seed * LCG_A + LCG_C) & LCG_MASK
 
 
-def lcg_stream(seed: int, count: int) -> list[int]:
-    out = []
-    for __ in range(count):
-        seed = lcg(seed)
-        out.append(seed)
-    return out
-
-
 def emit_lcg(a: Assembler, seed_reg: int, tmp: int) -> None:
     """Emit ``seed = seed * A + C  (mod 2^32)`` into the assembler."""
     a.li(tmp, LCG_A)

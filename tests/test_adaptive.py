@@ -12,10 +12,8 @@ from repro.prefetch.adaptive import AdaptiveJumpQueueTable
 from tests.conftest import assemble_list_walk
 
 
-def make_table(interval=4, max_interval=32):
-    return AdaptiveJumpQueueTable(
-        PrefetchConfig(jump_interval=interval), max_interval=max_interval
-    )
+def make_table(interval=4):
+    return AdaptiveJumpQueueTable(PrefetchConfig(jump_interval=interval))
 
 
 def feed(table, pc, late, early, times):
@@ -52,9 +50,9 @@ class TestAdaptation:
         assert t.interval_of(7) == 8  # 50% late < 62.5% vote
 
     def test_bounded_above_and_below(self):
-        t = make_table(interval=4, max_interval=8)
+        t = make_table(interval=32)
         feed(t, 7, late=True, early=False, times=10 * t.ADAPT_EVERY)
-        assert t.interval_of(7) == 8
+        assert t.interval_of(7) == 64
         t2 = make_table(interval=4)
         feed(t2, 9, late=False, early=True, times=10 * t2.ADAPT_EVERY)
         assert t2.interval_of(9) == t2.MIN_INTERVAL
@@ -116,3 +114,15 @@ class TestEndToEnd:
         adaptive = TimingModel(program, a_cfg, engine).run()
         fixed = simulate(program, tiny_cfg, engine="hardware")
         assert adaptive.cycles <= fixed.cycles * 1.10
+
+    def test_interval_at_ceiling_audits_clean(self):
+        # The widest start the config accepts keeps every queue within
+        # the auditor's depth bound.
+        from repro.audit import audit_workloads
+
+        (cell,) = audit_workloads(
+            workloads=["health"], schemes=["hardware"],
+            overrides={"prefetch.adaptive_interval": True,
+                       "prefetch.jump_interval": 64},
+        )
+        assert cell.checks > 0 and cell.ok

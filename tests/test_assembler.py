@@ -4,6 +4,7 @@ import pytest
 
 from repro import Assembler, AssemblyError, Op, run_to_completion
 from repro.isa.instruction import TEXT_BASE
+from repro.isa.opcodes import MEM_OPS
 from repro.isa.program import DATA_BASE
 from repro.isa.registers import A0, RA, S0, S1, T0, T1, V0, ZERO
 
@@ -157,7 +158,7 @@ def test_memory_op_annotations():
     a = Assembler()
     inst = a.lw(T0, T1, 8, pad=16, tag="lds")
     assert inst.pad == 16 and inst.tag == "lds" and inst.imm == 8
-    assert inst.is_mem
+    assert inst.op in MEM_OPS
 
 
 def test_disassemble_smoke():

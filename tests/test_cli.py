@@ -47,7 +47,8 @@ def test_machine_overrides(capsys):
         "--set", "memory_latency=140", "--set", "prefetch.jump_interval=4",
     ]) == 0
     out = capsys.readouterr().out
-    cfg = bench_config().with_memory_latency(140).with_jump_interval(4)
+    cfg = bench_config().with_overrides(
+        {"memory_latency": 140, "prefetch.jump_interval": 4})
     assert f" {total(cfg, 'hardware')} " in out
     # --machine picks the named machine the same way run-spec does.
     assert main(["run", "treeadd", "--small", "--machine", "small"]) == 0
@@ -248,9 +249,11 @@ def test_run_spec_out_of_range_set_is_clean_error(tmp_path):
 
 
 def test_removed_prefetch_knob_is_clean_error(capsys):
-    # The chase budget models the DBP query and JPR access rates; a
-    # --set of either rate is an unknown config path, not a no-op.
-    for knob in ("dep_queries_per_cycle", "jpr_accesses_per_cycle"):
+    # The chase budget models the DBP query and JPR access rates, and the
+    # chain depth and adaptive ceiling are constants; a --set of any of
+    # them is an unknown config path, not a no-op.
+    for knob in ("dep_queries_per_cycle", "jpr_accesses_per_cycle",
+                 "adaptive_max_interval", "max_chain_depth"):
         with pytest.raises(SystemExit) as exc:
             main(["run", "treeadd", "--small",
                   "--set", f"prefetch.{knob}=1"])
@@ -258,6 +261,29 @@ def test_removed_prefetch_knob_is_clean_error(capsys):
         assert message.startswith("error:") and "\n" not in message
         assert knob in message
     assert capsys.readouterr().out == ""
+
+
+def test_adaptive_interval_above_ceiling_is_clean_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "health", "--small",
+              "--set", "prefetch.adaptive_interval=true",
+              "--set", "prefetch.jump_interval=128"])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and "\n" not in message
+    assert "jump_interval" in message
+    assert capsys.readouterr().out == ""
+
+
+def test_audit_set_arms_the_mshr_drill(capsys):
+    # --set reaches the invariant sweep: under a non-blocking MSHR model
+    # the drilled cell trips the MSHR conservation law first.
+    assert main(["audit", "--workloads", "treeadd", "--schemes", "base",
+                 "dbp", "--set", "mshr_model=coalescing", "--no-diff",
+                 "--no-gate", "--inject-faults", "treeadd//dbp=corrupt"]) == 0
+    out = capsys.readouterr().out
+    (dbp,) = [line.split() for line in out.splitlines()
+              if line.startswith("treeadd") and " dbp " in line]
+    assert dbp[1] == "dbp" and dbp[6] == "mshr-conservation"
 
 
 @pytest.mark.parametrize("key,value", [
@@ -421,6 +447,7 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     ["trace", "health", "--small"],
     ["profile", "health", "--small"],
     ["tournament"],
+    ["audit", "--mshr-model", "full"],
 ])
 def test_removed_sweep_service_options_rejected(argv):
     with pytest.raises(SystemExit):

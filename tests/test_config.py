@@ -7,10 +7,12 @@ import pytest
 
 from repro import ConfigError, MachineConfig, bench_config, small_config, table2_config
 from repro.config import (
+    ADAPTIVE_MAX_INTERVAL,
     MACHINES,
     BusConfig,
     CacheConfig,
     FuncUnitConfig,
+    PrefetchConfig,
     TLBConfig,
     get_machine,
     machine_names,
@@ -112,6 +114,25 @@ class TestTLBConfig:
         assert TLBConfig(entries=16, miss_penalty=0).miss_penalty == 0
 
 
+class TestPrefetchConfig:
+    def test_adaptive_interval_starts_within_ceiling(self):
+        # The adaptive table widens each PC's queue up to its ceiling and
+        # starts it at jump_interval, so a start above the ceiling is a
+        # machine the auditor's queue-depth law would flag.
+        with pytest.raises(ConfigError, match="jump_interval 128"):
+            PrefetchConfig(adaptive_interval=True, jump_interval=128)
+        with pytest.raises(ConfigError, match="jump_interval"):
+            small_config().with_overrides({
+                "prefetch.adaptive_interval": True,
+                "prefetch.jump_interval": ADAPTIVE_MAX_INTERVAL + 1,
+            })
+        at_ceiling = PrefetchConfig(adaptive_interval=True,
+                                    jump_interval=ADAPTIVE_MAX_INTERVAL)
+        assert at_ceiling.jump_interval == 64
+        # A fixed interval has no ceiling.
+        assert PrefetchConfig(jump_interval=128).jump_interval == 128
+
+
 class TestMachineConfig:
     def test_table2_defaults(self):
         cfg = table2_config()
@@ -130,15 +151,6 @@ class TestMachineConfig:
         assert cfg.prefetch.jump_interval == 8
         assert cfg.prefetch.prq_entries == 8
         assert cfg.prefetch.prefetch_buffer.size == 2048
-
-    def test_with_memory_latency(self):
-        cfg = MachineConfig().with_memory_latency(280)
-        assert cfg.memory_latency == 280
-        assert MachineConfig().memory_latency == 70  # original untouched
-
-    def test_with_jump_interval(self):
-        cfg = MachineConfig().with_jump_interval(16)
-        assert cfg.prefetch.jump_interval == 16
 
     def test_perfect_flag(self):
         cfg = MachineConfig().perfect()
@@ -165,7 +177,7 @@ class TestSerde:
         assert MachineConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_json_round_trip(self):
-        cfg = table2_config().with_jump_interval(16)
+        cfg = table2_config().with_overrides({"prefetch.jump_interval": 16})
         back = MachineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert back == cfg
 
@@ -210,13 +222,6 @@ class TestWithOverrides:
         assert cfg.prefetch.jump_interval == 4
         assert cfg.dl1.latency == 2
         assert bench_config().memory_latency == 70  # original untouched
-
-    def test_matches_legacy_helpers(self):
-        cfg = bench_config()
-        assert cfg.with_overrides({"memory_latency": 280}) == \
-            cfg.with_memory_latency(280)
-        assert cfg.with_overrides({"prefetch.jump_interval": 16}) == \
-            cfg.with_jump_interval(16)
 
     def test_rejects_unknown_path(self):
         with pytest.raises(ConfigError, match="no_such"):

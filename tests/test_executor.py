@@ -128,22 +128,23 @@ class TestDeduplication:
 
 class TestSerialParallelParity:
     def test_figure5_rows_identical(self, cfg):
-        spec = shipped_spec("figure5", FAST_SET)
-        serial = run_spec(spec, cfg=cfg)
-        parallel = run_spec(spec, cfg=cfg, executor=SweepExecutor(jobs=4))
+        spec = shipped_spec("figure5", FAST_SET).with_machine("small")
+        serial = run_spec(spec)
+        parallel = run_spec(spec, executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
     def test_figure7_rows_identical(self, cfg):
-        spec = shipped_spec("figure7", latency=(70,), interval=(8,))
-        serial = run_spec(spec, cfg=cfg)
-        parallel = run_spec(spec, cfg=cfg, executor=SweepExecutor(jobs=4))
+        spec = shipped_spec("figure7", latency=(70,),
+                            interval=(8,)).with_machine("small")
+        serial = run_spec(spec)
+        parallel = run_spec(spec, executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
     @pytest.mark.slow
     def test_full_suite_parity(self, cfg):
-        spec = shipped_spec("figure5")
-        serial = run_spec(spec, cfg=cfg)
-        parallel = run_spec(spec, cfg=cfg, executor=SweepExecutor(jobs=4))
+        spec = shipped_spec("figure5").with_machine("small")
+        serial = run_spec(spec)
+        parallel = run_spec(spec, executor=SweepExecutor(jobs=4))
         assert serial == parallel
 
 
@@ -178,8 +179,9 @@ class TestErrorIsolation:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_poisoned_worker_yields_error_row(self, cfg, poisoned, jobs):
-        rows = run_spec(shipped_spec("figure5", ("treeadd", poisoned)),
-                        cfg=cfg, executor=SweepExecutor(jobs=jobs))
+        rows = run_spec(shipped_spec("figure5", ("treeadd", poisoned))
+                        .with_machine("small"),
+                        executor=SweepExecutor(jobs=jobs))
         good = [r for r in rows if r["benchmark"] == "treeadd"]
         bad = [r for r in rows if r["benchmark"] == poisoned]
         # The healthy benchmark is untouched by its neighbour's failure...
@@ -209,8 +211,8 @@ class TestErrorKinds:
         assert "no-such-engine" in err    # still a usable string
 
     def test_error_rows_greppable_by_kind(self, cfg, poisoned):
-        rows = run_spec(shipped_spec("figure5", ("treeadd", poisoned)),
-                        cfg=cfg)
+        rows = run_spec(shipped_spec("figure5", ("treeadd", poisoned))
+                        .with_machine("small"))
         kinds = {r["error_kind"] for r in rows if r.get("error")}
         assert kinds == {"RuntimeError"}
 
@@ -305,7 +307,7 @@ class TestHangAndCrash:
 class TestProgress:
     def test_narration_counts_cells(self, cfg):
         lines = []
-        run_spec(shipped_spec("figure5", ("treeadd",)), cfg=cfg,
+        run_spec(shipped_spec("figure5", ("treeadd",)).with_machine("small"),
                  executor=SweepExecutor(progress=lines.append))
         # 5 schemes -> 5 timing + 3 distinct variants' compute cells.
         assert len(lines) == 8

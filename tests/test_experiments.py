@@ -18,7 +18,7 @@ def cfg():
 
 
 def run(cfg, name, workloads=None, **axis_values):
-    return run_spec(shipped_spec(name, workloads, **axis_values), cfg=cfg)
+    return run_spec(shipped_spec(name, workloads, **axis_values).with_machine("small"))
 
 
 #: Table 1 on the small machine at test sizes, as the former dedicated

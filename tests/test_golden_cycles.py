@@ -12,9 +12,11 @@ Entry keys are display names; an entry may name its ``workload``
 explicitly (so one workload can be pinned at several sizes, e.g.
 ``treeadd@deep``), may pin a specific prefetch ``idiom`` for the
 software/cooperative schemes (e.g. ``health@sw-root`` pins the
-root-jumping variant instead of the workload's default), and may pin a
-non-default MSHR model via ``mshr_model`` (e.g. ``em3d@mshr-full`` runs
-the same cell under the fully non-blocking hierarchy).  Each pin runs
+root-jumping variant instead of the workload's default), and may carry
+``overrides``, dotted-path machine overrides applied on top of the
+``small`` machine (e.g. ``em3d@mshr-full`` sets ``{"mshr_model":
+"full"}`` to run the same cell under the fully non-blocking
+hierarchy).  Each pin runs
 as a one-workload experiment spec through
 :func:`repro.audit.gate.golden_drift`, the same check as ``repro
 audit``'s fidelity gate.

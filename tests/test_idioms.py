@@ -13,10 +13,9 @@ TABLE1_COLUMNS = ["benchmark", "insts", "loads", "%lds loads", "L1 miss%",
 
 
 def table1_rows(*names):
-    from repro import small_config
     from repro.harness import run_spec
 
-    return run_spec(shipped_spec("table1", names), cfg=small_config())
+    return run_spec(shipped_spec("table1", names).with_machine("small"))
 
 
 class TestCharacterization:

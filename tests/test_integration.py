@@ -88,7 +88,7 @@ class TestLatencyScaling:
         base_prog = w.build("baseline").program
         cuts = {}
         for latency in (70, 280):
-            c = cfg.with_memory_latency(latency)
+            c = cfg.with_overrides({"memory_latency": latency})
             base = simulate(base_prog, c)
             base_perfect = simulate(base_prog, c.perfect())
             dbp = simulate(base_prog, c, engine="dbp")
@@ -100,8 +100,9 @@ class TestLatencyScaling:
         w = get_workload("health", levels=3, branching=4, npat=6,
                          iterations=8, interval=8)
         prog = w.build("baseline").program
-        t70 = simulate(prog, cfg.with_memory_latency(70)).cycles
-        t280 = simulate(prog, cfg.with_memory_latency(280)).cycles
+        t70 = simulate(prog, cfg.with_overrides({"memory_latency": 70})).cycles
+        t280 = simulate(
+            prog, cfg.with_overrides({"memory_latency": 280})).cycles
         # the 4x-latency run is much slower (the scaled-down kernel keeps
         # part of its footprint cache-resident, so the paper's full 2.5x
         # appears only at bench scale — see benchmarks/test_figure7)

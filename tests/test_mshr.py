@@ -275,7 +275,7 @@ class TestMshrLaws:
         cells = audit_workloads(
             machine="small", workloads=["treeadd"], schemes=["base", "dbp"],
             interval=64, drill=CorruptPlan.parse("treeadd//dbp=corrupt"),
-            mshr_model="coalescing",
+            overrides={"mshr_model": "coalescing"},
         )
         by_scheme = {c.scheme: c for c in cells}
         drilled = by_scheme["dbp"]

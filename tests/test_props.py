@@ -202,7 +202,7 @@ class TestSpecIdentityProps:
     @settings(max_examples=15, deadline=None)
     def test_key_covers_machine_config(self, latency):
         cfg = small_config()
-        varied = cfg.with_memory_latency(latency)
+        varied = cfg.with_overrides({"memory_latency": latency})
         a = RunSpec.make("health", "baseline", "none", cfg)
         b = RunSpec.make("health", "baseline", "none", varied)
         if varied == cfg:
@@ -334,7 +334,7 @@ class TestResultRoundTripProps:
         from repro.cpu.simulator import simulate
         from repro.cpu.stats import SimResult
 
-        cfg = small_config().with_memory_latency(latency)
+        cfg = small_config().with_overrides({"memory_latency": latency})
         result = simulate(_walk_program(), cfg, engine=engine)
         back = SimResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert back == result
@@ -345,7 +345,7 @@ class TestResultRoundTripProps:
     def test_result_cache_roundtrip(self, latency, engine):
         from repro.cpu.simulator import simulate
 
-        cfg = small_config().with_memory_latency(latency)
+        cfg = small_config().with_overrides({"memory_latency": latency})
         spec = RunSpec.make("props-walk", "baseline", engine, cfg)
         result = simulate(_walk_program(), cfg, engine=engine)
         with tempfile.TemporaryDirectory() as tmp:

@@ -202,8 +202,8 @@ class TestAssemblyDeterminism:
 class TestKeyboardInterrupt:
     @staticmethod
     def _pair(cfg, executor):
-        return run_spec(shipped_spec("figure5", ("treeadd", "power")),
-                        cfg=cfg, executor=executor)
+        return run_spec(shipped_spec("figure5", ("treeadd", "power"))
+                        .with_machine("small"), executor=executor)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_interrupt_propagates(self, cfg, jobs):

@@ -33,11 +33,13 @@ PAIR_CELLS = 16
 
 
 def figure5_pair(cfg, executor):
-    return run_spec(shipped_spec("figure5", PAIR), cfg=cfg, executor=executor)
+    return run_spec(shipped_spec("figure5", PAIR).with_machine("small"),
+                    executor=executor)
 
 
 def table1_pair(cfg, executor):
-    return run_spec(shipped_spec("table1", PAIR), cfg=cfg, executor=executor)
+    return run_spec(shipped_spec("table1", PAIR).with_machine("small"),
+                    executor=executor)
 
 
 @pytest.fixture(scope="module")
@@ -116,10 +118,9 @@ class TestRoundTrip:
         assert warm == cold
 
     def test_figure5_rows_identical_cold_vs_warm(self, cfg, cache):
-        spec = shipped_spec("figure5", ("treeadd",))
-        cold = run_spec(spec, cfg=cfg, executor=SweepExecutor(cache=cache))
-        assert run_spec(spec, cfg=cfg,
-                        executor=SweepExecutor(cache=cache)) == cold
+        spec = shipped_spec("figure5", ("treeadd",)).with_machine("small")
+        cold = run_spec(spec, executor=SweepExecutor(cache=cache))
+        assert run_spec(spec, executor=SweepExecutor(cache=cache)) == cold
         assert cache.hits > 0
 
     def test_miss_parallelism_survives_round_trip(self, cfg, cache):

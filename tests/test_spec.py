@@ -213,12 +213,12 @@ class TestCompile:
         for benchmarks, cells in ((("treeadd",), 5 + 3),
                                   (("treeadd", "em3d", "health"), 24)):
             spec = shipped_spec("figure5", benchmarks)
-            compiled = compile_spec(spec, small_config())
+            compiled = compile_spec(spec.with_machine("small"))
             assert compiled.cell_count == cells
 
     def test_axes_cross_product_order(self):
         spec = shipped_spec("figure7")
-        compiled = compile_spec(spec, small_config())
+        compiled = compile_spec(spec.with_machine("small"))
         points = [(r.axis["latency"], r.axis["interval"])
                   for r in compiled.rows]
         # first axis outermost, 5 scheme rows per point
@@ -231,8 +231,8 @@ class TestCompile:
             overrides={"memory_latency": 123},
             columns=("benchmark", "scheme"),
         )
-        compiled = compile_spec(spec, small_config())
-        assert compiled.cfg.memory_latency == 123
+        compiled = compile_spec(spec.with_machine("small"))
+        assert compiled.plan.cfg.memory_latency == 123
 
 
 # ----------------------------------------------------------------------
@@ -242,14 +242,13 @@ class TestCompile:
 class TestWarmCache:
     def test_warm_rerun_executes_nothing(self, tmp_path):
         spec = shipped_spec("figure5", ("treeadd",))
-        cfg = small_config()
 
         cold = SweepExecutor(cache=ResultCache(tmp_path))
-        rows_cold = run_spec(spec, cfg=cfg, executor=cold)
+        rows_cold = run_spec(spec.with_machine("small"), executor=cold)
         assert cold.stats()["executed"] == 8
 
         warm = SweepExecutor(cache=ResultCache(tmp_path))
-        rows_warm = run_spec(spec, cfg=cfg, executor=warm)
+        rows_warm = run_spec(spec.with_machine("small"), executor=warm)
         assert warm.stats()["executed"] == 0  # every cell cache-served
         assert rows_warm == rows_cold
 
@@ -261,12 +260,11 @@ class TestWarmCache:
         )
         varied = ExperimentSpec.from_dict(
             {**base.to_dict(), "overrides": {"memory_latency": 280}})
-        cfg = small_config()
 
         first = SweepExecutor(cache=ResultCache(tmp_path))
-        run_spec(base, cfg=cfg, executor=first)
+        run_spec(base.with_machine("small"), executor=first)
         second = SweepExecutor(cache=ResultCache(tmp_path))
-        run_spec(varied, cfg=cfg, executor=second)
+        run_spec(varied.with_machine("small"), executor=second)
         # The override changes the machine, so nothing may be reused.
         assert second.stats()["executed"] > 0
 
@@ -319,12 +317,11 @@ class TestMshrModelAxis:
         )
         varied = ExperimentSpec.from_dict(
             {**base.to_dict(), "overrides": {"mshr_model": "coalescing"}})
-        cfg = small_config()
 
         first = SweepExecutor(cache=ResultCache(tmp_path))
-        run_spec(base, cfg=cfg, executor=first)
+        run_spec(base.with_machine("small"), executor=first)
         second = SweepExecutor(cache=ResultCache(tmp_path))
-        run_spec(varied, cfg=cfg, executor=second)
+        run_spec(varied.with_machine("small"), executor=second)
         assert second.stats()["executed"] > 0
 
 
@@ -343,7 +340,7 @@ class TestErrorsAndArtifacts:
             schemes=("software",), columns=("benchmark", "scheme", "total"),
         )
         with pytest.raises(Exception, match="root"):
-            compile_spec(spec, small_config())
+            compile_spec(spec.with_machine("small"))
 
     def test_idiom_expansion_skips_missing_variants(self):
         spec = ExperimentSpec(
@@ -353,7 +350,7 @@ class TestErrorsAndArtifacts:
                 idioms=("queue", "root")),),
             columns=("benchmark", "config", "normalized"),
         )
-        rows = run_spec(spec, cfg=small_config())
+        rows = run_spec(spec.with_machine("small"))
         configs = [r["config"] for r in rows]
         # base + sw:queue + coop:queue; no treeadd root variants exist.
         assert configs == ["base", "sw:queue", "coop:queue"]

@@ -154,7 +154,7 @@ class TestTournamentSummary:
 class TestTournamentEndToEnd:
     @pytest.fixture(scope="class")
     def rows(self):
-        return run_spec(tiny_tournament_spec(), cfg=small_config())
+        return run_spec(tiny_tournament_spec().with_machine("small"))
 
     def test_every_cell_present(self, rows):
         assert len(rows) == 2 * len(scheme_names())
