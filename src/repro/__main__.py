@@ -8,7 +8,9 @@ also prints its ranked summary.  ``run`` is the one single-run command:
 observers, and ``-o`` writes the same ``repro.experiment/1`` artifact as
 ``run-spec -o``, whose embedded spec ``run-spec`` reruns.
 ``--machine NAME`` and ``--set PATH=VALUE`` choose the machine for
-``run``, ``run-spec`` and ``audit`` alike.
+``run``, ``run-spec`` and ``audit`` alike.  A sweep cell whose program
+never halts becomes an error row once the interpreter's instruction
+budget runs out; there is no wall-clock limit.
 
 Examples::
 
@@ -24,7 +26,6 @@ Examples::
     python -m repro run-spec examples/specs/table1.toml   # characterization
     python -m repro run-spec examples/specs/figure5.toml --jobs 4
     python -m repro run-spec examples/specs/figure7.toml --no-cache
-    python -m repro run-spec examples/specs/figure5.toml --timeout 300
     python -m repro run-spec examples/specs/figure5.toml  # after Ctrl-C: resumes
     python -m repro run-spec examples/specs/x1.toml --small --machine small
     python -m repro run-spec mysweep.toml --small -o result.json
@@ -298,7 +299,7 @@ def cmd_run(args) -> int:
 
 
 def _build_executor(args) -> SweepExecutor:
-    """--jobs/--cache/--timeout plumbing shared by the sweep commands.  One
+    """--jobs/--cache plumbing shared by the sweep commands.  One
     obs registry spans the cache and the executor so a single dump shows
     the whole sweep's behaviour."""
     registry = MetricRegistry()
@@ -306,7 +307,6 @@ def _build_executor(args) -> SweepExecutor:
         jobs=args.jobs,
         cache=(None if args.no_cache
                else ResultCache(args.cache_dir, registry=registry)),
-        timeout=args.timeout,
         registry=registry,
     )
     # Gate on the resolved worker count, so --jobs 0 auto-detection
@@ -494,17 +494,16 @@ def cmd_bench_diff(args) -> int:
     return 0
 
 
-def _bounded(kind: type, low: float, *, strict: bool = False):
-    """argparse type: ``kind(text)`` that must be >= ``low`` (> if strict)."""
-    op = ">" if strict else ">="
+def _bounded(kind: type, low: int):
+    """argparse type: ``kind(text)`` that must be >= ``low``."""
 
     def parse(text: str):
         value = kind(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"must be {op} {low}, got {text}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse's "invalid float value" wording
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
     return parse
 
 
@@ -598,10 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="narrate per-cell progress on stderr "
                              "(implied whenever more than one worker runs, "
                              "including --jobs 0 on a multi-CPU host)")
-    spec_p.add_argument("--timeout", type=_bounded(float, 0, strict=True),
-                        default=None, metavar="SEC",
-                        help="per-cell wall-clock budget; a hung worker is "
-                             "terminated and the cell becomes an error row")
 
     audit = sub.add_parser(
         "audit", parents=[machine_opts],

@@ -35,13 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..cpu.timing import _ISSUED_AT_PRUNE_INTERVAL, _ISSUED_AT_PRUNE_THRESHOLD
 from ..errors import ReproError
 from ..obs.outcomes import TIMELY
 
 #: Slack the core's ``issued_at`` map may legitimately carry: the prune
 #: keeps up to the threshold and runs every prune-interval commits, each
 #: of which can add at most one entry.
-_ISSUED_AT_BOUND = 200_000 + 65536
+_ISSUED_AT_BOUND = _ISSUED_AT_PRUNE_THRESHOLD + _ISSUED_AT_PRUNE_INTERVAL
 
 
 class AuditError(ReproError):

@@ -4,9 +4,9 @@ The defaults mirror Table 2 of the paper (the "Simulated Machine
 Configuration" used for every experiment).  All sizes are in bytes and all
 latencies in core cycles unless noted otherwise.
 
-Every config dataclass is serializable (``to_dict``/``from_dict`` with
-strict unknown-key rejection) and supports declarative dotted-path
-overrides::
+Every config dataclass serializes with ``to_dict`` and supports
+declarative dotted-path overrides, checked leaf by leaf against the
+dataclass tree::
 
     bench_config().with_overrides({"prefetch.jump_interval": 4,
                                    "memory_latency": 280})
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, get_type_hints
+from typing import Any, Callable, Mapping
 
 from .errors import ConfigError
 from .registry import Registry
@@ -60,9 +60,10 @@ def _check_positive(name: str, value: int) -> None:
 # Serialization and dotted-path overrides (shared by every config class)
 # ----------------------------------------------------------------------
 
-def _leaf_compatible(current: Any, value: Any) -> bool:
-    """Loose type agreement for an override leaf: ints for ints, numbers
-    for floats, bools for bools — rejects category errors (a dict where a
+def leaf_compatible(current: Any, value: Any) -> bool:
+    """Loose type agreement for an override leaf (and for a workload
+    parameter against its default): ints for ints, numbers for floats,
+    bools for bools — rejects category errors (a dict where a
     latency goes) without blocking e.g. an int for a float field."""
     if isinstance(current, bool):
         return isinstance(value, bool)
@@ -73,65 +74,17 @@ def _leaf_compatible(current: Any, value: Any) -> bool:
     return isinstance(value, type(current))
 
 
-def _config_from_dict(cls: type, data: Any, context: str = "") -> Any:
-    """Strict recursive constructor: unknown keys and malformed nesting
-    raise :class:`ConfigError` instead of being silently dropped."""
-    if not isinstance(data, Mapping):
-        raise ConfigError(
-            f"{cls.__name__} expects a mapping, got {type(data).__name__}"
-        )
-    hints = get_type_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(
-                f"unknown config key {context + str(key)!r} "
-                f"for {cls.__name__}; known keys: {sorted(known)}"
-            )
-        ftype = hints[key]
-        if dataclasses.is_dataclass(ftype):
-            value = _config_from_dict(ftype, value, context=f"{context}{key}.")
-        elif not _annotation_compatible(ftype, value):
-            raise ConfigError(
-                f"config key {context + str(key)!r} expects "
-                f"{ftype.__name__}, got {type(value).__name__} ({value!r})"
-            )
-        kwargs[key] = value
-    return cls(**kwargs)
-
-
-def _annotation_compatible(ftype: type, value: Any) -> bool:
-    """Leaf agreement against the declared field type (same rules as
-    :func:`_leaf_compatible`, keyed on the annotation instead of the
-    current value)."""
-    if ftype is bool:
-        return isinstance(value, bool)
-    if ftype is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if ftype is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        return isinstance(value, ftype)
-    except TypeError:  # exotic annotation (e.g. parametrized generics)
-        return True
-
-
 def _override_section(current: Any, path: str, value: Any) -> Any:
-    """A mapping assigned to a section path merges field-by-field."""
+    """A mapping assigned to a section path applies key by key, each key
+    checked exactly as the dotted path ``path.key`` would be."""
     if not isinstance(value, Mapping):
         raise ConfigError(
             f"config path {path!r} names a {type(current).__name__} "
             "section; assign a mapping of its fields or extend the path"
         )
-    known = {f.name for f in dataclasses.fields(current)}
-    unknown = set(value) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown config key(s) {sorted(unknown)} under {path!r}; "
-            f"known keys: {sorted(known)}"
-        )
-    return replace(current, **dict(value))
+    for key, item in value.items():
+        current = _override_path(current, f"{path}.{key}", [str(key)], item)
+    return current
 
 
 def _override_path(obj: Any, full: str, parts: list[str], value: Any) -> Any:
@@ -152,7 +105,7 @@ def _override_path(obj: Any, full: str, parts: list[str], value: Any) -> Any:
         value = _override_path(current, full, parts[1:], value)
     elif dataclasses.is_dataclass(current):
         value = _override_section(current, full, value)
-    elif not _leaf_compatible(current, value):
+    elif not leaf_compatible(current, value):
         raise ConfigError(
             f"config path {full!r} expects {type(current).__name__}, "
             f"got {type(value).__name__} ({value!r})"
@@ -161,21 +114,16 @@ def _override_path(obj: Any, full: str, parts: list[str], value: Any) -> Any:
 
 
 class SerializableConfig:
-    """Mixin: dict round-trip plus dotted-path overrides.
+    """Mixin: dict form plus dotted-path overrides.
 
-    ``from_dict(cfg.to_dict()) == cfg`` holds for every config class;
-    both directions validate (construction runs ``__post_init__``,
-    parsing rejects unknown keys)."""
+    ``MachineConfig().with_overrides(cfg.to_dict())`` rebuilds ``cfg``
+    from its dict form: a section mapping applies key by key, in order,
+    exactly like the dotted paths it stands for, and each replacement
+    runs the section's ``__post_init__`` validation."""
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe nested dict of every field (the cache-key form)."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SerializableConfig":
-        """Inverse of :meth:`to_dict`; missing keys take field defaults,
-        unknown keys raise :class:`~repro.errors.ConfigError`."""
-        return _config_from_dict(cls, data)
 
     def with_overrides(
         self, overrides: Mapping[str, Any] | None

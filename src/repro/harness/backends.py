@@ -1,23 +1,24 @@
 """Worker backends: *where* a sweep's cells run.
 
 The :class:`~repro.harness.executor.SweepExecutor` owns *what* to run
-(dedup, cache replay, timeouts, assembly); a :class:`WorkerBackend`
-owns *where* it runs.  The executor picks one of two by ``jobs``:
+(dedup, cache replay, assembly); a :class:`WorkerBackend` owns *where*
+it runs.  The executor picks one of two by ``jobs``:
 
 :class:`SerialBackend`
     In-process, one cell at a time — used for ``--jobs 1`` and plans of
     at most one cell.
 :class:`ProcessPoolBackend`
-    A local ``ProcessPoolExecutor`` fan-out with hung-worker reaping and
-    crash recovery.  Each cell travels to its worker as the pickled
-    :class:`~repro.harness.cells.RunSpec` itself; workers memoize built
-    workload programs across cells.
+    A local ``ProcessPoolExecutor`` fan-out, one cell per worker in
+    flight, that rebuilds the pool when a worker dies.  Each cell travels
+    to its worker as the pickled :class:`~repro.harness.cells.RunSpec`
+    itself; workers memoize built workload programs across cells.
 
 Backends are stateless and constructed without arguments; everything
-they need (jobs, timeout, counters) lives on the executor they are
-handed.  A cell that fails, times out or loses its worker becomes an
-error cell: cells are deterministic, so running one again would fail
-again.
+they need (jobs, counters) lives on the executor they are handed.  A
+cell that fails or loses its worker becomes an error cell: cells are
+deterministic, so running one again would fail again.  A cell whose
+program never halts fails too: the interpreter's instruction budget
+raises :class:`~repro.errors.ExecutionError`, in either backend.
 
 Also here: :func:`detect_cpus`, the cgroup/affinity-aware CPU count
 used for ``--jobs 0`` auto-detection — ``os.process_cpu_count()`` where
@@ -28,7 +29,6 @@ it exists (3.13+), else the scheduling affinity mask, else
 from __future__ import annotations
 
 import os
-import time
 import traceback
 from collections import OrderedDict, deque
 from concurrent.futures import (
@@ -40,7 +40,7 @@ from concurrent.futures import (
 from typing import TYPE_CHECKING, Any
 
 from ..workloads import get_workload
-from .cells import Attempt, CellResult, RunSpec, run_cell
+from .cells import CellResult, RunSpec, run_cell
 
 if TYPE_CHECKING:  # pragma: no cover
     from .executor import SweepExecutor
@@ -139,39 +139,16 @@ class SerialBackend(WorkerBackend):
     ) -> int:
         for spec in todo:
             sched._c_executed.inc()
-            start = time.monotonic()
-            out = run_cell(spec)
-            elapsed = time.monotonic() - start
-            if out[0] == "ok" and (
-                sched.timeout is None or elapsed <= sched.timeout
-            ):
-                done += 1
-                results[spec] = sched._finish(
-                    CellResult(spec, out[1]), done, total
-                )
-                continue
-            if out[0] == "ok":
-                # Completed, but past the wall-clock budget: a pool
-                # would have reaped it — charge a timeout for
-                # serial/parallel parity.
-                sched._c_timeouts.inc()
-                kind, tb = "TimeoutError", (
-                    f"TimeoutError: cell exceeded --timeout "
-                    f"{sched.timeout}s (took {elapsed:.2f}s)"
-                )
-            else:
-                kind, tb = out[1], out[2]
-            done = sched._fail(spec, kind, tb, results, done, total)
+            done = sched._record(spec, run_cell(spec), results, done, total)
         return done
 
 
 class ProcessPoolBackend(WorkerBackend):
-    """Local ``ProcessPoolExecutor`` fan-out with per-cell deadlines,
-    hung-worker reaping (pool abandonment), and crash recovery."""
+    """Local ``ProcessPoolExecutor`` fan-out with crash recovery."""
 
     @staticmethod
     def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-        """Shut a pool down without waiting on hung/dead workers: cancel
+        """Shut a pool down without waiting on its workers: cancel
         everything not started, then terminate the worker processes."""
         # Snapshot the worker processes before shutdown clears the map.
         procs = list((getattr(pool, "_processes", None) or {}).values())
@@ -195,74 +172,30 @@ class ProcessPoolBackend(WorkerBackend):
         done: int,
         total: int,
     ) -> int:
-        queue: deque[Attempt] = deque(Attempt(spec) for spec in todo)
+        queue: deque[RunSpec] = deque(todo)
         while queue:
             max_inflight = min(sched.jobs, len(queue))
             pool = ProcessPoolExecutor(max_workers=max_inflight)
-            abandon = False
+            broken = False
             try:
-                running: dict[Any, Attempt] = {}
-                broken = False
-
-                def submit(item: Attempt) -> None:
-                    sched._c_executed.inc()
-                    if sched.timeout is not None:
-                        item.deadline = time.monotonic() + sched.timeout
-                    fut = pool.submit(_pool_run_job, item.spec)
-                    running[fut] = item
+                running: dict[Any, RunSpec] = {}
 
                 def refill() -> None:
                     # Keep at most one cell per worker in flight, so a
-                    # deadline measures *run* time: a cell parked in the
-                    # pool's internal queue must not burn its budget.
+                    # dying worker takes down only the cells running
+                    # beside it, not a backlog parked in the pool's queue.
                     while queue and not broken and len(running) < max_inflight:
-                        submit(queue.popleft())
+                        spec = queue.popleft()
+                        sched._c_executed.inc()
+                        running[pool.submit(_pool_run_job, spec)] = spec
 
                 refill()
                 while running:
-                    wait_for = None
-                    if sched.timeout is not None:
-                        wait_for = max(
-                            0.0,
-                            min(i.deadline for i in running.values())
-                            - time.monotonic(),
-                        )
                     finished, __ = wait(
-                        set(running), timeout=wait_for,
-                        return_when=FIRST_COMPLETED,
+                        set(running), return_when=FIRST_COMPLETED
                     )
-                    if not finished:
-                        # A deadline expired with nothing completing:
-                        # the worker is hung.  Its process cannot be
-                        # recovered individually, so fail the timed-out
-                        # cells, requeue the innocent bystanders
-                        # untouched, and abandon the pool.
-                        now = time.monotonic()
-                        expired = [
-                            fut for fut, item in running.items()
-                            if item.deadline is not None
-                            and item.deadline <= now
-                        ]
-                        if not expired:
-                            continue
-                        for fut in expired:
-                            item = running.pop(fut)
-                            sched._c_timeouts.inc()
-                            tb = (
-                                f"TimeoutError: cell exceeded --timeout "
-                                f"{sched.timeout}s; hung worker terminated"
-                            )
-                            done = sched._fail(
-                                item.spec, "TimeoutError", tb,
-                                results, done, total,
-                            )
-                        for item in running.values():
-                            queue.append(item)
-                        sched._c_pool_breaks.inc()
-                        abandon = True
-                        break
                     for fut in finished:
-                        item = running.pop(fut)
+                        spec = running.pop(fut)
                         try:
                             out = fut.result()
                         except BrokenExecutor:
@@ -273,39 +206,20 @@ class ProcessPoolBackend(WorkerBackend):
                             if not broken:
                                 sched._c_pool_breaks.inc()
                                 broken = True
-                            done = sched._fail(
-                                item.spec, "BrokenProcessPool",
-                                traceback.format_exc(),
-                                results, done, total,
-                            )
-                            continue
+                            out = ("error", "BrokenProcessPool",
+                                   traceback.format_exc())
                         except Exception as exc:
                             # The cell or its result failed to pickle
                             # (or another local fault); isolate it as an
                             # error of this cell only.
-                            done = sched._fail(
-                                item.spec, type(exc).__name__,
-                                traceback.format_exc(),
-                                results, done, total,
-                            )
-                            continue
-                        if out[0] == "ok":
-                            done += 1
-                            results[item.spec] = sched._finish(
-                                CellResult(item.spec, out[1]), done, total,
-                            )
-                        else:
-                            done = sched._fail(
-                                item.spec, out[1], out[2],
-                                results, done, total,
-                            )
+                            out = ("error", type(exc).__name__,
+                                   traceback.format_exc())
+                        done = sched._record(spec, out, results, done, total)
                     # Waiting cells go to the current pool while it is
                     # healthy.
                     refill()
                     if broken:
-                        for item in running.values():
-                            queue.append(item)
-                        abandon = True
+                        queue.extend(running.values())
                         break
             except BaseException:
                 # KeyboardInterrupt (or any unexpected error) must not
@@ -313,11 +227,10 @@ class ProcessPoolBackend(WorkerBackend):
                 # tear the pool down before propagating.
                 self._abandon_pool(pool)
                 raise
+            if broken:
+                self._abandon_pool(pool)
             else:
-                if abandon:
-                    self._abandon_pool(pool)
-                else:
-                    pool.shutdown(wait=True)
+                pool.shutdown(wait=True)
         return done
 
 

@@ -11,9 +11,13 @@ workers by :func:`run_cell`).
 The layers stack on top:
 
 * :mod:`repro.harness.executor` — plan → dispatch → deterministic
-  plan-order assembly, owning timeouts and cache replay;
+  plan-order assembly, owning failure accounting and cache replay;
 * :mod:`repro.harness.backends` — the serial and process-pool worker
   backends that execute dispatched cells.
+
+A cell is bounded by the interpreter's instruction budget alone: a
+program that never halts raises :class:`~repro.errors.ExecutionError`,
+which :func:`run_cell` returns as an error like any other.
 """
 
 from __future__ import annotations
@@ -121,15 +125,6 @@ class CellResult:
         return self.error is None
 
 
-@dataclass
-class Attempt:
-    """One scheduled execution of a cell; the process pool's dispatch
-    queue holds these."""
-
-    spec: RunSpec
-    deadline: float | None = None
-
-
 def simulate_cell(
     spec: RunSpec,
     program: Any = None,
@@ -195,7 +190,6 @@ def error_row(
 
 
 __all__ = [
-    "Attempt",
     "CellError",
     "CellResult",
     "RunSpec",

@@ -14,10 +14,11 @@ everything a worker backend must not reinvent:
   first run did not finish: resuming is just running again.  A cache
   that cannot be written (read-only, full, not a directory) is counted
   and logged; the sweep keeps its results.
-* **Failure accounting** — a cell that raises, times out or loses its
-  worker becomes an error :class:`CellResult` (:meth:`SweepExecutor._fail`)
-  instead of aborting the sweep.  Cells are deterministic, so a failed
-  cell is reported rather than retried.
+* **Failure accounting** — a cell that raises or loses its worker
+  becomes an error :class:`CellResult` (:meth:`SweepExecutor._fail`)
+  instead of aborting the sweep.  A program that never halts raises too,
+  once the interpreter's instruction budget runs out.  Cells are
+  deterministic, so a failed cell is reported rather than retried.
 * **Narrated progress**, one line per finished cell.
 
 The layers it stands on:
@@ -68,7 +69,7 @@ logger = logging.getLogger(__name__)
 
 class SweepExecutor:
     """Executes a deduplicated list of cells through a worker backend,
-    serving cached cells first, with an optional per-cell timeout.
+    serving cached cells first.
 
     ``jobs=0`` requests cgroup/affinity-aware CPU auto-detection.  Tests
     may inject any :class:`~repro.harness.backends.WorkerBackend`
@@ -80,14 +81,12 @@ class SweepExecutor:
         cache: ResultCache | None = None,
         progress: Progress | None = None,
         *,
-        timeout: float | None = None,
         registry: MetricRegistry | None = None,
         backend: WorkerBackend | None = None,
     ) -> None:
         self.jobs = detect_cpus() if jobs == 0 else max(1, jobs)
         self.cache = cache
         self.progress = progress
-        self.timeout = timeout
         self.backend = backend
         self.registry = (
             registry
@@ -95,15 +94,12 @@ class SweepExecutor:
             or MetricRegistry()
         )
         reg = self.registry
-        self._c_timeouts = reg.counter(
-            "sweep.timeouts", help="cells that overran the timeout"
-        )
         self._c_failures = reg.counter(
             "sweep.failures", help="cells that finished as errors"
         )
         self._c_pool_breaks = reg.counter(
             "sweep.pool_breaks",
-            help="worker pools abandoned after a crash or hung worker",
+            help="worker pools abandoned after a worker crash",
         )
         self._c_executed = reg.counter(
             "sweep.executed", help="cells computed by a worker this sweep"
@@ -140,6 +136,22 @@ class SweepExecutor:
                     )
         self._narrate(done, total, cell)
         return cell
+
+    def _record(
+        self,
+        spec: RunSpec,
+        out: tuple[str, ...],
+        results: dict[RunSpec, CellResult],
+        done: int,
+        total: int,
+    ) -> int:
+        """Record ``spec``'s :func:`run_cell` outcome (``("ok", result)``
+        or ``("error", kind, traceback)``); returns the new ``done``."""
+        if out[0] != "ok":
+            return self._fail(spec, out[1], out[2], results, done, total)
+        done += 1
+        results[spec] = self._finish(CellResult(spec, out[1]), done, total)
+        return done
 
     def _fail(
         self,
@@ -218,7 +230,6 @@ class SweepExecutor:
     def stats(self) -> dict[str, int]:
         return {
             "executed": self._c_executed.value,
-            "timeouts": self._c_timeouts.value,
             "failures": self._c_failures.value,
             "pool_breaks": self._c_pool_breaks.value,
         }
@@ -227,8 +238,7 @@ class SweepExecutor:
         s = self.stats()
         return (
             f"sweep: {s['executed']} cells executed, "
-            f"{s['timeouts']} timeouts, {s['failures']} failures, "
-            f"{s['pool_breaks']} pool restarts"
+            f"{s['failures']} failures, {s['pool_breaks']} pool restarts"
         )
 
 

@@ -8,9 +8,9 @@ report.  Specs load from TOML or JSON files (``examples/specs/``), and
 :class:`~repro.harness.executor.RunSpec` cells in a
 :class:`~repro.harness.executor.SweepPlan`, so spec-driven runs inherit
 the deduplication, on-disk result cache (which is also how an
-interrupted run resumes), process-pool parallelism and timeouts of the
-:class:`~repro.harness.executor.SweepExecutor` they are given, without
-any code of their own.  Every paper experiment is one shipped spec
+interrupted run resumes), process-pool parallelism and failure
+accounting of the :class:`~repro.harness.executor.SweepExecutor` they
+are given, without any code of their own.  Every paper experiment is one shipped spec
 file; there is no second definition in code.
 
 Spec documents have this shape (TOML shown; JSON is isomorphic)::
@@ -19,6 +19,7 @@ Spec documents have this shape (TOML shown; JSON is isomorphic)::
     title = "Figure 7 — latency tolerance (health)"
     machine = "bench"                # a repro.config.MACHINES name
     # overrides = {"dl1.size" = 16384}   # dotted-path machine tweaks
+    # overrides = {dl1 = {size = 16384}} # ... or section tables, checked alike
     # profile = true                 # CPI-stack profiler on every timing cell
     # telemetry = true               # outcome/miss telemetry on every timing cell
 

@@ -683,9 +683,9 @@ class MemoryHierarchy:
 
         # Prefetches wait for idle resources (the paper's PRQ rationale:
         # "to minimize resource contention"): they may not take the last
-        # MSHRs (reserved for demand misses) and do not pile onto already
-        # backlogged buses, where they would delay demand transfers (the
-        # model has no demand-priority reordering).
+        # two MSHRs, which stay reserved for demand misses.  Bus occupancy
+        # is not checked here; ``_l2_path`` issues the fill as a
+        # background transfer, so demand transfers keep bus priority.
         self._mshr_done[:] = [t for t in self._mshr_done if t > time]
         if len(self._mshr_done) >= self.cfg.max_outstanding_misses - 2:
             st.prefetches_throttled += 1

@@ -35,6 +35,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from ..config import leaf_compatible
 from ..errors import WorkloadError
 from ..isa.interpreter import Interpreter
 from ..isa.program import Program
@@ -80,6 +81,13 @@ class Workload(abc.ABC):
                 f"{self.name}: unknown parameter(s) {sorted(unknown)}; "
                 f"valid: {sorted(defaults)}"
             )
+        for key, value in params.items():
+            if not leaf_compatible(defaults[key], value):
+                raise WorkloadError(
+                    f"{self.name}: parameter {key!r} expects "
+                    f"{type(defaults[key]).__name__}, got "
+                    f"{type(value).__name__} ({value!r})"
+                )
         self.params = {**defaults, **params}
 
     @classmethod

@@ -19,6 +19,7 @@ software/cooperative install during creation and optimize every pass.
 from __future__ import annotations
 
 from ...core.jump_queue import SoftwareJumpQueue, emit_jump_prefetch
+from ...errors import WorkloadError
 from ...isa.assembler import Assembler
 from ...isa.interpreter import Interpreter
 from ...isa.registers import (
@@ -70,7 +71,7 @@ class TreeAdd(Workload):
         passes: int = self.params["passes"]
         interval: int = self.params["interval"]
         if levels < 1:
-            raise ValueError("levels must be >= 1")
+            raise WorkloadError(f"treeadd: levels must be >= 1, got {levels}")
 
         a = Assembler()
         result_addr = a.word(0)

@@ -109,6 +109,19 @@ def test_unknown_workload_param_is_clean_error(tmp_path, capsys):
         assert "levelz" in message and "levels" in message
 
 
+@pytest.mark.parametrize("param,fragment", [
+    ("levels=abc", "expects int"),
+    ("levels=-3", "levels must be >= 1"),
+], ids=["wrong-type", "below-minimum"])
+def test_bad_workload_param_value_is_clean_error(capsys, param, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "treeadd", "--small", "--param", param])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and "\n" not in message
+    assert fragment in message
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nope"])
@@ -229,6 +242,21 @@ def test_run_spec_unwritable_cache_keeps_results(
     footer = re.search(r"(\d+) writes, (\d+) write errors", captured.err)
     assert footer and footer.groups() == ("0", str(cells))
     assert blocker.read_text() == "x"
+
+
+def test_run_spec_section_overrides_match_dotted_paths(tmp_path, capsys):
+    from dataclasses import replace
+
+    outs = []
+    for name, overrides in (
+        ("section", {"prefetch": {"prefetch_buffer": {"size": 4096}}}),
+        ("dotted", {"prefetch.prefetch_buffer.size": 4096}),
+    ):
+        spec = replace(_tiny_spec(), name=name, overrides=overrides)
+        assert main(["run-spec", str(_write_spec(tmp_path, spec)),
+                     "--machine", "small", "--no-cache"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_run_spec_bad_file_is_clean_error(tmp_path):
@@ -397,10 +425,6 @@ def test_negative_jobs_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command,flag,bad,edge,kind", [
-    # This case ran on the removed ``tournament`` subcommand; its id is
-    # kept now that it runs on run-spec.
-    pytest.param("run-spec s.toml", "--timeout", "0", "0.5", float,
-                 id="tournament---timeout-0-0.5-float"),
     ("audit", "--every", "0", "1", int),
     ("audit", "--diff-sample", "-1", "0", int),
 ])
@@ -448,6 +472,7 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     ["profile", "health", "--small"],
     ["tournament"],
     ["audit", "--mshr-model", "full"],
+    ["run-spec", "s.toml", "--timeout", "5"],
 ])
 def test_removed_sweep_service_options_rejected(argv):
     with pytest.raises(SystemExit):

@@ -285,14 +285,14 @@ class TestMshrModelAxis:
         doc = small_config().to_dict()
         doc["mshr_model"] = "nope"
         with pytest.raises(ConfigError, match="nope"):
-            MachineConfig.from_dict(doc)
+            MachineConfig().with_overrides(doc)
 
     @pytest.mark.parametrize("model", ["blocking", "coalescing", "full"])
     def test_serde_round_trip(self, model):
         from repro.config import MachineConfig
         cfg = small_config().with_overrides({"mshr_model": model})
         assert cfg.mshr_model == model
-        assert MachineConfig.from_dict(cfg.to_dict()) == cfg
+        assert MachineConfig().with_overrides(cfg.to_dict()) == cfg
 
     def test_mshr_axis_spec_round_trips(self):
         spec = ExperimentSpec(
