@@ -1,8 +1,8 @@
 """Command-line interface: run the paper's experiments and single configs.
 
 Every paper table and figure is a spec file under ``examples/specs/``
-(``table1``, ``figure4``–``figure7``, ``x1``–``x4``, ``x2-passes``,
-``mshr``, ``tournament``), run with ``run-spec``; a tournament spec
+(``table1``, ``figure4``–``figure7``, ``x1``, ``x2``, ``x2-passes``,
+``x4``, ``mshr``, ``tournament``), run with ``run-spec``; a tournament spec
 also prints its ranked summary.  ``run`` is the one single-run command:
 ``--telemetry``, ``--profile`` and ``--trace FILE`` attach its
 observers, and ``-o`` writes the same ``repro.experiment/1`` artifact as

@@ -17,9 +17,8 @@ registry ("table2", "bench", "small"); :func:`register_machine` adds new
 ones.  A machine is always a name plus such overrides: a spec's
 ``machine``/``overrides`` keys, or ``--machine``/``--set`` on ``run``,
 ``run-spec`` and ``audit``.  Bounds of the modelled hardware that no
-experiment varies are constants (:data:`ADAPTIVE_MAX_INTERVAL` here,
-``DBPEngine.CHASE_BUDGET`` and ``MAX_CHAIN_DEPTH`` in
-:mod:`repro.prefetch.engines`), not fields.
+experiment varies are constants (``DBPEngine.CHASE_BUDGET`` and
+``MAX_CHAIN_DEPTH`` in :mod:`repro.prefetch.engines`), not fields.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ from .registry import Registry
 #: bus contention, ``full`` adds critical-word-first fill and
 #: hit-during-refill on top of coalescing.
 MSHR_MODELS: tuple[str, ...] = ("blocking", "coalescing", "full")
-
-#: Widest per-PC jump interval the adaptive jump queue table
-#: (:mod:`repro.prefetch.adaptive`) widens to; a machine with
-#: ``prefetch.adaptive_interval`` set must start at or below it.
-ADAPTIVE_MAX_INTERVAL = 64
 
 
 def _check_power_of_two(name: str, value: int) -> None:
@@ -74,20 +68,13 @@ def leaf_compatible(current: Any, value: Any) -> bool:
     return isinstance(value, type(current))
 
 
-def _override_section(current: Any, path: str, value: Any) -> Any:
-    """A mapping assigned to a section path applies key by key, each key
-    checked exactly as the dotted path ``path.key`` would be."""
-    if not isinstance(value, Mapping):
-        raise ConfigError(
-            f"config path {path!r} names a {type(current).__name__} "
-            "section; assign a mapping of its fields or extend the path"
-        )
-    for key, item in value.items():
-        current = _override_path(current, f"{path}.{key}", [str(key)], item)
-    return current
-
-
-def _override_path(obj: Any, full: str, parts: list[str], value: Any) -> Any:
+def _collect_override(
+    obj: Any, full: str, parts: list[str], value: Any, pending: dict
+) -> None:
+    """Check one override path (and its leaf's type) against ``obj``'s
+    dataclass tree and record its value in ``pending``, a nested dict of
+    the touched fields.  A mapping assigned to a section path records key
+    by key, each key checked exactly as the dotted path ``path.key``."""
     name = parts[0]
     if not dataclasses.is_dataclass(obj) or not name or \
             name not in {f.name for f in dataclasses.fields(obj)}:
@@ -102,24 +89,48 @@ def _override_path(obj: Any, full: str, parts: list[str], value: Any) -> Any:
                 f"config path {full!r} descends into {name!r}, "
                 "which is not a config section"
             )
-        value = _override_path(current, full, parts[1:], value)
+        _collect_override(
+            current, full, parts[1:], value, pending.setdefault(name, {})
+        )
     elif dataclasses.is_dataclass(current):
-        value = _override_section(current, full, value)
+        if not isinstance(value, Mapping):
+            raise ConfigError(
+                f"config path {full!r} names a {type(current).__name__} "
+                "section; assign a mapping of its fields or extend the path"
+            )
+        section = pending.setdefault(name, {})
+        for key, item in value.items():
+            _collect_override(current, f"{full}.{key}", [str(key)], item, section)
     elif not leaf_compatible(current, value):
         raise ConfigError(
             f"config path {full!r} expects {type(current).__name__}, "
             f"got {type(value).__name__} ({value!r})"
         )
-    return replace(obj, **{name: value})
+    else:
+        pending[name] = value
+
+
+def _apply_overrides(obj: Any, pending: dict) -> Any:
+    """Rebuild ``obj`` with the collected values, each touched section
+    once (innermost first), so its ``__post_init__`` validates only the
+    final values and the order of the overrides cannot matter."""
+    changes = {}
+    for name, value in pending.items():
+        current = getattr(obj, name)
+        if dataclasses.is_dataclass(current):
+            value = _apply_overrides(current, value)
+        changes[name] = value
+    return replace(obj, **changes)
 
 
 class SerializableConfig:
     """Mixin: dict form plus dotted-path overrides.
 
     ``MachineConfig().with_overrides(cfg.to_dict())`` rebuilds ``cfg``
-    from its dict form: a section mapping applies key by key, in order,
-    exactly like the dotted paths it stands for, and each replacement
-    runs the section's ``__post_init__`` validation."""
+    from its dict form: a section mapping applies key by key, exactly
+    like the dotted paths it stands for.  Every path is checked first;
+    then each touched section is rebuilt once, running its
+    ``__post_init__`` validation on its final values."""
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe nested dict of every field (the cache-key form)."""
@@ -131,11 +142,14 @@ class SerializableConfig:
         """A copy with dotted-path fields replaced, e.g.
         ``{"prefetch.jump_interval": 4, "dl1.size": 16384}``.  Paths are
         validated against the dataclass tree; a path ending at a nested
-        section accepts a mapping of that section's fields."""
-        cfg = self
-        for path, value in (overrides or {}).items():
-            cfg = _override_path(cfg, path, str(path).split("."), value)
-        return cfg
+        section accepts a mapping of that section's fields.  The result
+        does not depend on the order of the paths."""
+        if not overrides:
+            return self
+        pending: dict = {}
+        for path, value in overrides.items():
+            _collect_override(self, path, str(path).split("."), value, pending)
+        return _apply_overrides(self, pending)
 
 
 # ----------------------------------------------------------------------
@@ -265,23 +279,15 @@ class PrefetchConfig(SerializableConfig):
     # Jump-pointer hardware
     jqt_entries: int = 32
     jump_interval: int = 8
+    """Hardware JPP's jump interval: each JQT queue's depth in hops
+    (Table 2: 8)."""
     onchip_table_entries: int = 0
     """If non-zero, store jump-pointers in an on-chip table of this many
     entries instead of allocator padding (the Section 3.3 ablation)."""
-    adaptive_interval: bool = False
-    """Enable the adaptive per-PC jump interval (the paper's Section 6
-    future-work item; see :mod:`repro.prefetch.adaptive`); each PC's
-    interval then starts at ``jump_interval`` and widens to at most
-    :data:`ADAPTIVE_MAX_INTERVAL`."""
 
     def __post_init__(self) -> None:
         for name in ("prq_entries", "jqt_entries", "jump_interval"):
             _check_positive(f"prefetch.{name}", getattr(self, name))
-        if self.adaptive_interval and self.jump_interval > ADAPTIVE_MAX_INTERVAL:
-            raise ConfigError(
-                f"prefetch.jump_interval {self.jump_interval} exceeds the "
-                f"adaptive interval's ceiling {ADAPTIVE_MAX_INTERVAL}"
-            )
 
 
 @dataclass(frozen=True)

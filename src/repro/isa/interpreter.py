@@ -283,10 +283,6 @@ class Interpreter:
         finally:
             self.steps = steps
 
-    # Backwards-compatible alias: external tools introspecting the decode
-    # table (tests, debuggers) go through this.
-    decode = staticmethod(decode_program)
-
 
 def run_to_completion(
     program: Program, max_steps: int | None = _DEFAULT_MAX_STEPS

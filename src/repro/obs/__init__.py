@@ -33,14 +33,12 @@ from .profile import (
 )
 from .outcomes import (
     DROPPED,
-    EARLY,
     EARLY_EVICTED,
     LATE,
     OUTCOMES,
     TIMELY,
     USELESS,
     OutcomeTracker,
-    classify_timeliness,
 )
 from .trace import EventTrace
 
@@ -128,7 +126,6 @@ __all__ = [
     "Profiler",
     "Telemetry",
     "artifact",
-    "classify_timeliness",
     "cpi_stack_rows",
     "dump_json",
     "exponential_buckets",
@@ -139,7 +136,6 @@ __all__ = [
     "miss_parallelism",
     "schema_kind",
     "DROPPED",
-    "EARLY",
     "EARLY_EVICTED",
     "LATE",
     "OUTCOMES",

@@ -14,7 +14,6 @@ tracked exactly, so the mean does not suffer bucketing error.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import ceil
 
 
 def exponential_buckets(
@@ -102,41 +101,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def bucket_of(self, value: int | float) -> int:
-        """Index of the bucket ``value`` would land in (tests/debugging)."""
-        return bisect_left(self.bounds, value)
-
-    def percentile(self, q: float) -> int | float | None:
-        """Estimate the ``q``-quantile (``0 <= q <= 1``) from the buckets.
-
-        Returns the upper bound of the bucket holding the ``ceil(q *
-        count)``-th observation, clamped to the exact ``[min, max]``
-        range (so single-value histograms answer exactly, and the
-        unbounded overflow bucket answers ``max`` instead of infinity).
-        ``None`` when the histogram is empty.
-        """
-        if not 0 <= q <= 1:
-            raise ValueError(f"percentile wants 0 <= q <= 1, got {q}")
-        if not self.count:
-            return None
-        return _bucket_percentile(
-            self.bounds, self.counts, self.count, self.min, self.max, q
-        )
-
-    def summary(self) -> dict:
-        """Compact roll-up: exact count/sum/mean/min/max plus estimated
-        p50/p90/p99 (all ``None``-safe on an empty histogram)."""
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(0.50),
-            "p90": self.percentile(0.90),
-            "p99": self.percentile(0.99),
-        }
-
     def to_dict(self) -> dict:
         return {
             "type": "histogram",
@@ -150,42 +114,6 @@ class Histogram:
             ]
             + [{"le": None, "count": self.counts[-1]}],
         }
-
-
-def _bucket_percentile(bounds, counts, count, lo, hi, q):
-    """Shared quantile walk for live histograms and serialized dumps."""
-    if q <= 0:
-        return lo
-    if q >= 1:
-        return hi
-    rank = ceil(q * count)
-    cum = 0
-    for bound, c in zip(bounds, counts):
-        cum += c
-        if cum >= rank:
-            # Clamp the bucket bound to the exact observed range.
-            if bound < lo:
-                return lo
-            return hi if bound > hi else bound
-    return hi  # rank falls in the unbounded overflow bucket
-
-
-def percentile_from_dict(hist: dict, q: float) -> int | float | None:
-    """:meth:`Histogram.percentile` over a serialized ``to_dict`` payload
-    (the overflow bucket is the trailing ``le: None`` entry)."""
-    if not 0 <= q <= 1:
-        raise ValueError(f"percentile wants 0 <= q <= 1, got {q}")
-    if not hist["count"]:
-        return None
-    finite = [b for b in hist["buckets"] if b["le"] is not None]
-    return _bucket_percentile(
-        [b["le"] for b in finite],
-        [b["count"] for b in finite],
-        hist["count"],
-        hist["min"],
-        hist["max"],
-        q,
-    )
 
 
 class MetricRegistry:

@@ -8,14 +8,6 @@ Every issued prefetch eventually resolves to exactly one outcome:
 * ``early-evicted`` — the prefetched line was evicted before any use;
 * ``useless``       — never referenced by the end of the run;
 * ``dropped``       — rejected at the prefetch request queue (never issued).
-
-:func:`classify_timeliness` is the shared demand-time classifier; the
-adaptive jump-interval feedback (:mod:`repro.prefetch.adaptive`) and the
-hardware engine's per-PC steering use it instead of re-deriving the
-late/early comparisons locally.  ``early`` is a timeliness label only
-(data arrived, then sat unused for longer than ``early_slack``); it is
-not a terminal outcome — an early prefetch that is eventually used
-counts as ``timely``, one that is evicted first as ``early-evicted``.
 """
 
 from __future__ import annotations
@@ -27,30 +19,12 @@ LATE = "late"
 EARLY_EVICTED = "early-evicted"
 USELESS = "useless"
 DROPPED = "dropped"
-EARLY = "early"  # timeliness-only label (see module docstring)
 
 #: The five terminal outcomes, in reporting order.
 OUTCOMES = (TIMELY, LATE, EARLY_EVICTED, USELESS, DROPPED)
 
 #: Distance (cycles between fill completion and demand use) buckets.
 DISTANCE_BOUNDS = exponential_buckets(1, 2, 17)  # 1 .. 65536
-
-
-def classify_timeliness(
-    demand_time: int, fill_time: int, early_slack: int | None = None
-) -> str:
-    """Classify one demand use of prefetched data.
-
-    Returns :data:`LATE` when the demand arrived before the fill
-    completed, :data:`EARLY` when the data sat unused for more than
-    ``early_slack`` cycles (only when a slack is given), else
-    :data:`TIMELY`.
-    """
-    if demand_time < fill_time:
-        return LATE
-    if early_slack is not None and demand_time > fill_time + early_slack:
-        return EARLY
-    return TIMELY
 
 
 def _empty_counts() -> dict[str, int]:

@@ -1,6 +1,5 @@
 """Prefetch engines: the paper's four schemes plus the scheme zoo."""
 
-from .adaptive import AdaptiveJumpQueueTable, AdaptiveStats
 from .base import EngineStats, PrefetchEngine, SoftwarePrefetchEngine
 from .bounded import BoundedClockMap
 from .dependence import DependencePredictor, ValueCorrelator
@@ -21,8 +20,6 @@ from .zoo import (
 )
 
 __all__ = [
-    "AdaptiveJumpQueueTable",
-    "AdaptiveStats",
     "BoundedClockMap",
     "ContentDirectedEngine",
     "CooperativeEngine",

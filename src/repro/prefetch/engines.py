@@ -26,7 +26,6 @@ from ..config import PrefetchConfig
 from ..errors import ConfigError
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Op
-from ..obs.outcomes import classify_timeliness
 from ..registry import Registry
 from .base import EngineStats, PrefetchEngine, SoftwarePrefetchEngine
 from .dependence import DependencePredictor, ValueCorrelator
@@ -312,37 +311,13 @@ class HardwareJPPEngine(DBPEngine):
     name = "hardware"
     needs_issue_hook = True
 
-    #: a jump prefetch whose data sat unused this long is "too early"
-    EARLY_SLACK = 800
-
     def __init__(self, pcfg: PrefetchConfig | None = None) -> None:
         super().__init__(pcfg)
-        if self.pcfg.adaptive_interval:
-            from .adaptive import AdaptiveJumpQueueTable
-
-            self.jqt: JumpQueueTable = AdaptiveJumpQueueTable(self.pcfg)
-        else:
-            self.jqt = JumpQueueTable(self.pcfg)
+        self.jqt = JumpQueueTable(self.pcfg)
         self.storage = JumpPointerStorage(self.pcfg)
-        self._jump_outstanding: dict[int, tuple[int, int]] = {}
-
-    def _adapt_feedback(self, addr: int, time: int) -> None:
-        """Report a demand access's timeliness against an outstanding jump
-        prefetch of its line to the adaptive JQT's ``observe``."""
-        line = addr & self.line_mask
-        record = self._jump_outstanding.pop(line, None)
-        if record is None:
-            return
-        pc, done = record
-        self.jqt.observe(
-            pc, classify_timeliness(time, done, early_slack=self.EARLY_SLACK)
-        )
 
     def on_load_issue(self, inst: Instruction, addr: int, time: int) -> None:
         pc = inst.index
-        adaptive = self.pcfg.adaptive_interval
-        if adaptive:
-            self._adapt_feedback(addr, time)
         if pc not in self.recurrent_pcs:
             return
         if inst.pad <= 0 and not self.storage.onchip:
@@ -352,10 +327,6 @@ class HardwareJPPEngine(DBPEngine):
             return
         done = self.request(jp, time, kind="jump", pc=pc)
         if done is not None and isinstance(inst.imm, int):
-            if adaptive:
-                self._jump_outstanding[jp & self.line_mask] = (pc, done)
-                if len(self._jump_outstanding) > 4096:
-                    self._jump_outstanding.clear()
             node_base = jp - inst.imm
             self._trigger(pc, node_base, done)
 
@@ -395,11 +366,11 @@ class HardwareJPPEngine(DBPEngine):
                 f"capacity {self.pcfg.jqt_entries}",
             ))
         for pc, q in jqt._queues.items():
-            if len(q) > jqt.max_interval:
+            if len(q) > self.pcfg.jump_interval:
                 violations.append((
                     "jump-queue-depth",
                     f"pc {pc}: queue depth {len(q)} > "
-                    f"interval limit {jqt.max_interval}",
+                    f"interval {self.pcfg.jump_interval}",
                 ))
         if (
             self.storage.onchip
@@ -409,12 +380,6 @@ class HardwareJPPEngine(DBPEngine):
                 "onchip-storage-capacity",
                 f"{len(self.storage._table)} on-chip jump-pointers > "
                 f"capacity {self.pcfg.onchip_table_entries}",
-            ))
-        if len(self._jump_outstanding) > 4096:
-            violations.append((
-                "jump-outstanding-bound",
-                f"{len(self._jump_outstanding)} outstanding jump "
-                f"prefetches > bound 4096",
             ))
         return violations
 

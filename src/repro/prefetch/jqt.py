@@ -31,33 +31,24 @@ class JumpQueueTable:
     """Fully-associative table of per-PC address queues (32 entries).
 
     The queues are kept in recency order (the LRU idiom of
-    :mod:`repro.mem.cache`).  Each PC's queue holds :meth:`interval_of`
-    addresses — the configured interval here; the adaptive table
-    (:class:`repro.prefetch.adaptive.AdaptiveJumpQueueTable`) overrides it
-    per PC from timeliness outcomes reported to its ``observe``.
+    :mod:`repro.mem.cache`).  Each PC's queue holds the configured
+    ``jump_interval`` addresses (the paper's fixed interval of 8).
     """
 
     def __init__(self, pcfg: PrefetchConfig) -> None:
         self._entries = pcfg.jqt_entries
         self._interval = pcfg.jump_interval
-        #: deepest queue any PC may hold (the audit's depth bound)
-        self.max_interval = pcfg.jump_interval
         self._queues: dict[int, deque[int]] = {}
         self.stats = JQTStats()
-
-    def interval_of(self, pc: int) -> int:
-        return self._interval
 
     def advance(self, pc: int, addr: int) -> int | None:
         """Record a committed instance of recurrent load ``pc`` with
         effective address ``addr``.
 
         Returns the *home* address a jump-pointer (home -> addr) should be
-        installed at, or None while the queue is still filling.  A queue
-        whose interval changed is re-sized keeping its newest entries, so
-        adaptation does not restart the pipeline of pending jump-pointers.
+        installed at, or None while the queue is still filling.
         """
-        interval = self.interval_of(pc)
+        interval = self._interval
         queues = self._queues
         q = queues.pop(pc, None)
         if q is None:
@@ -65,8 +56,6 @@ class JumpQueueTable:
                 del queues[next(iter(queues))]
                 self.stats.entry_evictions += 1
             q = deque(maxlen=interval)
-        elif q.maxlen != interval:
-            q = deque(q, maxlen=interval)
         queues[pc] = q
         home = None
         if len(q) == interval:

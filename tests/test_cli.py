@@ -122,6 +122,24 @@ def test_bad_workload_param_value_is_clean_error(capsys, param, fragment):
     assert capsys.readouterr().out == ""
 
 
+def test_removed_adaptive_interval_axis_is_clean_error(tmp_path, capsys):
+    import json
+
+    doc = {"name": "t", "workloads": ["health"],
+           "schemes": ["base", "hardware"],
+           "columns": ["adaptive", "scheme", "total"],
+           "axes": [{"name": "adaptive", "values": [False, True],
+                     "set": ["machine.prefetch.adaptive_interval"]}]}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["run-spec", str(path), "--small", "--no-cache"])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and "\n" not in message
+    assert "adaptive_interval" in message
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nope"])
@@ -259,6 +277,28 @@ def test_run_spec_section_overrides_match_dotted_paths(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command", ["run", "run-spec"])
+def test_set_flags_apply_in_any_order(tmp_path, capsys, command):
+    # small's dl1 is 4096 B: assoc 256 is valid only with the larger size,
+    # so the machine must be checked after both flags, not after each.
+    if command == "run":
+        argv = ["run", "treeadd", "--small", "--machine", "small"]
+    else:
+        argv = ["run-spec", str(_write_spec(tmp_path, _tiny_spec())),
+                "--machine", "small", "--no-cache"]
+    flags = [["--set", "dl1.size=16384"], ["--set", "dl1.assoc=256"]]
+    outs = []
+    for order in (flags, flags[::-1]):
+        assert main([*argv, *order[0], *order[1]]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--set", "dl1.assoc=256"])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and "\n" not in message
+    assert "not divisible by line*assoc (32*256)" in message
+
+
 def test_run_spec_bad_file_is_clean_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -277,28 +317,19 @@ def test_run_spec_out_of_range_set_is_clean_error(tmp_path):
 
 
 def test_removed_prefetch_knob_is_clean_error(capsys):
-    # The chase budget models the DBP query and JPR access rates, and the
-    # chain depth and adaptive ceiling are constants; a --set of any of
-    # them is an unknown config path, not a no-op.
+    # The chase budget models the DBP query and JPR access rates, the
+    # chain depth is a constant, and prefetch.jump_interval is hardware
+    # JPP's only interval; a --set of any of these knobs is an unknown
+    # config path, not a no-op.
     for knob in ("dep_queries_per_cycle", "jpr_accesses_per_cycle",
-                 "adaptive_max_interval", "max_chain_depth"):
+                 "adaptive_max_interval", "max_chain_depth",
+                 "adaptive_interval"):
         with pytest.raises(SystemExit) as exc:
             main(["run", "treeadd", "--small",
                   "--set", f"prefetch.{knob}=1"])
         message = str(exc.value.code)
         assert message.startswith("error:") and "\n" not in message
-        assert knob in message
-    assert capsys.readouterr().out == ""
-
-
-def test_adaptive_interval_above_ceiling_is_clean_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "health", "--small",
-              "--set", "prefetch.adaptive_interval=true",
-              "--set", "prefetch.jump_interval=128"])
-    message = str(exc.value.code)
-    assert message.startswith("error:") and "\n" not in message
-    assert "jump_interval" in message
+        assert knob in message and "unknown config path" in message
     assert capsys.readouterr().out == ""
 
 

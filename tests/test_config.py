@@ -7,12 +7,10 @@ import pytest
 
 from repro import ConfigError, MachineConfig, bench_config, small_config, table2_config
 from repro.config import (
-    ADAPTIVE_MAX_INTERVAL,
     MACHINES,
     BusConfig,
     CacheConfig,
     FuncUnitConfig,
-    PrefetchConfig,
     TLBConfig,
     get_machine,
     machine_names,
@@ -112,25 +110,6 @@ class TestTLBConfig:
 
     def test_zero_miss_penalty_allowed(self):
         assert TLBConfig(entries=16, miss_penalty=0).miss_penalty == 0
-
-
-class TestPrefetchConfig:
-    def test_adaptive_interval_starts_within_ceiling(self):
-        # The adaptive table widens each PC's queue up to its ceiling and
-        # starts it at jump_interval, so a start above the ceiling is a
-        # machine the auditor's queue-depth law would flag.
-        with pytest.raises(ConfigError, match="jump_interval 128"):
-            PrefetchConfig(adaptive_interval=True, jump_interval=128)
-        with pytest.raises(ConfigError, match="jump_interval"):
-            small_config().with_overrides({
-                "prefetch.adaptive_interval": True,
-                "prefetch.jump_interval": ADAPTIVE_MAX_INTERVAL + 1,
-            })
-        at_ceiling = PrefetchConfig(adaptive_interval=True,
-                                    jump_interval=ADAPTIVE_MAX_INTERVAL)
-        assert at_ceiling.jump_interval == 64
-        # A fixed interval has no ceiling.
-        assert PrefetchConfig(jump_interval=128).jump_interval == 128
 
 
 class TestMachineConfig:
@@ -263,6 +242,25 @@ class TestWithOverrides:
     def test_validation_applies(self):
         with pytest.raises(ConfigError):
             bench_config().with_overrides({"l2_bus.width": 0})
+
+    @pytest.mark.parametrize("form", ["section", "dotted"])
+    def test_result_does_not_depend_on_key_order(self, form):
+        # small's dl1 is 4096 B of 32 B lines: assoc 256 alone is an
+        # invalid cache, size 16384 alone and both together are valid.
+        # Each section is validated once, on its final values.
+        def overrides(items):
+            if form == "section":
+                return {"dl1": dict(items)}
+            return {f"dl1.{key}": value for key, value in items}
+
+        items = [("size", 16384), ("assoc", 256)]
+        forward = small_config().with_overrides(overrides(items))
+        backward = small_config().with_overrides(overrides(items[::-1]))
+        assert forward == backward
+        assert (forward.dl1.size, forward.dl1.assoc) == (16384, 256)
+        with pytest.raises(ConfigError, match=r"cache size 4096 not "
+                           r"divisible by line\*assoc \(32\*256\)"):
+            small_config().with_overrides(overrides([("assoc", 256)]))
 
     @pytest.mark.parametrize("path,bad,edge", [
         ("memory_latency", -40, 1),

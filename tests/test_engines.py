@@ -283,39 +283,33 @@ class TestRechaseTableBound:
         assert any(inv == "rechase-table-bound" for inv, __ in violations)
 
 
-#: Machine settings whose prefetch tables replace or adapt at the sizes
-#: below: an on-chip jump-pointer table of 4 entries (the X1 ablation's
-#: smallest point), the adaptive JQT (X3), and a 1-entry JQT beside an
-#: 8-entry dependence predictor.
+#: Machine settings whose prefetch tables replace at the sizes below: an
+#: on-chip jump-pointer table of 4 entries (the X1 ablation's smallest
+#: point) and a 1-entry JQT beside an 8-entry dependence predictor.
 TABLE_SETTINGS = {
     "onchip-4": {"prefetch.onchip_table_entries": 4},
-    "adaptive": {"prefetch.adaptive_interval": True},
     "tiny-tables": {"prefetch.jqt_entries": 1, "prefetch.dep_entries": 8},
 }
 #: (setting, scheme, workload, params over test_params) -> (cycles, JQT
-#: entry evictions, predictor evictions, widenings, narrowings, distinct
-#: on-chip homes, correlator occupancy), all on ``small``.  The test sizes
-#: never adapt the interval, so the adaptive cases run larger instances.
+#: entry evictions, predictor evictions, distinct on-chip homes,
+#: correlator occupancy), all on ``small``.
 TABLE_PINS = {
-    ("onchip-4", "hardware", "em3d", ()): (7057, 0, 0, 0, 0, 48, 0),
-    ("onchip-4", "hardware", "health", ()): (6969, 0, 0, 0, 0, 39, 0),
-    ("onchip-4", "hardware", "treeadd", ()): (2985, 0, 0, 0, 0, 126, 0),
-    ("adaptive", "hardware", "em3d",
-     (("n_e", 128), ("n_h", 128), ("iterations", 4))): (62150, 0, 0, 3, 0, 0, 0),
-    ("adaptive", "hardware", "mst", (("n", 32),)): (76573, 0, 0, 0, 1, 0, 0),
-    ("tiny-tables", "hardware", "em3d", ()): (7049, 5, 20, 0, 0, 0, 0),
-    ("tiny-tables", "hardware", "treeadd", ()): (2985, 125, 0, 0, 0, 0, 0),
-    ("tiny-tables", "hardware", "mst", ()): (6489, 81, 2, 0, 0, 0, 0),
+    ("onchip-4", "hardware", "em3d", ()): (7057, 0, 0, 48, 0),
+    ("onchip-4", "hardware", "health", ()): (6969, 0, 0, 39, 0),
+    ("onchip-4", "hardware", "treeadd", ()): (2985, 0, 0, 126, 0),
+    ("tiny-tables", "hardware", "em3d", ()): (7049, 5, 20, 0, 0),
+    ("tiny-tables", "hardware", "treeadd", ()): (2985, 125, 0, 0, 0),
+    ("tiny-tables", "hardware", "mst", ()): (6489, 81, 2, 0, 0),
     ("tiny-tables", "cooperative", "em3d",
-     (("n_e", 128), ("n_h", 128), ("iterations", 4))): (62344, 0, 46, 0, 0, 0, 64),
+     (("n_e", 128), ("n_h", 128), ("iterations", 4))): (62344, 0, 46, 0, 64),
 }
 
 
 @pytest.mark.parametrize("key", sorted(TABLE_PINS), ids=lambda k: "-".join(k[:3]))
 def test_prefetch_table_cycle_pins(key):
     """Cycle pins for the LRU-replaced JQT, dependence predictor, value
-    correlator and on-chip jump-pointer table, and for the adaptive
-    interval's re-sized queues; each case asserts its path ran."""
+    correlator and on-chip jump-pointer table; each case asserts its path
+    ran."""
     setting, scheme, workload, params = key
     cfg = small_config().with_overrides(TABLE_SETTINGS[setting])
     wl = get_workload(workload, **{**workload_class(workload).test_params(),
@@ -333,22 +327,17 @@ def test_prefetch_table_cycle_pins(key):
 
         engine.storage.store = spy
     res = simulate(wl.build(variant).program, cfg, engine=engine)
-    adapt = getattr(jqt, "adapt_stats", None)
     correlator = getattr(engine, "correlator", None)
     got = (
         res.cycles,
         jqt.stats.entry_evictions if jqt is not None else 0,
         engine.predictor.evicted,
-        adapt.widenings if adapt else 0,
-        adapt.narrowings if adapt else 0,
         len(homes) if jqt is not None and engine.storage.onchip else 0,
         len(correlator._entries) if correlator is not None else 0,
     )
     assert got == TABLE_PINS[key]
     if setting == "onchip-4":
-        assert len(engine.storage._table) == 4 < got[5]
-    elif setting == "adaptive":
-        assert got[3] + got[4] > 0
+        assert len(engine.storage._table) == 4 < got[3]
     else:
         assert got[1] + got[2] > 0
     if correlator is not None:

@@ -74,12 +74,6 @@ class TestHistogram:
         d = h.to_dict()
         assert d["count"] == 0 and d["min"] is None and d["max"] is None
 
-    def test_bucket_of(self):
-        h = Histogram("h", [10, 20])
-        assert h.bucket_of(10) == 0
-        assert h.bucket_of(10.5) == 1
-        assert h.bucket_of(9999) == 2
-
     def test_rejects_unsorted_or_empty_bounds(self):
         with pytest.raises(ValueError):
             Histogram("h", [20, 10])
@@ -124,7 +118,6 @@ class TestFloatBounds:
         h.observe(1.7)
         h.observe(3.0)
         assert h.counts == [1, 0, 1, 1]
-        assert h.bucket_of(0.75) == 1
 
     def test_mixed_int_float_bounds(self):
         h = Histogram("h", [1, 2.5, 10])
@@ -170,89 +163,6 @@ class TestFloatBounds:
         assert d["min"] == 0.25 and d["max"] == 5.0
         assert [b["le"] for b in d["buckets"]] == [0.5, 1.0, 2.0, None]
         assert [b["count"] for b in d["buckets"]] == [1, 1, 0, 1]
-
-
-class TestPercentile:
-    def test_empty_histogram_answers_none(self):
-        h = Histogram("h", [10, 20])
-        assert h.percentile(0.5) is None
-        s = h.summary()
-        assert s["count"] == 0
-        assert s["p50"] is None and s["p90"] is None and s["p99"] is None
-
-    def test_rejects_out_of_range_q(self):
-        h = Histogram("h", [10])
-        h.observe(1)
-        with pytest.raises(ValueError):
-            h.percentile(-0.1)
-        with pytest.raises(ValueError):
-            h.percentile(1.5)
-
-    def test_single_value_answers_exactly(self):
-        # Every quantile of a one-observation histogram is that value,
-        # even though the bucket bound (10) is coarser.
-        h = Histogram("h", [10, 20])
-        h.observe(7)
-        for q in (0.0, 0.5, 0.9, 1.0):
-            assert h.percentile(q) == 7
-
-    def test_single_bucket_clamps_to_observed_range(self):
-        h = Histogram("h", [100])
-        for v in (30, 40, 50):
-            h.observe(v)
-        # All mass in bucket <=100; the answer clamps to max=50, not 100.
-        assert h.percentile(0.5) == 50
-        assert h.percentile(0.99) == 50
-
-    def test_overflow_bucket_answers_max_not_infinity(self):
-        h = Histogram("h", [10])
-        h.observe(5)
-        h.observe(9999)
-        assert h.percentile(0.99) == 9999
-        assert h.percentile(0.5) == 10  # first bucket's upper bound
-
-    def test_extreme_q_are_exact_min_max(self):
-        h = Histogram("h", [10, 20, 30])
-        for v in (3, 14, 27):
-            h.observe(v)
-        assert h.percentile(0.0) == 3
-        assert h.percentile(1.0) == 27
-
-    def test_bucket_walk_picks_correct_bound(self):
-        h = Histogram("h", [10, 20, 30])
-        for v in (1, 1, 1, 15, 25):
-            h.observe(v)
-        assert h.percentile(0.5) == 10   # rank 3 of 5 in first bucket
-        assert h.percentile(0.8) == 20   # rank 4 in second bucket
-        assert h.percentile(1.0) == 25   # exact max
-
-    def test_summary_fields(self):
-        h = Histogram("h", [10, 100])
-        for v in (2, 4, 60):
-            h.observe(v)
-        s = h.summary()
-        assert s == {
-            "count": 3, "sum": 66, "mean": 22.0, "min": 2, "max": 60,
-            "p50": 10, "p90": 60, "p99": 60,
-        }
-
-    def test_percentile_from_dict_matches_live(self):
-        from repro.obs.metrics import percentile_from_dict
-
-        h = Histogram("h", [10, 20, 30])
-        for v in (3, 14, 27, 500):
-            h.observe(v)
-        d = h.to_dict()
-        for q in (0.0, 0.25, 0.5, 0.75, 0.99, 1.0):
-            assert percentile_from_dict(d, q) == h.percentile(q)
-
-    def test_percentile_from_dict_empty_and_range(self):
-        from repro.obs.metrics import percentile_from_dict
-
-        d = Histogram("h", [10]).to_dict()
-        assert percentile_from_dict(d, 0.5) is None
-        with pytest.raises(ValueError):
-            percentile_from_dict(d, 2.0)
 
 
 class TestMissParallelism:

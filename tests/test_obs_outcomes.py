@@ -1,11 +1,10 @@
-"""Prefetch-outcome classification: the shared classifier, the tracker's
-state machine, and end-to-end accounting on hand-built programs."""
+"""Prefetch-outcome classification: the tracker's state machine and
+end-to-end accounting on hand-built programs."""
 
 from repro import Assembler, Telemetry, simulate
 from repro.isa.registers import T0, T1
 from repro.obs import (
     DROPPED,
-    EARLY,
     EARLY_EVICTED,
     LATE,
     OUTCOMES,
@@ -13,24 +12,9 @@ from repro.obs import (
     USELESS,
     MetricRegistry,
     OutcomeTracker,
-    classify_timeliness,
 )
 
 from tests.conftest import assemble_list_walk
-
-
-class TestClassifier:
-    def test_late_when_demand_precedes_fill(self):
-        assert classify_timeliness(100, 150) == LATE
-
-    def test_timely_when_fill_precedes_demand(self):
-        assert classify_timeliness(150, 100) == TIMELY
-        assert classify_timeliness(100, 100) == TIMELY  # same cycle: data there
-
-    def test_early_only_with_slack(self):
-        assert classify_timeliness(1000, 100) == TIMELY
-        assert classify_timeliness(1000, 100, early_slack=800) == EARLY
-        assert classify_timeliness(900, 100, early_slack=800) == TIMELY
 
 
 class TestOutcomeTracker:

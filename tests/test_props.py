@@ -267,7 +267,6 @@ _VALID_OVERRIDES = {
     "branch_pred.misprediction_penalty": st.integers(min_value=0, max_value=20),
     "prefetch.jump_interval": st.integers(min_value=1, max_value=64),
     "prefetch.jqt_entries": st.integers(min_value=1, max_value=256),
-    "prefetch.adaptive_interval": st.booleans(),
     "perfect_data_memory": st.booleans(),
 }
 
