@@ -65,6 +65,7 @@ def main() -> None:
         if base_total is None:
             base_total = dec.total
         h = real.hierarchy
+        # Each issued prefetch is used at most once: useful <= issued.
         print(
             f"{engine:12s} {dec.total:9d} {dec.compute:9d} {dec.memory:9d} "
             f"{base_total / dec.total:7.2f}x  {h.prefetches_useful}/{h.prefetches_issued}"

@@ -147,7 +147,8 @@ class Auditor:
                 self._record(invariant, message, commit, cycle, "profiler")
         telemetry = getattr(model, "telemetry", None)
         if telemetry is not None:
-            for invariant, message in telemetry.outcomes.audit_check():
+            pending = model.hierarchy.prefetches_pending
+            for invariant, message in telemetry.outcomes.audit_check(pending):
                 self._record(invariant, message, commit, cycle, "outcomes")
 
     # -- hook sites (called by TimingModel.run) -------------------------
@@ -232,8 +233,8 @@ def corrupt_outcome_tracker(tracker, after: int = 8):
     real_record_issue = tracker.record_issue
     state = {"n": 0}
 
-    def corrupted(line, kind, pc, issue, fill):
-        real_record_issue(line, kind, pc, issue, fill)
+    def corrupted():
+        real_record_issue()
         state["n"] += 1
         if state["n"] > after:
             tracker.counts[TIMELY] += 1  # spurious classification

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..mem.hierarchy import HierarchyStats
 from ..prefetch.base import EngineStats
@@ -27,7 +27,6 @@ class SimResult:
     l2_misses: int
     dtlb_misses: int
     engine_name: str = "none"
-    extra: dict[str, float] = field(default_factory=dict)
     telemetry: dict | None = None
     """Serialized :class:`repro.obs.Telemetry` (metric registry dump and
     prefetch-outcome counts) when the run was observed; None otherwise."""
@@ -84,7 +83,6 @@ class SimResult:
             "branch": asdict(self.branch),
             "hierarchy": asdict(self.hierarchy),
             "engine_stats": asdict(self.engine),
-            "extra": dict(self.extra),
             "telemetry": self.telemetry,
             "profile": self.profile,
         }
@@ -107,7 +105,6 @@ class SimResult:
             l2_misses=d["l2_misses"],
             dtlb_misses=d["dtlb_misses"],
             engine_name=d["engine"],
-            extra=dict(d.get("extra") or {}),
             telemetry=d.get("telemetry"),
             profile=d.get("profile"),
         )

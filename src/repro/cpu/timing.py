@@ -555,7 +555,7 @@ class TimingModel:
         h = hierarchy
         tele_dict = None
         if self.telemetry is not None:
-            self.telemetry.finalize()
+            self.telemetry.finalize(hierarchy.drain_prefetches())
         if profiling:
             profiler.on_finish(self, n_committed, last_commit)
         # After finalize: the end-of-run sweep sees the tracker (and the

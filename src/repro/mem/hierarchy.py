@@ -52,15 +52,28 @@ MSHR bookkeeping is audited (:meth:`MemoryHierarchy.audit_check`):
 ``allocated == retired + outstanding``, target-list conservation,
 coalesce accounting, and the occupancy bound never exceeding
 ``max_outstanding_misses``.
+
+The prefetch ledger
+-------------------
+
+``_pf`` holds the one record of each issued, not-yet-used prefetch:
+line -> ``(kind, pc, fill)``.  :meth:`MemoryHierarchy.prefetch_request`
+enters it; a demand use (merge, L1 hit or prefetch-buffer hit), an
+unused eviction from L1 or the prefetch buffer, or the end of the run
+(:meth:`MemoryHierarchy.drain_prefetches`) pops it exactly once and
+reports it to the :class:`~repro.obs.outcomes.OutcomeTracker`.  Only a
+demand use counts ``prefetches_useful``, so with telemetry
+``prefetches_useful == timely + late``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
 from ..config import MachineConfig
+from ..obs.outcomes import LATE, TIMELY, PrefetchRecord
 from .cache import Cache
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,7 +95,6 @@ class HierarchyStats:
     prefetches_useful: int = 0
     bytes_l1_l2: int = 0
     bytes_l2_mem: int = 0
-    dtlb_cycles: int = 0
     lds_load_misses: int = 0
     load_misses: int = 0
     # Dirty-victim L1 writebacks (counted under every model; only the
@@ -103,8 +115,6 @@ class HierarchyStats:
     critical_word_returns: int = 0
     refill_hits: int = 0
 
-    extra: dict[str, int] = field(default_factory=dict)
-
 
 class MemoryHierarchy:
     """See module docstring."""
@@ -112,7 +122,7 @@ class MemoryHierarchy:
     __slots__ = (
         "cfg", "il1", "dl1", "l2", "itlb", "dtlb", "pb", "stats",
         "_l2_bus_demand", "_l2_bus_all", "_mem_bus_demand", "_mem_bus_all",
-        "_mshr_done", "_inflight", "_pf_lines", "_pf_inflight", "_perfect",
+        "_mshr_done", "_inflight", "_pf", "_perfect",
         "_demand_fill_estimate", "_obs", "_dl1_line_mask",
         "_prof", "_nb", "_full", "_mshr_entries", "_mshr_hist",
         "_last_demand_ready", "_last_data_ready", "_wb_until",
@@ -160,8 +170,8 @@ class MemoryHierarchy:
         # Demand-bus time up to which the backlog tail is a writeback
         # drain (profiler attribution of wb-held demand misses).
         self._wb_until = 0
-        self._pf_lines: set[int] = set()  # lines filled by prefetch, not yet used
-        self._pf_inflight: set[int] = set()
+        # The prefetch ledger (see module docstring): line -> record.
+        self._pf: dict[int, PrefetchRecord] = {}
         self._perfect = cfg.perfect_data_memory
         # Worst-case demand fill latency: used to promote in-flight
         # background (prefetch) fills that a demand access merges with —
@@ -229,6 +239,12 @@ class MemoryHierarchy:
           targets retired plus targets on live entries.
         * **mshr-occupancy** — live entries never exceeded
           ``max_outstanding_misses``.
+
+        With telemetry attached:
+
+        * **prefetch-outcome-agreement** — the ledger and the outcome
+          tracker agree: ``prefetches_useful == timely + late`` and
+          ``prefetches_issued == outcomes.issued``.
         """
         violations: list[tuple[str, str]] = []
         caches = [self.il1, self.dl1, self.l2]
@@ -265,10 +281,10 @@ class MemoryHierarchy:
                 + st.prefetches_throttled
                 + st.prefetches_coalesced
             )
-            if resolved > st.prefetches_requested:
+            if resolved != st.prefetches_requested:
                 violations.append((
                     "prefetch-request-accounting",
-                    f"{resolved} resolved prefetch requests > "
+                    f"{resolved} resolved prefetch requests != "
                     f"{st.prefetches_requested} requested",
                 ))
         if self._nb:
@@ -299,6 +315,16 @@ class MemoryHierarchy:
                     "mshr-occupancy",
                     f"peak occupancy {st.mshr_occupancy_peak} > "
                     f"MSHR file size {self.cfg.max_outstanding_misses}",
+                ))
+        if self._obs is not None:
+            out = self._obs.outcomes
+            used = out.counts[TIMELY] + out.counts[LATE]
+            if (st.prefetches_useful, st.prefetches_issued) != (used, out.issued):
+                violations.append((
+                    "prefetch-outcome-agreement",
+                    f"useful {st.prefetches_useful}, issued "
+                    f"{st.prefetches_issued} != timely + late {used}, "
+                    f"outcomes.issued {out.issued}",
                 ))
         return violations
 
@@ -447,14 +473,40 @@ class MemoryHierarchy:
             if dirty:
                 self.stats.bytes_l2_mem += self.cfg.l2.line
 
+    def _pf_use(self, line: int, time: int) -> bool:
+        """A demand access at ``time`` uses ``line``: resolve its ledger
+        record, if any, as useful.  Returns whether there was one."""
+        rec = self._pf.pop(line, None)
+        if rec is None:
+            return False
+        self.stats.prefetches_useful += 1
+        if self._obs is not None:
+            self._obs.outcomes.on_demand(rec, time)
+        return True
+
+    def _pf_evict(self, line: int) -> None:
+        """``line`` left L1 or the prefetch buffer: a prefetched line
+        leaving unused was fetched too early."""
+        rec = self._pf.pop(line, None)
+        if rec is not None and self._obs is not None:
+            self._obs.outcomes.on_evict(rec)
+
+    def drain_prefetches(self) -> list[PrefetchRecord]:
+        """End of run: pop and return every unresolved ledger record."""
+        leftover = list(self._pf.values())
+        self._pf.clear()
+        return leftover
+
+    @property
+    def prefetches_pending(self) -> int:
+        """Issued prefetches the ledger has not resolved yet."""
+        return len(self._pf)
+
     def _fill_l1(self, addr: int, dirty: bool) -> None:
         evicted, evicted_dirty = self.dl1.fill(addr, dirty=dirty)
         if evicted is not None:
-            if evicted in self._pf_lines:
-                # A prefetched line leaving L1 unused: too early.
-                self._pf_lines.discard(evicted)
-                if self._obs is not None:
-                    self._obs.outcomes.on_evict(evicted)
+            if evicted in self._pf:
+                self._pf_evict(evicted)
             if evicted_dirty:
                 self._writeback_l1(evicted)
 
@@ -493,12 +545,7 @@ class MemoryHierarchy:
                 if entry is not None:
                     entry[3] += 1
                     st.mshr_targets += 1
-            if line in self._pf_inflight:
-                st.prefetches_useful += 1
-                if self._obs is not None:
-                    self._obs.outcomes.on_demand(line, time)
-                self._pf_inflight.discard(line)
-                self._pf_lines.discard(line)
+            if self._pf_use(line, time):
                 # Promote the background fill to demand priority.
                 cap = time + self._demand_fill_estimate
                 if inflight > cap:
@@ -534,12 +581,8 @@ class MemoryHierarchy:
             return inflight
 
         if self.dl1.access(addr, write=write):
-            if line in self._pf_lines:
-                st.prefetches_useful += 1
-                if self._obs is not None:
-                    self._obs.outcomes.on_demand(line, time)
-                self._pf_lines.discard(line)
-                self._pf_inflight.discard(line)
+            if line in self._pf:
+                self._pf_use(line, time)
             if self._prof is not None and not write:
                 self._prof.note_access("l1", self.cfg.dl1.latency)
             return time + self.cfg.dl1.latency
@@ -553,10 +596,7 @@ class MemoryHierarchy:
             # Prefetch-buffer hit: 1 cycle, install into L1.
             self.pb.invalidate(line)
             st.pb_hits += 1
-            st.prefetches_useful += 1
-            if self._obs is not None:
-                self._obs.outcomes.on_demand(line, time)
-            self._pf_inflight.discard(line)
+            self._pf_use(line, time)
             self._fill_l1(addr, dirty=write)
             if self._prof is not None and not write:
                 self._prof.note_access(
@@ -651,14 +691,18 @@ class MemoryHierarchy:
         inflight = self._inflight.get(line)
         return inflight is not None and inflight > time
 
-    def prefetch_request(self, addr: int, time: int) -> int | None:
+    def prefetch_request(
+        self, addr: int, time: int, kind: str = "chained", pc: int | None = None
+    ) -> int | None:
         """Issue a (hardware or software) prefetch of the line at ``addr``.
 
         Returns the fill-completion time, or None if the request was
         redundant (line already cached, buffered, or in flight).  Under
         the non-blocking MSHR models a request to an in-flight line is
         *coalesced* — it joins that entry's target list and is counted
-        separately from plain redundancy.
+        separately from plain redundancy.  An issued prefetch enters the
+        ledger as ``(kind, pc, fill)``; ``kind`` and ``pc`` (the
+        triggering load's index) attribute its outcome.
         """
         st = self.stats
         st.prefetches_requested += 1
@@ -699,18 +743,17 @@ class MemoryHierarchy:
             self._mshr_alloc(line, ready, t)
         st.prefetches_issued += 1
         obs = self._obs
-        if obs is not None and obs.trace is not None:
-            obs.trace.complete("prefetch", time, ready - time, cat="prefetch",
-                               line=line)
+        if obs is not None:
+            obs.outcomes.record_issue()
+            if obs.trace is not None:
+                obs.trace.complete("prefetch", time, ready - time,
+                                   cat="prefetch", line=line)
         if self.pb is not None:
             evicted, __ = self.pb.fill(line)
             if evicted is not None:
-                self._pf_inflight.discard(evicted)
-                if obs is not None:
-                    obs.outcomes.on_evict(evicted)
+                self._pf_evict(evicted)
         else:
             self._fill_l1(addr, dirty=False)
-            self._pf_lines.add(line)
         self._inflight[line] = ready
-        self._pf_inflight.add(line)
+        self._pf[line] = (kind, pc, ready)
         return ready

@@ -14,6 +14,7 @@ the untraced hot loop does not regress.
 from __future__ import annotations
 
 from array import array
+from typing import Iterable
 
 from .artifacts import artifact, dump_json, load_json, schema_kind
 from .metrics import (
@@ -39,6 +40,7 @@ from .outcomes import (
     TIMELY,
     USELESS,
     OutcomeTracker,
+    PrefetchRecord,
 )
 from .trace import EventTrace
 
@@ -83,10 +85,10 @@ class Telemetry:
         self.miss_ends = array("q")
         self.miss_parallelism = 0.0
 
-    def finalize(self) -> None:
-        """Resolve still-outstanding prefetches, freeze outcome counters
-        and reduce the recorded miss intervals."""
-        self.outcomes.finalize()
+    def finalize(self, unresolved: Iterable[PrefetchRecord] = ()) -> None:
+        """Classify the hierarchy's ``unresolved`` prefetch records as
+        useless, freeze outcome counters and reduce the miss intervals."""
+        self.outcomes.finalize(unresolved)
         hist = self.registry.histogram(
             "mem.miss_latency_cycles",
             MISS_LATENCY_BOUNDS,

@@ -8,9 +8,17 @@ Every issued prefetch eventually resolves to exactly one outcome:
 * ``early-evicted`` — the prefetched line was evicted before any use;
 * ``useless``       — never referenced by the end of the run;
 * ``dropped``       — rejected at the prefetch request queue (never issued).
+
+The memory hierarchy keeps the one ledger of issued, unresolved
+prefetches and resolves each record once (see :mod:`repro.mem.hierarchy`);
+the tracker keeps no per-line state, it only classifies and counts.  So
+with a tracker attached ``prefetches_useful == timely + late`` and
+``prefetches_issued == issued``.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .metrics import Histogram, MetricRegistry, exponential_buckets
 
@@ -26,6 +34,11 @@ OUTCOMES = (TIMELY, LATE, EARLY_EVICTED, USELESS, DROPPED)
 #: Distance (cycles between fill completion and demand use) buckets.
 DISTANCE_BOUNDS = exponential_buckets(1, 2, 17)  # 1 .. 65536
 
+#: One issued, unresolved prefetch as the hierarchy's ledger holds it:
+#: ``(kind, pc, fill)`` — the engine's request kind, the triggering
+#: load's index (None when unattributed) and the fill-completion cycle.
+PrefetchRecord = tuple[str, int | None, int]
+
 
 def _empty_counts() -> dict[str, int]:
     return {o: 0 for o in OUTCOMES}
@@ -34,9 +47,9 @@ def _empty_counts() -> dict[str, int]:
 class OutcomeTracker:
     """Accumulates terminal outcomes per engine-kind and per trigger PC.
 
-    The prefetch engine reports issues and drops; the memory hierarchy
-    reports demand uses and evictions of prefetched lines; whatever is
-    still outstanding when :meth:`finalize` runs was never used.
+    The prefetch engine reports drops; the memory hierarchy reports
+    issues and the resolution of each ledger record (see the module
+    docstring).
     """
 
     def __init__(self, registry: MetricRegistry | None = None) -> None:
@@ -49,8 +62,6 @@ class OutcomeTracker:
         self.issued = 0
         self.dropped = 0
         self.finalized = False
-        # line -> (kind, pc, issue_time, fill_time)
-        self._outstanding: dict[int, tuple[str, int | None, int, int]] = {}
         if registry is not None:
             self.distance: Histogram | None = registry.histogram(
                 "prefetch.to_demand_distance_cycles",
@@ -76,66 +87,53 @@ class OutcomeTracker:
 
     # -- event sources --------------------------------------------------
 
-    def record_issue(
-        self, line: int, kind: str, pc: int | None, issue: int, fill: int
-    ) -> None:
-        """An actual (non-redundant) prefetch of ``line`` was issued."""
+    def record_issue(self) -> None:
+        """An actual (non-redundant) prefetch entered the ledger."""
         self.issued += 1
-        old = self._outstanding.get(line)
-        if old is not None:
-            # Superseded before use: the earlier fetch of this line did
-            # nothing for the program.
-            self._count(USELESS, old[0], old[1])
-        self._outstanding[line] = (kind, pc, issue, fill)
 
     def record_drop(self, kind: str, pc: int | None) -> None:
         """A prefetch request was rejected at the full PRQ."""
         self.dropped += 1
         self._count(DROPPED, kind, pc)
 
-    def on_demand(self, line: int, time: int) -> str | None:
-        """A demand access hit prefetched data in ``line`` at ``time``."""
-        rec = self._outstanding.pop(line, None)
-        if rec is None:
-            return None
-        kind, pc, __, fill = rec
+    def on_demand(self, rec: PrefetchRecord, time: int) -> str:
+        """A demand access at ``time`` used the prefetch ``rec``: late
+        if its fill was still in flight, timely otherwise."""
+        kind, pc, fill = rec
         outcome = LATE if time < fill else TIMELY
         if outcome is TIMELY and self.distance is not None:
             self.distance.observe(time - fill)
         self._count(outcome, kind, pc)
         return outcome
 
-    def on_evict(self, line: int) -> str | None:
-        """``line`` was evicted (L1 or prefetch buffer) before any use."""
-        rec = self._outstanding.pop(line, None)
-        if rec is None:
-            return None
+    def on_evict(self, rec: PrefetchRecord) -> str:
+        """The line of ``rec`` was evicted (L1 or prefetch buffer)
+        before any use."""
         self._count(EARLY_EVICTED, rec[0], rec[1])
         return EARLY_EVICTED
 
-    def finalize(self) -> None:
-        """End of run: all still-outstanding prefetches were useless."""
-        for kind, pc, __, ___ in self._outstanding.values():
+    def finalize(self, unresolved: Iterable[PrefetchRecord] = ()) -> None:
+        """End of run: the ledger's leftover records were useless."""
+        for kind, pc, __ in unresolved:
             self._count(USELESS, kind, pc)
-        self._outstanding.clear()
         self.finalized = True
 
     # -- auditing ---------------------------------------------------------
 
-    def audit_check(self) -> list[tuple[str, str]]:
-        """Invariant sweep for :class:`repro.audit.Auditor`.
+    def audit_check(self, outstanding: int = 0) -> list[tuple[str, str]]:
+        """Invariant sweep for :class:`repro.audit.Auditor`;
+        ``outstanding`` is the size of the hierarchy's ledger.
 
         Returns ``(invariant, message)`` pairs for every violated law:
 
         * **outcome-conservation** — every issued or dropped prefetch is
           classified exactly once; mid-run the difference is exactly the
-          still-outstanding set, after :meth:`finalize` it is zero.
+          ledger's unresolved records, after :meth:`finalize` it is zero.
         * **outcome-nonnegative** — no classified count ever decreases
           below zero (a double-pop would show up here).
         """
         violations: list[tuple[str, str]] = []
         classified = self.total
-        outstanding = len(self._outstanding)
         if self.issued + self.dropped != classified + outstanding:
             violations.append((
                 "outcome-conservation",

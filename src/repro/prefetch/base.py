@@ -141,9 +141,7 @@ class PrefetchEngine:
             self.stats.sw_prefetches += 1
         else:
             self.stats.chained_prefetches += 1
-        done = self.hierarchy.prefetch_request(addr, t)
-        if done is not None and self.obs is not None:
-            self.obs.outcomes.record_issue(addr & self.line_mask, kind, pc, t, done)
+        done = self.hierarchy.prefetch_request(addr, t, kind, pc)
         return done if done is not None else t
 
     # ------------------------------------------------------------------
@@ -188,11 +186,7 @@ class PrefetchEngine:
         """Execute a non-binding ``PF`` of ``addr``: it goes straight to
         the hierarchy (no PRQ), tagged ``"sw"`` for outcome telemetry."""
         self.stats.sw_prefetches += 1
-        done = self.hierarchy.prefetch_request(addr, time)
-        if done is not None and self.obs is not None:
-            self.obs.outcomes.record_issue(
-                addr & self.line_mask, "sw", inst.index, time, done
-            )
+        self.hierarchy.prefetch_request(addr, time, "sw", inst.index)
 
 
 class SoftwarePrefetchEngine(PrefetchEngine):

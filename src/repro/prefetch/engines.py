@@ -74,8 +74,12 @@ class DBPEngine(PrefetchEngine):
     #: backwards — so aging is measured against a monotone high-water
     #: clock with a slack covering the machine's worst-case completion
     #: span (see :meth:`attach`); suppression only looks back one window,
-    #: so entries beyond ``slack`` can never change a suppression
-    #: decision and pruning is cycle-exact.
+    #: so the entries a prune drops could never change a suppression
+    #: decision.  Pruning is nonetheless not cycle-exact: a prune swaps
+    #: in a rebuilt dict while outer :meth:`_chase` frames keep writing
+    #: the dict they captured, and those writes are lost to later
+    #: lookups.  A never-pruned table moves full-size cycles on the
+    #: ``bench`` machine (measured in DESIGN.md §6).
     RECHASE_TABLE_MAX = 65536
     #: Don't bother rebuilding tiny tables on the window cadence.
     RECHASE_PRUNE_MIN = 4096

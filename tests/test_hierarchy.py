@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import MachineConfig
+from repro import MachineConfig, Telemetry
 from repro.config import CacheConfig
 from repro.mem.hierarchy import MemoryHierarchy
+from repro.obs import EARLY_EVICTED, LATE, TIMELY
 
 ADDR = 0x2000_0000
 
@@ -176,6 +177,79 @@ class TestPrefetch:
         h.jp_store(ADDR + 12, 100)
         assert h.stats.bytes_l1_l2 == before + 4
         assert not h.dl1.probe(ADDR + 12)  # no allocation
+
+
+def observed(h: MemoryHierarchy) -> Telemetry:
+    tele = Telemetry()
+    h.set_telemetry(tele)
+    return tele
+
+
+class TestPrefetchLedger:
+    """Each issued prefetch is one ledger record, resolved exactly once."""
+
+    def test_evicted_prefetch_is_not_useful_to_a_later_merge(self, cfg):
+        h = MemoryHierarchy(cfg)  # no PB: prefetches fill L1
+        tele = observed(h)
+        h.prefetch_request(ADDR, 0)
+        set_stride = 512 // 2  # sets*line: two more lines evict ADDR's
+        h.data_access(ADDR + set_stride, 1000)
+        h.data_access(ADDR + 2 * set_stride, 2000)
+        assert not h.dl1.probe(ADDR)
+        assert tele.outcomes.counts[EARLY_EVICTED] == 1
+        # Demand re-miss, then a second access merging with its fill.
+        h.data_access(ADDR, 5000)
+        h.data_access(ADDR + 4, 5001)
+        assert h.stats.l1d_partial_hits == 1
+        assert h.stats.prefetches_useful == 0
+        assert tele.outcomes.counts[EARLY_EVICTED] == 1
+        assert h.audit_check() == []
+
+    def test_late_merge_then_pb_hit_is_one_use(self, cfg):
+        h = MemoryHierarchy(cfg, use_prefetch_buffer=True)
+        tele = observed(h)
+        done = h.prefetch_request(ADDR, 1000)
+        h.data_access(ADDR, 1002)  # late: merges with the fill in flight
+        assert h.stats.l1d_partial_hits == 1
+        assert h.pb.probe(ADDR)  # the merge does not install the line
+        h.data_access(ADDR, done + 10)
+        assert h.stats.pb_hits == 1
+        assert h.stats.prefetches_useful == 1
+        assert tele.outcomes.counts[LATE] == 1
+        assert tele.outcomes.counts[TIMELY] == 0
+        assert h.prefetches_pending == 0
+        assert h.audit_check() == []
+
+    def test_drain_returns_unresolved_records(self, cfg):
+        h = MemoryHierarchy(cfg, use_prefetch_buffer=True)
+        done = h.prefetch_request(ADDR, 0, kind="jump", pc=7)
+        assert h.prefetches_pending == 1
+        assert h.drain_prefetches() == [("jump", 7, done)]
+        assert h.prefetches_pending == 0
+
+    def test_request_accounting_law_trips_on_skew(self, cfg):
+        h = MemoryHierarchy(cfg)
+        h.prefetch_request(ADDR, 0)
+        assert h.prefetch_request(ADDR, 1) is None  # redundant
+        assert h.audit_check() == []
+        # A request that resolves to nothing is as wrong as one that
+        # resolves twice.
+        h.stats.prefetches_requested += 1
+        assert [law for law, __ in h.audit_check()] == [
+            "prefetch-request-accounting"
+        ]
+
+    def test_outcome_agreement_law_trips_on_skew(self, cfg):
+        h = MemoryHierarchy(cfg)
+        tele = observed(h)
+        done = h.prefetch_request(ADDR, 0)
+        h.data_access(ADDR, done + 5)
+        assert h.stats.prefetches_useful == 1
+        assert h.audit_check() == []
+        tele.outcomes.counts[TIMELY] += 1
+        assert [law for law, __ in h.audit_check()] == [
+            "prefetch-outcome-agreement"
+        ]
 
 
 class TestDemandPriority:

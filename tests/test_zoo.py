@@ -262,7 +262,7 @@ class _FloodHierarchy:
     def probe_cached(self, addr, time):
         return False
 
-    def prefetch_request(self, addr, time):
+    def prefetch_request(self, addr, time, kind="chained", pc=None):
         return time + 70
 
 
