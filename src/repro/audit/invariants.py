@@ -6,7 +6,9 @@ audit=Auditor())``) and sweeps the model's conservation laws every
 
 * **core** — commit cycles monotone, commit count strictly increasing,
   ROB occupancy ≤ window, LSQ occupancy ≤ lsq_entries, the issue-slot
-  bookkeeping (``issued_at``) bounded by its prune policy;
+  bookkeeping (``issued_at``) within ``window`` plus its prune cadence
+  (:func:`repro.cpu.timing.issued_at_prune_cadence`), both read from the
+  model's machine;
 * **memory hierarchy** — per level ``hits + misses == accesses``,
   resident lines ≤ capacity, TLB misses ≤ accesses, prefetch request
   accounting, and — under the non-blocking MSHR models — the
@@ -35,14 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cpu.timing import _ISSUED_AT_PRUNE_INTERVAL, _ISSUED_AT_PRUNE_THRESHOLD
+from ..cpu.timing import issued_at_prune_cadence
 from ..errors import ReproError
 from ..obs.outcomes import TIMELY
-
-#: Slack the core's ``issued_at`` map may legitimately carry: the prune
-#: keeps up to the threshold and runs every prune-interval commits, each
-#: of which can add at most one entry.
-_ISSUED_AT_BOUND = _ISSUED_AT_PRUNE_THRESHOLD + _ISSUED_AT_PRUNE_INTERVAL
 
 
 class AuditError(ReproError):
@@ -203,13 +200,16 @@ class Auditor:
                 f"{len(lsq)} LSQ entries > capacity {cfg.lsq_entries}",
                 n_committed, cycle, "core",
             )
-        if issued_at is not None and len(issued_at) > _ISSUED_AT_BOUND:
-            self._record(
-                "issued-at-bound",
-                f"{len(issued_at)} issue-slot entries > "
-                f"bound {_ISSUED_AT_BOUND}",
-                n_committed, cycle, "core",
-            )
+        if issued_at is not None:
+            # A prune leaves at most ``window`` live slots; each commit
+            # until the next one adds at most one.
+            bound = cfg.window + issued_at_prune_cadence(cfg.window)
+            if len(issued_at) > bound:
+                self._record(
+                    "issued-at-bound",
+                    f"{len(issued_at)} issue-slot entries > bound {bound}",
+                    n_committed, cycle, "core",
+                )
         self._sweep_components(n_committed, cycle)
 
     def on_finish(self, model, n_committed: int, cycle: int) -> None:

@@ -41,11 +41,19 @@ from .stats import SimResult
 
 _DISPATCH_EXTRA = 1  # cycles from dispatch to earliest issue
 
-#: ``issued_at`` is pruned down whenever it exceeds this many entries …
-_ISSUED_AT_PRUNE_THRESHOLD = 200_000
-#: … checked once every this many commits (so between checks it can grow
-#: by at most the same amount again; the audit invariant uses the sum).
-_ISSUED_AT_PRUNE_INTERVAL = 65536
+
+def issued_at_prune_cadence(window: int) -> int:
+    """Commits between two prunes of the core's issue-slot table.
+
+    A prune keeps only the issue cycles a later instruction can still
+    read, and at most ``window`` of them survive it; each commit adds at
+    most one key.  So the table never holds more than ``window +
+    issued_at_prune_cadence(window)`` keys, the audit's
+    ``issued-at-bound``.  Pruning every 256 windows rather than every 16
+    keeps the host cost of freeing the dead keys near 1% on the
+    compute-bound kernels (EXPERIMENTS.md, "Timing-core hot path"), for
+    a table of at most ~1 MB on a 64-entry window."""
+    return 256 * window
 
 
 def periodic_due(n_committed: int, interval: int) -> bool:
@@ -59,12 +67,14 @@ def periodic_due(n_committed: int, interval: int) -> bool:
     return bool(n_committed) and n_committed % interval == 0
 
 
-def _next_periodic(n_committed: int, audit_every: int) -> int:
+def _next_periodic(
+    n_committed: int, prune_every: int, audit_every: int
+) -> int:
     """The first commit count after ``n_committed`` at which the timing
-    loop's periodic work is due: an ``issued_at`` prune check or (when
-    ``audit_every`` is non-zero) an audit sweep.  Never zero, matching
-    :func:`periodic_due`."""
-    due = (n_committed // _ISSUED_AT_PRUNE_INTERVAL + 1) * _ISSUED_AT_PRUNE_INTERVAL
+    loop's periodic work is due: an ``issued_at`` prune (every
+    ``prune_every`` commits) or (when ``audit_every`` is non-zero) an
+    audit sweep.  Never zero, matching :func:`periodic_due`."""
+    due = (n_committed // prune_every + 1) * prune_every
     if audit_every:
         audit_due = (n_committed // audit_every + 1) * audit_every
         if audit_due < due:
@@ -317,7 +327,8 @@ class TimingModel:
         n_lds_loads = 0
         # The commit count at which the periodic work (issued_at prune,
         # audit sweep) is next due.
-        next_check = _next_periodic(0, audit_every)
+        prune_every = issued_at_prune_cadence(window)
+        next_check = _next_periodic(0, prune_every, audit_every)
 
         _K_ALU, _K_LW, _K_SW, _K_BR = (
             self._K_ALU, self._K_LW, self._K_SW, self._K_BR
@@ -529,11 +540,14 @@ class TimingModel:
 
             n_committed += 1
             if n_committed == next_check:
-                if (
-                    not n_committed % _ISSUED_AT_PRUNE_INTERVAL
-                    and len(issued_at) > _ISSUED_AT_PRUNE_THRESHOLD
-                ):
-                    floor = dispatch - 4 * window
+                if not n_committed % prune_every:
+                    # ``fetch_cycle`` and the window head never decrease,
+                    # so every later instruction issues at ``floor`` or
+                    # after, and no later lookup reads a slot below it.
+                    floor = fetch_cycle + front
+                    if rob[0] > floor:
+                        floor = rob[0]
+                    floor += _DISPATCH_EXTRA
                     issued_at = {
                         c: k for c, k in issued_at.items() if c >= floor
                     }
@@ -548,7 +562,9 @@ class TimingModel:
                         lsq=[t for t in lsq if t > dispatch],
                         issued_at=issued_at,
                     )
-                next_check = _next_periodic(n_committed, audit_every)
+                next_check = _next_periodic(
+                    n_committed, prune_every, audit_every
+                )
 
         # ------------------------------------------------------------------
         cycles = last_commit

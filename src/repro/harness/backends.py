@@ -194,6 +194,7 @@ class ProcessPoolBackend(WorkerBackend):
                     finished, __ = wait(
                         set(running), return_when=FIRST_COMPLETED
                     )
+                    outs = []
                     for fut in finished:
                         spec = running.pop(fut)
                         try:
@@ -214,10 +215,13 @@ class ProcessPoolBackend(WorkerBackend):
                             # error of this cell only.
                             out = ("error", type(exc).__name__,
                                    traceback.format_exc())
-                        done = sched._record(spec, out, results, done, total)
+                        outs.append((spec, out))
                     # Waiting cells go to the current pool while it is
-                    # healthy.
+                    # healthy, before the parent records (and caches) the
+                    # finished ones, so no freed worker idles meanwhile.
                     refill()
+                    for spec, out in outs:
+                        done = sched._record(spec, out, results, done, total)
                     if broken:
                         queue.extend(running.values())
                         break

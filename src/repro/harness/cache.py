@@ -135,7 +135,7 @@ def _write_durably(path: Path, doc: dict[str, Any]) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(doc, f, indent=1)
+            f.write(json.dumps(doc, separators=(",", ":")))
             f.write("\n")
             f.flush()
             os.fsync(f.fileno())

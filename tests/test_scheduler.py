@@ -125,6 +125,18 @@ class TestBackendParity:
         assert "no-such-engine" in cells[bad].error
         assert sched.stats()["failures"] == 1
 
+    def test_freed_worker_gets_a_cell_before_the_record(self, cfg):
+        """The pool hands a freed worker its next cell before the parent
+        records (and caches) the finished one, so the worker does not
+        idle through the cache write."""
+        executed_at_record = []
+        sched = SweepExecutor(jobs=2)
+        sched.progress = lambda line: executed_at_record.append(
+            sched.stats()["executed"])
+        sched.execute(_specs(cfg))
+        # Two cells start; the first record already sees a third one out.
+        assert executed_at_record[0] >= 3
+
 
 class _ReplayBackend(WorkerBackend):
     """Completes precomputed cell outcomes in a chosen arrival order —

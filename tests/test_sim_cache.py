@@ -148,6 +148,17 @@ class TestRoundTrip:
         assert back.telemetry["miss_parallelism"] == (
             result.telemetry["miss_parallelism"])
 
+    def test_entries_are_compact_and_indented_ones_still_load(self, cfg, cache):
+        spec = RunSpec.make("treeadd", "baseline", "none", cfg, TREEADD)
+        result = simulate_cell(spec)
+        path = cache.put(spec, result)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+        # An entry written in the earlier indented form reads back equal.
+        path.write_text(json.dumps(json.loads(text), indent=1) + "\n")
+        assert cache.get(spec) == result
+        assert cache.hits == 1
+
 
 class TestRobustness:
     def test_corrupt_entry_is_a_miss(self, cfg, cache):

@@ -4,7 +4,15 @@ import pytest
 
 from repro import Assembler, get_workload, simulate, simulate_decomposed, small_config
 from repro.audit import Auditor
-from repro.cpu.timing import TimingModel, _next_periodic, heap_range, periodic_due
+from repro.cpu import timing
+from repro.cpu.timing import (
+    TimingModel,
+    _next_periodic,
+    heap_range,
+    issued_at_prune_cadence,
+    periodic_due,
+)
+from repro.harness.schemes import scheme_names, scheme_plan
 from repro.isa.program import HEAP_BASE
 from repro.isa.registers import A0, T0, T1, T2, T3, T4, T5, ZERO
 from repro.obs import Profiler
@@ -248,22 +256,30 @@ class TestPeriodicDue:
 
         assert [n for n in range(5) if periodic_due(n, 1)] == [1, 2, 3, 4]
 
-    def test_issued_at_bookkeeping_stays_bounded(self, tiny_cfg):
-        # End-to-end: a long run must not accumulate an issue-slot entry
-        # per dynamic instruction (the map is pruned behind the window).
-        from repro.cpu.timing import (
-            _ISSUED_AT_PRUNE_INTERVAL,
-            _ISSUED_AT_PRUNE_THRESHOLD,
-        )
+    def test_issued_at_bookkeeping_stays_bounded(self, tiny_cfg, monkeypatch):
+        """A long run keeps the issue-slot table within the window plus
+        the prune cadence; with the prune switched off the same run
+        outgrows that bound, so the law has teeth."""
+        bound = tiny_cfg.window + issued_at_prune_cadence(tiny_cfg.window)
+        program, __ = assemble_loop_sum(20_000)
 
-        assert _ISSUED_AT_PRUNE_THRESHOLD + _ISSUED_AT_PRUNE_INTERVAL > 0
-        program, __ = assemble_loop_sum(200)
-        from repro import simulate
-        from repro.audit import Auditor
+        def peak_table_size(auditor) -> int:
+            sizes = []
+            real_on_commit = auditor.on_commit
 
-        auditor = Auditor(interval=256, strict=True)
-        simulate(program, tiny_cfg, audit=auditor)
+            def spy(n, cycle, rob=None, lsq=None, issued_at=None):
+                sizes.append(len(issued_at))
+                real_on_commit(n, cycle, rob=rob, lsq=lsq, issued_at=issued_at)
+
+            auditor.on_commit = spy
+            simulate(program, tiny_cfg, audit=auditor)
+            return max(sizes)
+
+        auditor = Auditor(interval=1021, strict=True)
+        assert peak_table_size(auditor) <= bound
         assert auditor.ok  # includes the issued-at-bound invariant
+        monkeypatch.setattr(timing, "issued_at_prune_cadence", lambda w: 1 << 62)
+        assert peak_table_size(Auditor(interval=1021)) > bound
 
 
 class TestNextPeriodic:
@@ -273,21 +289,20 @@ class TestNextPeriodic:
 
     @pytest.mark.parametrize("audit_every", [0, 1, 7, 64, 65536, 100_000])
     def test_due_points_match_periodic_due(self, audit_every):
-        from repro.cpu.timing import _ISSUED_AT_PRUNE_INTERVAL as prune
-
-        horizon = 3 * prune + 5
-        expected = [
-            n for n in range(horizon)
-            if periodic_due(n, prune)
-            or (audit_every and periodic_due(n, audit_every))
-        ]
-        got, n = [], 0
-        while True:
-            n = _next_periodic(n, audit_every)
-            if n >= horizon:
-                break
-            got.append(n)
-        assert got == expected
+        for prune in (1, 7, issued_at_prune_cadence(64)):
+            horizon = 3 * prune + 5
+            expected = [
+                n for n in range(horizon)
+                if periodic_due(n, prune)
+                or (audit_every and periodic_due(n, audit_every))
+            ]
+            got, n = [], 0
+            while True:
+                n = _next_periodic(n, prune, audit_every)
+                if n >= horizon:
+                    break
+                got.append(n)
+            assert got == expected, prune
 
     def test_audit_sweeps_on_its_cadence(self, cfg):
         program, __ = assemble_loop_sum(200)
@@ -359,3 +374,34 @@ def test_machine_shape_cycle_pins(workload, engine):
         assert res.cycles == SHAPE_CYCLES[workload, engine][shape], shape
         assert (res.branch.cond_mispredicts,
                 res.branch.btb_misses) == BRANCH_STATS[workload], shape
+
+
+#: Three workloads whose programs differ in shape: a recursive tree walk,
+#: a bipartite graph sweep and a list-heavy simulation.
+PRUNE_WORKLOADS = ("treeadd", "em3d", "health")
+#: Prune the issue-slot table after every commit, at the default
+#: cadence, or never.
+PRUNE_CADENCES = (
+    lambda window: 1, issued_at_prune_cadence, lambda window: 1 << 62
+)
+
+
+@pytest.mark.parametrize("workload", PRUNE_WORKLOADS)
+def test_issued_at_prune_is_exact(workload, monkeypatch):
+    """The prune drops only issue slots no later instruction can read:
+    every scheme on ``small`` and on each pinned machine shape gives the
+    same result whether the table is pruned at every commit, at the
+    default cadence or never."""
+    w = get_workload(workload, **workload_class(workload).test_params())
+    machines = {"small": small_config()} | {
+        shape: small_config().with_overrides(o) for shape, o in SHAPES.items()
+    }
+    for scheme in scheme_names():
+        variant, engine = scheme_plan(w, scheme)
+        program = w.build(variant).program
+        for shape, machine in machines.items():
+            results = []
+            for cadence in PRUNE_CADENCES:
+                monkeypatch.setattr(timing, "issued_at_prune_cadence", cadence)
+                results.append(simulate(program, machine, engine=engine))
+            assert results[0] == results[1] == results[2], (scheme, shape)
