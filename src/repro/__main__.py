@@ -43,7 +43,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import workload_names
 from .audit import (
@@ -54,7 +53,7 @@ from .audit import (
     fidelity_gate,
     regressions,
 )
-from .audit.gate import DEFAULT_GOLDEN, CorruptPlan
+from .audit.gate import AUDIT_INTERVAL, DEFAULT_GOLDEN, CorruptPlan
 from .config import get_machine, machine_names
 from .errors import ReproError
 from .harness import (
@@ -271,7 +270,7 @@ def cmd_run(args) -> int:
             if observed:
                 telemetry = Telemetry(trace=trace)
             if args.profile:
-                audit = auditors[shown[cell]] = Auditor(interval=512)
+                audit = auditors[shown[cell]] = Auditor(interval=AUDIT_INTERVAL)
         cells[cell] = CellResult(cell, simulate_cell(
             cell, telemetry=telemetry, audit=audit))
     results = SweepResults(cells)
@@ -382,14 +381,12 @@ def cmd_audit(args) -> int:
         machine=machine,
         workloads=args.workloads or None,
         schemes=args.schemes or None,
-        interval=args.every,
         drill=drill,
-        strict=args.strict,
         overrides=overrides,
     )
     print(format_table(
         [c.row() for c in cells],
-        f"Invariant sweep — {machine} machine, every {args.every} commits",
+        f"Invariant sweep — {machine} machine, every {AUDIT_INTERVAL} commits",
     ))
     for cell in cells:
         if cell.corrupted:
@@ -410,17 +407,13 @@ def cmd_audit(args) -> int:
         print(f"  DRILL FAILED: plan {drill.describe()} matched no audited "
               "cell", file=sys.stderr)
 
-    golden = Path(args.golden) if args.golden else DEFAULT_GOLDEN
     if args.no_diff:
         pass
-    elif not golden.exists():
-        print(f"  (no golden file at {golden}; skipping differential "
+    elif not DEFAULT_GOLDEN.exists():
+        print(f"  (no golden file at {DEFAULT_GOLDEN}; skipping differential "
               f"check and fidelity gate)", file=sys.stderr)
     else:
-        diff_rows = differential_check(
-            golden, machine=machine, full_stats_sample=args.diff_sample,
-            overrides=overrides,
-        )
+        diff_rows = differential_check(machine=machine, overrides=overrides)
         print()
         print(format_table(
             [{k: row[k] for k in ("cell", "variant", "mode", "ok",
@@ -435,8 +428,8 @@ def cmd_audit(args) -> int:
                     print(f"  STAT DIFF: {row['cell']}: {line}",
                           file=sys.stderr)
 
-    if not args.no_gate and golden.exists():
-        drift = fidelity_gate(golden, machine=machine)
+    if not args.no_gate and DEFAULT_GOLDEN.exists():
+        drift = fidelity_gate(machine=machine)
         print()
         if drift:
             failures += len(drift)
@@ -613,23 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SCHEME",
                        help="restrict the invariant sweep (default: every "
                             "registered scheme, paper and zoo)")
-    audit.add_argument("--every", type=_bounded(int, 1),
-                       default=512, metavar="N",
-                       help="invariant-sweep cadence in commits (default: 512)")
-    audit.add_argument("--golden", default=None, metavar="FILE",
-                       help="golden pin file for the differential check and "
-                            "fidelity gate (default: tests/golden_cycles.json)")
-    audit.add_argument("--diff-sample", type=_bounded(int, 0),
-                       default=2, metavar="N",
-                       help="cells whose full timing stats are also diffed "
-                            "on the reference path (default: 2)")
     audit.add_argument("--no-diff", action="store_true",
                        help="skip the differential interpreter validation")
     audit.add_argument("--no-gate", action="store_true",
                        help="skip the golden-drift fidelity gate")
-    audit.add_argument("--strict", action="store_true",
-                       help="raise on the first violation instead of "
-                            "collecting a report")
     audit.add_argument("--inject-faults", type=_drill_plan, default=None,
                        metavar="PLAN",
                        help="corrupt-outcome drill plan, e.g. "

@@ -49,6 +49,9 @@ from .invariants import Auditor, corrupt_mshr_tracker, corrupt_outcome_tracker
 #: Default golden pin file (the repo's timing contract).
 DEFAULT_GOLDEN = Path(__file__).resolve().parents[3] / "tests" / "golden_cycles.json"
 
+#: Commits between two invariant sweeps of an audited cell.
+AUDIT_INTERVAL = 512
+
 #: Metrics the fidelity gate tracks per golden cell.
 GOLDEN_METRICS = ("cycles", "compute", "instructions")
 
@@ -125,9 +128,8 @@ def audit_workloads(
     machine: str = "small",
     workloads: Iterable[str] | None = None,
     schemes: Iterable[str] | None = None,
-    interval: int = 512,
+    interval: int = AUDIT_INTERVAL,
     drill: CorruptPlan | None = None,
-    strict: bool = False,
     overrides: Mapping[str, Any] | None = None,
 ) -> list[AuditCell]:
     """Sweep the invariant checker over the workload/scheme matrix.
@@ -152,7 +154,7 @@ def audit_workloads(
     for rp in compile_spec(spec).rows:
         cell = rp.run.timing
         telemetry = Telemetry()
-        auditor = Auditor(interval=interval, strict=strict)
+        auditor = Auditor(interval=interval)
         corrupted = drill is not None and drill.matches(
             cell.benchmark, cell.variant, cell.engine
         )

@@ -16,12 +16,6 @@ class BranchStats:
     returns: int = 0
     return_mispredicts: int = 0
 
-    @property
-    def mispredict_ratio(self) -> float:
-        if not self.cond_branches:
-            return 0.0
-        return self.cond_mispredicts / self.cond_branches
-
 
 class BranchPredictor:
     """See module docstring.

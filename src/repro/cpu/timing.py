@@ -522,12 +522,6 @@ class TimingModel:
                 if kind == _K_SW:
                     timing_words[addr] = value
                     pending_stores[addr] = (complete, last_commit)
-                    if len(pending_stores) > 8192:
-                        pending_stores = {
-                            a: v for a, v in pending_stores.items()
-                            if v[1] > last_commit
-                        }
-                        ps_get = pending_stores.get
                     data_access(addr, last_commit, True)
                 elif kind == _K_LW and track_dataflow:
                     # The engine reacts when the value arrives (completion);
@@ -543,7 +537,9 @@ class TimingModel:
                 if not n_committed % prune_every:
                     # ``fetch_cycle`` and the window head never decrease,
                     # so every later instruction issues at ``floor`` or
-                    # after, and no later lookup reads a slot below it.
+                    # after: no later lookup reads a slot below it, and
+                    # no later load starts before it, so a store that
+                    # commits earlier can no longer forward.
                     floor = fetch_cycle + front
                     if rob[0] > floor:
                         floor = rob[0]
@@ -552,6 +548,11 @@ class TimingModel:
                         c: k for c, k in issued_at.items() if c >= floor
                     }
                     issued_get = issued_at.get
+                    pending_stores = {
+                        a: v for a, v in pending_stores.items()
+                        if v[1] >= floor
+                    }
+                    ps_get = pending_stores.get
                 if audit_every and not n_committed % audit_every:
                     # In flight alongside the instruction just committed:
                     # the ring entries that commit after it dispatched.

@@ -106,11 +106,6 @@ class Assembler:
             raise AssemblyError(f"poke to misaligned address {addr:#x}")
         self._memory[addr] = value
 
-    @property
-    def data_cursor(self) -> int:
-        """Next free data-segment address."""
-        return self._data_cursor
-
     # ------------------------------------------------------------------
     # Raw emit
     # ------------------------------------------------------------------

@@ -56,20 +56,11 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    @property
-    def static_size(self) -> int:
-        """Static code size in instructions."""
-        return len(self.instructions)
-
-    def label_of(self, index: int) -> str | None:
-        """Name of the label at instruction ``index``, if any (debug aid)."""
-        for name, idx in self.labels.items():
-            if idx == index:
-                return name
-        return None
-
     def disassemble(self, start: int = 0, count: int | None = None) -> str:
-        """Textual listing of the program (debug aid)."""
+        """Textual listing of the program, labels included: the view to
+        read when a workload builder emits the wrong code, e.g.
+        ``print(get_workload("treeadd").build("baseline").program
+        .disassemble(0, 40))``."""
         end = len(self.instructions) if count is None else start + count
         by_index = {idx: name for name, idx in self.labels.items()}
         lines = []

@@ -58,12 +58,6 @@ class AllocatorStats:
     allocated_bytes: int = 0
     per_class: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def padding_fraction(self) -> float:
-        if not self.allocated_bytes:
-            return 0.0
-        return 1.0 - self.requested_bytes / self.allocated_bytes
-
 
 class SizeClassAllocator:
     """Bump allocator with per-class regions (no free list; Olden-style churn

@@ -30,10 +30,6 @@ class CacheStats:
     evictions: int = 0
     writebacks: int = 0
 
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class Cache:
     """Tag array of a set-associative write-back LRU cache."""

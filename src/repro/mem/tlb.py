@@ -12,10 +12,6 @@ class TLBStats:
     accesses: int = 0
     misses: int = 0
 
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class TLB:
     """Translate is modelled as: hit = 0 extra cycles, miss = fixed hardware

@@ -64,20 +64,8 @@ class DependencePredictor:
         s[producer_pc] = consumers
         return consumers.items()
 
-    def is_recurrent(self, pc: int) -> bool:
-        """True if ``pc`` participates in a length-1 or length-2 dependence
-        cycle — the paper's "backbone" (recurrent) loads such as
-        ``l = l->next`` or a tree's mutually-recursive child loads."""
-        for consumer_pc, __ in self.lookup_quiet(pc):
-            if consumer_pc == pc:
-                return True
-            for c2, __ in self.lookup_quiet(consumer_pc):
-                if c2 == pc:
-                    return True
-        return False
-
     def lookup_quiet(self, producer_pc: int):
-        """Lookup without LRU update (used by recurrence tests).  Returns
+        """Lookup without LRU update (the engine's recurrence check).  Returns
         a live (consumer_pc, offset) view, like :meth:`lookup`."""
         s = self._table.get(producer_pc % self._sets)
         consumers = s.get(producer_pc) if s else None

@@ -53,7 +53,9 @@ class Registry(Generic[T]):
         return item
 
     def unregister(self, name: str) -> None:
-        """Remove ``name`` if present (test teardown; no-op when absent)."""
+        """Undo a temporary registration: a workload, machine or scheme
+        registered for one experiment (a test, a notebook) is removed
+        again afterwards.  A no-op when ``name`` is absent."""
         self._items.pop(name, None)
 
     def _ensure_loaded(self) -> None:

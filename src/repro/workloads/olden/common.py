@@ -25,9 +25,3 @@ def emit_lcg(a: Assembler, seed_reg: int, tmp: int) -> None:
     a.mul(seed_reg, seed_reg, tmp)
     a.addi(seed_reg, seed_reg, LCG_C)
     a.andi(seed_reg, seed_reg, LCG_MASK)
-
-
-def frand(seed: int) -> tuple[float, int]:
-    """Deterministic float in [0, 1) plus the advanced seed (mirror only)."""
-    seed = lcg(seed)
-    return (seed >> 8) / float(1 << 24), seed

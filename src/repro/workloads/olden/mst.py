@@ -80,10 +80,6 @@ def edge_weight(u: int, v: int) -> int:
     return ((x >> 8) & 255) + 1
 
 
-def bucket_of(u: int, buckets: int) -> int:
-    return ((u * HASH_MUL) >> 8) & (buckets - 1)
-
-
 def mirror(n: int, buckets: int) -> int:
     """Python mirror: same Prim scan order, same tie-breaking."""
     mindist = [INF] * n

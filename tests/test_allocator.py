@@ -76,7 +76,6 @@ class TestAllocator:
         assert st_.requested_bytes == 54
         assert st_.allocated_bytes == 16 + 16 + 32
         assert st_.per_class == {16: 2, 32: 1}
-        assert 0 < st_.padding_fraction < 1
 
     def test_rejects_unaligned_heap_base(self):
         with pytest.raises(ExecutionError):

@@ -44,8 +44,7 @@ class TestConditional:
         bp = make()
         for __ in range(10):
             bp.predict_cond(7, True, 2)
-        assert 0.0 <= bp.stats.mispredict_ratio <= 1.0
-        assert bp.stats.cond_branches == 10
+        assert 0 <= bp.stats.cond_mispredicts <= bp.stats.cond_branches == 10
 
 
 class TestJumpsAndReturns:

@@ -383,7 +383,7 @@ def test_stats_json_artifact(tmp_path, capsys):
     from repro.harness import SCHEMES
 
     # --all is the paper five; zoo engines run one at a time by name.
-    assert set(doc["meta"]["runs"]) == set(SCHEMES)
+    assert list(doc["meta"]["runs"]) == list(SCHEMES)
     hw = doc["meta"]["runs"]["hardware"]["result"]
     assert set(hw["telemetry"]["prefetch_outcomes"]["counts"]) == {
         "timely", "late", "early-evicted", "useless", "dropped",
@@ -453,21 +453,6 @@ def test_negative_jobs_is_usage_error(capsys):
     assert "--jobs" in capsys.readouterr().err
     args = build_parser().parse_args(["run-spec", "s.toml", "--jobs", "0"])
     assert args.jobs == 0
-
-
-@pytest.mark.parametrize("command,flag,bad,edge,kind", [
-    ("audit", "--every", "0", "1", int),
-    ("audit", "--diff-sample", "-1", "0", int),
-])
-def test_out_of_range_retry_policy_is_usage_error(
-    capsys, command, flag, bad, edge, kind
-):
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args([*command.split(), flag, bad])
-    assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
-    args = build_parser().parse_args([*command.split(), flag, edge])
-    assert getattr(args, flag.lstrip("-").replace("-", "_")) == kind(edge)
 
 
 @pytest.mark.parametrize("cpus,narrates", [(1, False), (4, True)])

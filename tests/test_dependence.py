@@ -1,5 +1,7 @@
 """Dependence predictor and value correlator."""
 
+from types import SimpleNamespace
+
 from repro.config import PrefetchConfig
 from repro.prefetch.dependence import (
     MAX_OFFSET,
@@ -7,6 +9,7 @@ from repro.prefetch.dependence import (
     DependencePredictor,
     ValueCorrelator,
 )
+from repro.prefetch.engines import DBPEngine
 
 
 def make(entries=256, assoc=4):
@@ -54,23 +57,24 @@ class TestPredictor:
         assert p.lookup(4)
         assert p.evicted == 1
 
+    @staticmethod
+    def recurrent(*edges):
+        """The backbone (recurrent) load PCs DBP classifies after
+        learning each ``(producer_pc, consumer_pc)`` edge in order."""
+        engine = DBPEngine()
+        for producer, consumer in edges:
+            engine._learn(SimpleNamespace(index=consumer), 1004, producer, 1000)
+        return engine.recurrent_pcs
+
     def test_self_recurrence(self):
-        p = make()
-        p.learn(10, 10, 4)
-        assert p.is_recurrent(10)
+        assert self.recurrent((10, 10)) == {10}  # l = l->next
 
     def test_mutual_recurrence(self):
-        p = make()
-        p.learn(10, 11, 4)
-        p.learn(11, 10, 8)
-        assert p.is_recurrent(10)
-        assert p.is_recurrent(11)
+        # A tree's child loads feed each other.
+        assert self.recurrent((10, 11), (11, 10)) == {10, 11}
 
     def test_non_recurrent(self):
-        p = make()
-        p.learn(10, 11, 4)
-        p.learn(11, 12, 4)
-        assert not p.is_recurrent(10)
+        assert self.recurrent((10, 11), (11, 12)) == set()
 
     def test_lookup_quiet_no_lru_refresh(self):
         p = make(entries=4, assoc=2)

@@ -23,13 +23,16 @@ audit``'s fidelity gate.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.audit import golden_drift
 from repro.audit.gate import golden_spec
-from repro.harness import compile_spec
+from repro.harness import compile_spec, spec_key
+
+from tests.conftest import shipped_spec
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_cycles.json").read_text()
@@ -50,3 +53,34 @@ def test_pin_plans_no_unused_base_cell():
     assert compiled.cell_count == 5
     assert all(rp.base is None for rp in compiled.rows)
     assert golden_drift("em3d@zoo", entry, "small") == []
+
+
+def _cells(spec):
+    """The cache keys of the cells ``spec`` plans on ``small``."""
+    return {spec_key(cell) for cell in
+            compile_spec(spec.with_machine("small")).plan.cells()}
+
+
+def _pin_cells(label, telemetry=False):
+    return _cells(replace(golden_spec(label, GOLDEN[label]),
+                          telemetry=telemetry))
+
+
+def test_shipped_specs_run_the_pinned_cells():
+    """At test sizes the shipped specs plan the golden pins' cells, so
+    the rows they print are the pinned numbers: simulation is
+    deterministic and test_golden_cycles runs every pin.  Nothing is
+    simulated here."""
+    figure5 = shipped_spec("figure5")
+    assert _cells(figure5) == set().union(
+        *(_pin_cells(w.name) for w in figure5.workloads))
+    assert _cells(shipped_spec("x4")) == _pin_cells("spmv")
+    # The tournament's zoo cells are the @zoo pins with telemetry, a pure
+    # observer that is part of the cell key.
+    tournament = _cells(shipped_spec("tournament"))
+    zoo = [label for label in GOLDEN if label.endswith("@zoo")]
+    assert len(zoo) == 3
+    for label in zoo:
+        assert _pin_cells(label, telemetry=True) <= tournament, label
+    # Table 1 executes nothing on a cache the tournament filled.
+    assert _cells(shipped_spec("table1")) <= tournament

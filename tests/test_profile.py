@@ -348,12 +348,19 @@ class TestHarnessAxis:
 
 
 class TestCli:
-    def test_profile_subcommand(self, capsys):
+    def test_profile_subcommand(self, capsys, tmp_path):
         from repro.__main__ import main
 
+        path = tmp_path / "p.json"
         rc = main(["run", "health", "--small", "--scheme", "hardware",
-                   "--profile"])
+                   "--profile", "-o", str(path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "CPI stack" in out and "profile audit OK" in out
         assert "Hot load sites" in out
+        # The artifact's CPI stack is conserved too.
+        doc = json.loads(path.read_text())
+        run = doc["meta"]["runs"]["hardware"]
+        prof = run["result"]["profile"]
+        assert sum(prof["cpi_stack"].values()) == prof["cycles"] \
+            == run["total"] == doc["rows"][0]["cycles"]

@@ -18,10 +18,8 @@ def make_program():
 def test_program_metadata():
     p, __ = make_program()
     assert p.name == "demo"
-    assert len(p) == p.static_size == 4
+    assert len(p) == 4
     assert p.entry == p.labels["main"] == 0
-    assert p.label_of(0) == "main"
-    assert p.label_of(3) is None
 
 
 def test_dynamic_stream_contents():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro import Assembler, ConfigError, MachineConfig, run_to_completion, small_config
 from repro.harness import ResultCache, RunSpec, spec_key
 from repro.isa.registers import A0, T0, T1, T2, V0, ZERO
-from repro.workloads.olden.common import LCG_MASK, emit_lcg, frand, lcg
+from repro.workloads.olden.common import LCG_MASK, emit_lcg, lcg
 
 ints = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 small_ints = st.integers(min_value=-1000, max_value=1000)
@@ -99,13 +99,6 @@ class TestLcg:
     @settings(max_examples=50, deadline=None)
     def test_lcg_stays_in_range(self, seed):
         assert 0 <= lcg(seed) <= LCG_MASK
-
-    @given(st.integers(min_value=0, max_value=LCG_MASK))
-    @settings(max_examples=50, deadline=None)
-    def test_frand_in_unit_interval(self, seed):
-        value, new_seed = frand(seed)
-        assert 0.0 <= value < 1.0
-        assert new_seed == lcg(seed)
 
 
 class TestWorkloadMirrors:

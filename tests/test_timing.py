@@ -107,6 +107,25 @@ class TestMemoryBehaviour:
         res = simulate(_program(emit), cfg)
         assert res.cycles < 200
 
+    def test_forwarding_survives_the_store_table_prune(self, cfg):
+        """Each load reads the word the store just before it wrote, so
+        every load forwards however many stores came first: one more
+        pair costs a cycle or two, not a memory miss per pair."""
+
+        def pairs(n):
+            def emit(a):
+                a.li(T0, a.space(n))
+                a.li(T1, n)
+                a.label("loop")
+                a.sw(T1, T0, 0)
+                a.lw(T2, T0, 0)
+                a.addi(T0, T0, 4)
+                a.addi(T1, T1, -1)
+                a.bnez(T1, "loop")
+            return simulate(_program(emit), cfg).cycles
+
+        assert 0 < pairs(8193) - pairs(8192) <= 4
+
     def test_loads_wait_for_prior_store_addresses(self, cfg):
         """A load cannot issue before an earlier store's address resolves."""
 
@@ -146,7 +165,7 @@ class TestControlFlow:
     def test_predictable_loop_cheap(self, cfg):
         program, __ = assemble_loop_sum(500)
         res = simulate(program, cfg)
-        assert res.branch.mispredict_ratio < 0.05
+        assert res.branch.cond_mispredicts < 0.05 * res.branch.cond_branches
 
     def test_data_dependent_branches_mispredict(self, cfg):
         """Pseudo-random branch directions cause mispredictions."""
@@ -388,10 +407,10 @@ PRUNE_CADENCES = (
 
 @pytest.mark.parametrize("workload", PRUNE_WORKLOADS)
 def test_issued_at_prune_is_exact(workload, monkeypatch):
-    """The prune drops only issue slots no later instruction can read:
-    every scheme on ``small`` and on each pinned machine shape gives the
-    same result whether the table is pruned at every commit, at the
-    default cadence or never."""
+    """The prune drops only issue slots and stores no later instruction
+    can read: every scheme on ``small`` and on each pinned machine shape
+    gives the same result whether the tables are pruned at every commit,
+    at the default cadence or never."""
     w = get_workload(workload, **workload_class(workload).test_params())
     machines = {"small": small_config()} | {
         shape: small_config().with_overrides(o) for shape, o in SHAPES.items()

@@ -28,7 +28,6 @@ def test_stats():
         tlb.translate(0x5000)
     assert tlb.stats.accesses == 3
     assert tlb.stats.misses == 1
-    assert abs(tlb.stats.miss_ratio - 1 / 3) < 1e-12
 
 
 def test_page_size_respected():
