@@ -31,9 +31,8 @@ Examples::
     python -m repro run-spec mysweep.toml --small -o result.json
     python -m repro run-spec examples/specs/tournament.toml --small --jobs 4
     python -m repro run-spec examples/specs/tournament.toml --machine small -o t.json
-    python -m repro audit --machine small        # full simulation audit
-    python -m repro audit --set mshr_model=coalescing --no-gate
-    python -m repro audit --inject-faults 'em3d//dbp=corrupt'  # auditor drill
+    python -m repro audit --machine small        # invariant sweep + differential check
+    python -m repro audit --set mshr_model=coalescing
     python -m repro bench-diff BENCH_LAYERS.json layers.json --tolerance 1.5
 """
 
@@ -50,10 +49,9 @@ from .audit import (
     audit_workloads,
     compare_benchmarks,
     differential_check,
-    fidelity_gate,
     regressions,
 )
-from .audit.gate import AUDIT_INTERVAL, DEFAULT_GOLDEN, CorruptPlan
+from .audit.gate import AUDIT_INTERVAL, DEFAULT_GOLDEN
 from .config import get_machine, machine_names
 from .errors import ReproError
 from .harness import (
@@ -367,21 +365,16 @@ def cmd_run_spec(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    """Invariant sweep + differential validation + golden-drift gate.
-    ``--set`` applies to the sweep and the differential stats sample;
-    the gate runs each golden pin with the pin's own overrides."""
+    """Invariant sweep + differential validation; ``--set`` applies to
+    the sweep and the differential stats sample."""
     failures = 0
     machine = args.machine or "small"
     overrides = _key_values(args.set, "--set")
 
-    drill = args.inject_faults
-    if drill is not None:
-        print(f"  injecting faults: {drill.describe()}", file=sys.stderr)
     cells = audit_workloads(
         machine=machine,
         workloads=args.workloads or None,
         schemes=args.schemes or None,
-        drill=drill,
         overrides=overrides,
     )
     print(format_table(
@@ -389,29 +382,15 @@ def cmd_audit(args) -> int:
         f"Invariant sweep — {machine} machine, every {AUDIT_INTERVAL} commits",
     ))
     for cell in cells:
-        if cell.corrupted:
-            # The drill: a deliberately-corrupted cell MUST be caught.
-            if cell.ok:
-                failures += 1
-                print(f"  DRILL FAILED: corrupted cell {cell.benchmark}/"
-                      f"{cell.scheme} reported no violation", file=sys.stderr)
-        elif not cell.ok:
+        if not cell.ok:
             failures += 1
             for v in cell.violations[:4]:
                 print(f"  VIOLATION: {cell.benchmark}/{cell.scheme} "
                       f"{v.describe()}", file=sys.stderr)
-    if drill is not None and not any(cell.corrupted for cell in cells):
-        # A drill that corrupts nothing proves nothing (e.g. a typo'd
-        # selector): fail rather than pass vacuously.
-        failures += 1
-        print(f"  DRILL FAILED: plan {drill.describe()} matched no audited "
-              "cell", file=sys.stderr)
 
-    if args.no_diff:
-        pass
-    elif not DEFAULT_GOLDEN.exists():
+    if not DEFAULT_GOLDEN.exists():
         print(f"  (no golden file at {DEFAULT_GOLDEN}; skipping differential "
-              f"check and fidelity gate)", file=sys.stderr)
+              f"check)", file=sys.stderr)
     else:
         diff_rows = differential_check(machine=machine, overrides=overrides)
         print()
@@ -427,16 +406,6 @@ def cmd_audit(args) -> int:
                 for line in row["stat_diffs"]:
                     print(f"  STAT DIFF: {row['cell']}: {line}",
                           file=sys.stderr)
-
-    if not args.no_gate and DEFAULT_GOLDEN.exists():
-        drift = fidelity_gate(machine=machine)
-        print()
-        if drift:
-            failures += len(drift)
-            print(format_table(drift, "Fidelity gate — drift vs golden pins"))
-        else:
-            print("Fidelity gate: all golden cells reproduce bit-exactly "
-                  "(zero drift).")
 
     if failures:
         print(f"\naudit FAILED: {failures} problem(s)", file=sys.stderr)
@@ -498,14 +467,6 @@ def _bounded(kind: type, low: int):
 
     parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
     return parse
-
-
-def _drill_plan(text: str) -> CorruptPlan:
-    """argparse type for ``audit --inject-faults``."""
-    try:
-        return CorruptPlan.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,10 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser(
         "audit", parents=[machine_opts],
         help="run the simulation auditor: invariant sweep over the "
-             "workload/scheme matrix, differential fast-vs-reference "
-             "interpreter validation, and the golden-drift fidelity gate "
+             "workload/scheme matrix and differential fast-vs-reference "
+             "interpreter validation over the golden-pinned programs "
              "(--set applies to the sweep and the differential stats "
-             "sample; each golden pin keeps its own overrides)",
+             "sample)",
     )
     audit.add_argument("--workloads", nargs="+", default=None,
                        choices=workload_names(), metavar="WORKLOAD",
@@ -606,17 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SCHEME",
                        help="restrict the invariant sweep (default: every "
                             "registered scheme, paper and zoo)")
-    audit.add_argument("--no-diff", action="store_true",
-                       help="skip the differential interpreter validation")
-    audit.add_argument("--no-gate", action="store_true",
-                       help="skip the golden-drift fidelity gate")
-    audit.add_argument("--inject-faults", type=_drill_plan, default=None,
-                       metavar="PLAN",
-                       help="corrupt-outcome drill plan, e.g. "
-                            "'em3d//dbp=corrupt' — matched cells get a "
-                            "deliberately broken outcome tracker that the "
-                            "auditor must catch; a plan matching no cell "
-                            "fails the audit")
 
     bd = sub.add_parser(
         "bench-diff",

@@ -1,6 +1,6 @@
 """Simulation auditing: invariants, differential validation, fidelity.
 
-Three layers, composable separately or through the ``repro audit`` CLI:
+Layers usable separately; the ``repro audit`` CLI drives the first three:
 
 * :mod:`repro.audit.invariants` — the opt-in runtime :class:`Auditor`
   that sweeps conservation laws (outcome classification, cache-access
@@ -9,10 +9,11 @@ Three layers, composable separately or through the ``repro audit`` CLI:
 * :mod:`repro.audit.diff` — a deliberately-naive
   :class:`ReferenceInterpreter` plus lockstep commit-stream and
   field-by-field stats diffing against the decode-table fast path.
-* :mod:`repro.audit.paper_targets` / :mod:`repro.audit.gate` — the
-  paper's headline numbers as machine-readable targets with tolerance
-  bands, and the gate entry points that turn golden-cell re-runs into
-  per-metric drift reports.
+* :mod:`repro.audit.gate` — the ``repro audit`` entry points: the
+  invariant sweep over the workload/scheme matrix and the differential
+  check over the golden-pinned programs.
+* :mod:`repro.audit.paper_targets` — the paper's headline numbers as
+  machine-readable targets with tolerance bands.
 * :mod:`repro.audit.bench` — the ``repro bench-diff`` comparator:
   signed per-metric drift between two ``BENCH_LAYERS.json``
   layer-budget reports under exact/lower/info tolerance rules (the CI
@@ -36,19 +37,14 @@ from .diff import (
 )
 from .gate import (
     AuditCell,
-    CorruptPlan,
     audit_workloads,
     differential_check,
-    fidelity_gate,
-    golden_drift,
     load_golden,
 )
 from .invariants import (
     AuditError,
     Auditor,
     AuditViolation,
-    corrupt_mshr_tracker,
-    corrupt_outcome_tracker,
 )
 from .paper_targets import (
     FIGURE5_TARGETS,
@@ -64,7 +60,6 @@ __all__ = [
     "AuditCell",
     "AuditError",
     "Auditor",
-    "CorruptPlan",
     "AuditViolation",
     "BenchRule",
     "DEFAULT_RULES",
@@ -77,16 +72,12 @@ __all__ = [
     "all_targets",
     "audit_workloads",
     "compare_benchmarks",
-    "corrupt_mshr_tracker",
-    "corrupt_outcome_tracker",
     "diff_commit_streams",
     "diff_results",
     "differential_check",
     "evaluate_targets",
-    "fidelity_gate",
     "figure5_observations",
     "flatten_report",
-    "golden_drift",
     "load_golden",
     "reference_simulate",
     "regressions",

@@ -1,50 +1,43 @@
-"""The audit gate: invariant sweeps, differential checks, fidelity drift.
+"""The audit gate: the invariant sweep and the differential check.
 
-Three entry points, composed by the ``repro audit`` CLI subcommand and
-the CI ``audit`` job.  Each names its machine as every command does: a
-named machine plus dotted-path overrides (``--machine``/``--set``), and
-each plans its cells through :func:`~repro.harness.spec.compile_spec`:
+Two entry points, composed by the ``repro audit`` CLI subcommand and
+the CI ``audit`` and ``mshr-matrix`` jobs.  Each names its machine as
+every command does: a named machine plus dotted-path overrides
+(``--machine``/``--set``), and each plans its cells through
+:func:`~repro.harness.spec.compile_spec`:
 
 * :func:`audit_workloads` — run every registered workload at its test
   size under every scheme with an :class:`~repro.audit.Auditor`
-  attached; any conservation-law violation fails the gate.  A
-  :class:`CorruptPlan` (``repro audit --inject-faults``) routes the cells
-  it matches through
-  :func:`~repro.audit.invariants.corrupt_outcome_tracker` and
-  :func:`~repro.audit.invariants.corrupt_mshr_tracker` — the drill
-  proving the auditor actually catches mis-classified outcomes and
-  skewed MSHR bookkeeping.
+  attached; any conservation-law violation fails the gate.
 * :func:`differential_check` — for every distinct program the golden
   pins run, run the decode-table and reference interpreters in
   lockstep and report the first divergent committed instruction; a
   sample of programs additionally re-runs the full timing simulation on
   the reference path and diffs final stats field-by-field.
-* :func:`fidelity_gate` — re-run the golden cells and report per-metric
-  drift (golden vs observed, signed delta) instead of a bare mismatch;
-  :func:`golden_drift` does it for one pin.
 
 A golden pin is ``{"params", "schemes"}`` plus optional ``workload``,
 ``idiom`` and ``overrides`` (dotted-path machine overrides applied on
-top of the gate's machine; the ``@mshr-*`` pins set the MSHR model).
+top of the machine; the ``@mshr-*`` pins set the MSHR model).
+:func:`golden_spec` turns one pin into the experiment spec that
+``tests/test_golden_cycles.py`` re-runs bit-exactly on ``small``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..config import get_machine
 from ..cpu.simulator import simulate
-from ..harness.cells import SweepError, simulate_cell
+from ..harness.cells import simulate_cell
 from ..harness.schemes import scheme_names
-from ..harness.spec import ExperimentSpec, WorkloadSel, compile_spec, run_spec
+from ..harness.spec import ExperimentSpec, WorkloadSel, compile_spec
 from ..obs import Telemetry
 from ..workloads import get_workload, workload_names
 from .diff import diff_commit_streams, diff_results, reference_simulate
-from .invariants import Auditor, corrupt_mshr_tracker, corrupt_outcome_tracker
+from .invariants import Auditor
 
 #: Default golden pin file (the repo's timing contract).
 DEFAULT_GOLDEN = Path(__file__).resolve().parents[3] / "tests" / "golden_cycles.json"
@@ -52,47 +45,8 @@ DEFAULT_GOLDEN = Path(__file__).resolve().parents[3] / "tests" / "golden_cycles.
 #: Commits between two invariant sweeps of an audited cell.
 AUDIT_INTERVAL = 512
 
-#: Metrics the fidelity gate tracks per golden cell.
+#: Metrics a golden pin fixes per cell.
 GOLDEN_METRICS = ("cycles", "compute", "instructions")
-
-
-@dataclass(frozen=True)
-class CorruptPlan:
-    """The auditor's drill: which audited cells get a deliberately
-    broken outcome tracker.
-
-    Text form: ``benchmark[/variant[/engine]]=corrupt`` entries separated
-    by commas.  Each selector part is an ``fnmatch`` glob; omitted or
-    empty parts match everything (``em3d//dbp=corrupt``)."""
-
-    selectors: tuple[tuple[str, str, str], ...]
-
-    @classmethod
-    def parse(cls, text: str) -> "CorruptPlan":
-        selectors = []
-        for entry in filter(None, (e.strip() for e in text.split(","))):
-            selector, __, kind = entry.partition("=")
-            parts = [p.strip() or "*" for p in selector.split("/")]
-            if (kind.strip() != "corrupt" or not selector.strip()
-                    or len(parts) > 3):
-                raise ValueError(
-                    f"drill entry {entry!r} is not "
-                    "benchmark[/variant[/engine]]=corrupt"
-                )
-            selectors.append(tuple(parts + ["*"] * (3 - len(parts))))
-        if not selectors:
-            raise ValueError(f"drill plan {text!r} has no entries")
-        return cls(tuple(selectors))
-
-    def matches(self, benchmark: str, variant: str, engine: str) -> bool:
-        return any(
-            fnmatchcase(benchmark, b) and fnmatchcase(variant, v)
-            and fnmatchcase(engine, e)
-            for b, v, e in self.selectors
-        )
-
-    def describe(self) -> str:
-        return ", ".join(f"{'/'.join(sel)}=corrupt" for sel in self.selectors)
 
 
 @dataclass
@@ -105,7 +59,6 @@ class AuditCell:
     engine: str
     checks: int
     violations: list = field(default_factory=list)
-    corrupted: bool = False
 
     @property
     def ok(self) -> bool:
@@ -120,7 +73,6 @@ class AuditCell:
             "checks": self.checks,
             "violations": len(self.violations),
             "first": self.violations[0].invariant if self.violations else "-",
-            "drill": "corrupt" if self.corrupted else "-",
         }
 
 
@@ -129,17 +81,13 @@ def audit_workloads(
     workloads: Iterable[str] | None = None,
     schemes: Iterable[str] | None = None,
     interval: int = AUDIT_INTERVAL,
-    drill: CorruptPlan | None = None,
     overrides: Mapping[str, Any] | None = None,
 ) -> list[AuditCell]:
     """Sweep the invariant checker over the workload/scheme matrix.
 
     Workloads run at their quick test sizes on the named machine with
     the dotted-path ``overrides`` applied (a non-blocking MSHR model
-    arms the MSHR conservation laws).  Cells matched by the ``drill``
-    plan get a deliberately broken outcome tracker and a skewed MSHR
-    allocation counter (inert under ``blocking``); with a working
-    auditor those cells (and only those) report violations.
+    arms the MSHR conservation laws).
     """
     spec = ExperimentSpec(
         name="audit",
@@ -153,21 +101,12 @@ def audit_workloads(
     cells: list[AuditCell] = []
     for rp in compile_spec(spec).rows:
         cell = rp.run.timing
-        telemetry = Telemetry()
         auditor = Auditor(interval=interval)
-        corrupted = drill is not None and drill.matches(
-            cell.benchmark, cell.variant, cell.engine
-        )
-        if corrupted:
-            # after=0: tiny test-size runs issue few prefetches, so
-            # mis-classify from the very first one.
-            corrupt_outcome_tracker(telemetry.outcomes, after=0)
-            corrupt_mshr_tracker(auditor, after=0)
-        simulate_cell(cell, telemetry=telemetry, audit=auditor)
+        simulate_cell(cell, telemetry=Telemetry(), audit=auditor)
         cells.append(AuditCell(
             benchmark=cell.benchmark, scheme=rp.label, variant=cell.variant,
             engine=cell.engine, checks=auditor.checks,
-            violations=list(auditor.violations), corrupted=corrupted,
+            violations=list(auditor.violations),
         ))
     return cells
 
@@ -236,7 +175,7 @@ def differential_check(
 
 
 # ----------------------------------------------------------------------
-# Paper-fidelity gate over the golden cells
+# One golden pin as a spec
 # ----------------------------------------------------------------------
 
 def golden_spec(
@@ -255,50 +194,3 @@ def golden_spec(
         schemes=tuple(sorted(entry["schemes"])),
         columns=("scheme",) + GOLDEN_METRICS,
     )
-
-
-def golden_drift(
-    label: str, entry: dict[str, Any], machine: str = "small"
-) -> list[dict[str, Any]]:
-    """Re-run one golden pin (its :func:`golden_spec`) and report its
-    per-metric drift.
-
-    Output rows name the cell, scheme and metric with the golden value,
-    the observed value, and the signed delta — so a regression reads as
-    "treeadd/hardware cycles drifted +212 (+1.8%)", not "golden file
-    mismatch".  An empty list means zero drift (the timing model is
-    pinned bit-exact).
-    """
-    rows: list[dict[str, Any]] = []
-    for got in run_spec(golden_spec(label, entry, machine)):
-        scheme = got["scheme"]
-        if "error" in got:
-            raise SweepError(
-                f"{label}/{scheme} failed:\n{got['error_detail']}"
-            )
-        want = entry["schemes"][scheme]
-        for metric in GOLDEN_METRICS:
-            drift = got[metric] - want[metric]
-            if drift == 0:
-                continue
-            rows.append({
-                "cell": label,
-                "scheme": scheme,
-                "metric": metric,
-                "golden": want[metric],
-                "observed": got[metric],
-                "drift": f"{drift:+d}"
-                + (f" ({drift / want[metric]:+.2%})" if want[metric] else ""),
-                "ok": False,
-            })
-    return rows
-
-
-def fidelity_gate(
-    golden_path: str | Path | None = None,
-    machine: str = "small",
-) -> list[dict[str, Any]]:
-    """:func:`golden_drift` over every pin of the golden file."""
-    golden = load_golden(golden_path)
-    return [row for label, entry in sorted(golden.items())
-            for row in golden_drift(label, entry, machine)]

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 from ..cpu.timing import issued_at_prune_cadence
 from ..errors import ReproError
-from ..obs.outcomes import TIMELY
 
 
 class AuditError(ReproError):
@@ -217,63 +216,3 @@ class Auditor:
         self._model = model
         self.checks += 1
         self._sweep_components(n_committed, cycle)
-
-
-def corrupt_outcome_tracker(tracker, after: int = 8):
-    """Deterministically mis-classify prefetch outcomes in ``tracker``.
-
-    From the ``after``-th issue on, every ``record_issue`` also bumps the
-    ``timely`` count without a matching issue/drop event — exactly the
-    silent double-classification bug the ``outcome-conservation``
-    invariant exists to catch.  Used by the audit drills (the
-    :class:`~repro.audit.gate.CorruptPlan` selector of ``repro audit
-    --inject-faults`` routes cells here) and the self-tests; returns the
-    tracker for chaining.
-    """
-    real_record_issue = tracker.record_issue
-    state = {"n": 0}
-
-    def corrupted():
-        real_record_issue()
-        state["n"] += 1
-        if state["n"] > after:
-            tracker.counts[TIMELY] += 1  # spurious classification
-
-    tracker.record_issue = corrupted
-    return tracker
-
-
-def corrupt_mshr_tracker(auditor, after: int = 0):
-    """Deterministically skew the hierarchy's MSHR conservation counters.
-
-    From the ``after``-th audit sweep on, every sweep first bumps
-    ``mshrs_allocated`` without a matching allocation — the phantom-MSHR
-    bug the ``mshr-conservation`` law exists to catch.  The corruption is
-    injected through the :class:`Auditor` hooks (the hierarchy itself is
-    ``__slots__``-ed, so its methods cannot be wrapped per-instance),
-    which also guarantees every corrupted sweep sees the skew.  Only
-    meaningful under a non-blocking MSHR model — the law is gated off
-    under ``blocking``, so the skew is inert there.  Returns the auditor
-    for chaining.
-    """
-    state = {"n": 0}
-
-    def skew(model) -> None:
-        state["n"] += 1
-        if state["n"] > after:
-            model.hierarchy.stats.mshrs_allocated += 1
-
-    real_on_commit = auditor.on_commit
-    real_on_finish = auditor.on_finish
-
-    def corrupted_commit(n_committed, cycle, *args, **kwargs):
-        skew(auditor._model)
-        real_on_commit(n_committed, cycle, *args, **kwargs)
-
-    def corrupted_finish(model, n_committed, cycle):
-        skew(model)
-        real_on_finish(model, n_committed, cycle)
-
-    auditor.on_commit = corrupted_commit
-    auditor.on_finish = corrupted_finish
-    return auditor

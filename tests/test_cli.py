@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import _key_values, build_parser, main
+from repro.audit import gate
 
 from tests.conftest import shipped_spec
 
@@ -333,16 +334,38 @@ def test_removed_prefetch_knob_is_clean_error(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_audit_set_arms_the_mshr_drill(capsys):
-    # --set reaches the invariant sweep: under a non-blocking MSHR model
-    # the drilled cell trips the MSHR conservation law first.
+def test_audit_set_reaches_the_sweep(monkeypatch, tmp_path, capsys):
+    # --set reaches every invariant-sweep cell and the differential
+    # check's full-stats sample (on a one-pin golden file).
+    import json
+
+    seen = []
+    simulate_cell, simulate = gate.simulate_cell, gate.simulate
+
+    def spy_cell(cell, **kwargs):
+        seen.append(("sweep", cell.cfg.mshr_model))
+        return simulate_cell(cell, **kwargs)
+
+    def spy_simulate(program, cfg, **kwargs):
+        seen.append(("diff", cfg.mshr_model))
+        return simulate(program, cfg, **kwargs)
+
+    pins = tmp_path / "golden.json"
+    pins.write_text(json.dumps({"treeadd": gate.load_golden()["treeadd"]}))
+    monkeypatch.setattr(gate, "DEFAULT_GOLDEN", pins)
+    monkeypatch.setattr(gate, "simulate_cell", spy_cell)
+    monkeypatch.setattr(gate, "simulate", spy_simulate)
     assert main(["audit", "--workloads", "treeadd", "--schemes", "base",
-                 "dbp", "--set", "mshr_model=coalescing", "--no-diff",
-                 "--no-gate", "--inject-faults", "treeadd//dbp=corrupt"]) == 0
-    out = capsys.readouterr().out
-    (dbp,) = [line.split() for line in out.splitlines()
-              if line.startswith("treeadd") and " dbp " in line]
-    assert dbp[1] == "dbp" and dbp[6] == "mshr-conservation"
+                 "dbp", "--set", "mshr_model=coalescing"]) == 0
+    assert sorted(set(seen)) == [("diff", "coalescing"), ("sweep", "coalescing")]
+    assert "audit OK" in capsys.readouterr().out
+
+
+def test_audit_on_table2_is_clean():
+    # The golden pins hold on `small` only; auditing another machine
+    # runs the invariant sweep and the differential check, both clean.
+    assert main(["audit", "--machine", "table2", "--workloads", "treeadd",
+                 "--schemes", "base", "hardware"]) == 0
 
 
 @pytest.mark.parametrize("key,value", [
@@ -488,6 +511,9 @@ def test_jobs_zero_narrates_by_resolved_worker_count(
     ["profile", "health", "--small"],
     ["tournament"],
     ["audit", "--mshr-model", "full"],
+    ["audit", "--inject-faults", "em3d//dbp=corrupt"],
+    ["audit", "--no-gate"],
+    ["audit", "--no-diff"],
     ["run-spec", "s.toml", "--timeout", "5"],
 ])
 def test_removed_sweep_service_options_rejected(argv):

@@ -17,20 +17,20 @@ root-jumping variant instead of the workload's default), and may carry
 ``small`` machine (e.g. ``em3d@mshr-full`` sets ``{"mshr_model":
 "full"}`` to run the same cell under the fully non-blocking
 hierarchy).  Each pin runs
-as a one-workload experiment spec through
-:func:`repro.audit.gate.golden_drift`, the same check as ``repro
-audit``'s fidelity gate.
+as a one-workload experiment spec (:func:`repro.audit.gate.golden_spec`)
+through :func:`golden_drift`; this file is the pins' only runner.
 """
 
+import copy
 import json
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 import pytest
 
-from repro.audit import golden_drift
-from repro.audit.gate import golden_spec
-from repro.harness import compile_spec, spec_key
+from repro.audit.gate import GOLDEN_METRICS, golden_spec
+from repro.harness import SweepError, compile_spec, run_spec, spec_key
 
 from tests.conftest import shipped_spec
 
@@ -39,9 +39,55 @@ GOLDEN = json.loads(
 )
 
 
+def golden_drift(label: str, entry: dict[str, Any]) -> list[dict[str, Any]]:
+    """Re-run one golden pin (its :func:`golden_spec` on ``small``) and
+    report its per-metric drift.
+
+    Output rows name the cell, scheme and metric with the golden value,
+    the observed value, and the signed delta — so a regression reads as
+    "treeadd/hardware cycles drifted +212 (+1.8%)", not "golden file
+    mismatch".  An empty list means zero drift (the timing model is
+    pinned bit-exact).
+    """
+    rows: list[dict[str, Any]] = []
+    for got in run_spec(golden_spec(label, entry)):
+        scheme = got["scheme"]
+        if "error" in got:
+            raise SweepError(
+                f"{label}/{scheme} failed:\n{got['error_detail']}"
+            )
+        want = entry["schemes"][scheme]
+        for metric in GOLDEN_METRICS:
+            drift = got[metric] - want[metric]
+            if drift == 0:
+                continue
+            rows.append({
+                "cell": label,
+                "scheme": scheme,
+                "metric": metric,
+                "golden": want[metric],
+                "observed": got[metric],
+                "drift": f"{drift:+d}"
+                + (f" ({drift / want[metric]:+.2%})" if want[metric] else ""),
+            })
+    return rows
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_cycles(name):
-    assert golden_drift(name, GOLDEN[name], "small") == []
+    assert golden_drift(name, GOLDEN[name]) == []
+
+
+def test_golden_drift_reports_named_drift():
+    # One doctored pin of one scheme reads as a named, signed drift.
+    label, scheme = "treeadd", "hardware"
+    pin = copy.deepcopy(GOLDEN[label])
+    pin["schemes"] = {scheme: pin["schemes"][scheme]}
+    pin["schemes"][scheme]["cycles"] += 100
+    (row,) = golden_drift(label, pin)
+    assert row["cell"] == label and row["scheme"] == scheme
+    assert row["metric"] == "cycles"
+    assert row["drift"].startswith("-100")
 
 
 def test_pin_plans_no_unused_base_cell():
@@ -52,7 +98,7 @@ def test_pin_plans_no_unused_base_cell():
     compiled = compile_spec(golden_spec("em3d@zoo", entry, "small"))
     assert compiled.cell_count == 5
     assert all(rp.base is None for rp in compiled.rows)
-    assert golden_drift("em3d@zoo", entry, "small") == []
+    assert golden_drift("em3d@zoo", entry) == []
 
 
 def _cells(spec):

@@ -105,7 +105,7 @@ class TestLatencyScaling:
             prog, cfg.with_overrides({"memory_latency": 280})).cycles
         # the 4x-latency run is much slower (the scaled-down kernel keeps
         # part of its footprint cache-resident, so the paper's full 2.5x
-        # appears only at bench scale — see benchmarks/test_figure7)
+        # appears only at bench scale — see test_paper_shapes::test_figure7)
         assert t280 > 1.4 * t70
 
 

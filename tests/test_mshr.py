@@ -9,8 +9,8 @@ Four layers of pinning for ``MachineConfig.mshr_model``:
   occupy demand bus slots;
 * the MSHR conservation laws — each law fires on a targeted corruption
   and stays silent under ``blocking`` (where the entry table is inert),
-  plus the fault-injection drills (:func:`corrupt_mshr_tracker` directly
-  and routed through ``audit_workloads`` via the ``corrupt`` selector);
+  plus the fault-injection drill (:func:`corrupt_mshr_tracker` on a
+  simulated run);
 * Hypothesis engine-equivalence — random list-walk programs × the table
   and reference sim engines × all three models: identical commit streams
   and field-identical SimResults;
@@ -24,14 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Assembler, MachineConfig
-from repro.audit import Auditor, CorruptPlan, audit_workloads, corrupt_mshr_tracker
+from repro.audit import Auditor
 from repro.audit.diff import diff_commit_streams, diff_results, reference_simulate
 from repro.config import CacheConfig, small_config
 from repro.cpu.simulator import simulate
 from repro.isa.registers import A0, T2, V0
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs import Telemetry
-from tests.conftest import assemble_list_walk
+from tests.conftest import assemble_list_walk, corrupt_mshr_tracker
 
 ADDR = 0x2000_0000
 
@@ -270,20 +270,6 @@ class TestMshrLaws:
         simulate(static_walk_program(24, pad=6), small_config(),
                  audit=auditor)
         assert auditor.ok  # the nb laws are gated off
-
-    def test_fault_plan_routes_the_mshr_drill(self):
-        cells = audit_workloads(
-            machine="small", workloads=["treeadd"], schemes=["base", "dbp"],
-            interval=64, drill=CorruptPlan.parse("treeadd//dbp=corrupt"),
-            overrides={"mshr_model": "coalescing"},
-        )
-        by_scheme = {c.scheme: c for c in cells}
-        drilled = by_scheme["dbp"]
-        assert drilled.corrupted and not drilled.ok
-        assert any(v.invariant == "mshr-conservation"
-                   for v in drilled.violations)
-        clean = by_scheme["base"]
-        assert not clean.corrupted and clean.ok
 
 
 # ----------------------------------------------------------------------
