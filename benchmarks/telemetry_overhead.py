@@ -1,7 +1,7 @@
 """Telemetry-overhead smoke check (run directly, also wired into CI).
 
 Simulates the ``health`` benchmark under the hardware scheme and compares
-cycles-simulated-per-second across three modes:
+simulation wall time across four modes:
 
 * **off**     — ``telemetry=None``: the no-op fast path every normal run
   takes.  Each hook site must reduce to a single ``is None`` check.
@@ -11,21 +11,24 @@ cycles-simulated-per-second across three modes:
 * **profile** — a :class:`repro.obs.Profiler` charging every commit to a
   CPI-stack bucket (what ``python -m repro run --profile`` uses).
 
-Asserted invariants:
+Asserted bounds (wall clock, so they live here and not in the test
+suite):
 
-1. All modes simulate the identical cycle count — observability must
-   never perturb timing.  The profiler in particular is a pure
-   observer: its CPI-stack buckets must also sum to that cycle count.
-2. The metrics path costs < ``MAX_METRICS_OVERHEAD`` over the no-op path
+1. The metrics path costs < ``MAX_METRICS_OVERHEAD`` over the no-op path
    (a tripwire against accidentally hoisting telemetry work onto the
    default path: if the gap collapses it means the "disabled" path is
    doing telemetry work; if it explodes the instruments got too fat).
-3. The profiler costs < ``MAX_PROFILE_OVERHEAD`` when attached — it
+2. The profiler costs < ``MAX_PROFILE_OVERHEAD`` when attached — it
    rides the commit loop, so its per-instruction work must stay a few
    dict updates.
 
-Wall-clock-vs-seed (<5%, and <2% for the profiling-off path of this
-PR's commit-loop changes) cannot be measured inside one checkout; it is
+That no observer changes a run (cycles, instructions and every counter)
+and that the CPI stack sums to the cycle count are tier-1 tests:
+``tests/test_profile.py::TestObserverPurity::
+test_observers_never_change_a_run`` and
+``TestConservation::test_buckets_sum_to_cycles``.
+
+Wall-clock-vs-seed cannot be measured inside one checkout; it is
 tracked at PR time by timing ``python -m repro run health`` against the
 previous revision (see EXPERIMENTS.md, "Observability").
 """
@@ -46,44 +49,37 @@ REPS = 3
 PARAMS = {"levels": 4, "branching": 3, "npat": 10, "iterations": 12}
 
 
-def _best_time(program, telemetry_factory, profile_factory=lambda: None):
-    best = float("inf")
-    cycles = None
-    last_profiler = None
+def _best_times(program, modes):
+    """Best-of-``REPS`` wall time per mode, the modes interleaved so that
+    warm-up and host drift do not favour whichever mode runs first."""
+    best = dict.fromkeys(modes, float("inf"))
     for __ in range(REPS):
-        profiler = profile_factory()
-        t0 = time.perf_counter()
-        res = simulate(program, bench_config(), engine="hardware",
-                       telemetry=telemetry_factory(), profile=profiler)
-        best = min(best, time.perf_counter() - t0)
-        assert cycles is None or cycles == res.cycles, "nondeterministic run"
-        cycles = res.cycles
-        last_profiler = profiler
-    return best, cycles, last_profiler
+        for mode, observers in modes.items():
+            kwargs = observers()
+            t0 = time.perf_counter()
+            simulate(program, bench_config(), engine="hardware", **kwargs)
+            best[mode] = min(best[mode], time.perf_counter() - t0)
+    return best
 
 
 def main() -> int:
     program = get_workload("health", **PARAMS).build("baseline").program
 
-    t_off, c_off, __ = _best_time(program, lambda: None)
-    t_met, c_met, __ = _best_time(program, Telemetry)
-    t_trc, c_trc, __ = _best_time(program, lambda: Telemetry(trace=EventTrace()))
-    t_prf, c_prf, profiler = _best_time(program, lambda: None, Profiler)
+    best = _best_times(program, {
+        "off": dict,
+        "metrics": lambda: {"telemetry": Telemetry()},
+        "trace": lambda: {"telemetry": Telemetry(trace=EventTrace())},
+        "profile": lambda: {"profile": Profiler()},
+    })
+    t_off, t_met, t_trc, t_prf = best.values()
 
-    assert c_off == c_met == c_trc == c_prf, (
-        f"observability changed simulated cycles: off={c_off} "
-        f"metrics={c_met} trace={c_trc} profile={c_prf}"
-    )
-    assert sum(profiler.buckets.values()) == c_prf, (
-        f"CPI stack lost cycles: {sum(profiler.buckets.values())} != {c_prf}"
-    )
     overhead = t_met / t_off - 1.0
     prof_overhead = t_prf / t_off - 1.0
-    print(f"health/hardware: {c_off} cycles")
-    print(f"  telemetry off    : {t_off:.3f}s  ({c_off / t_off:,.0f} cycles/s)")
-    print(f"  metrics          : {t_met:.3f}s  (+{overhead:.1%})")
-    print(f"  metrics + trace  : {t_trc:.3f}s  (+{t_trc / t_off - 1.0:.1%})")
-    print(f"  profiler         : {t_prf:.3f}s  (+{prof_overhead:.1%})")
+    print("health/hardware:")
+    print(f"  telemetry off    : {t_off:.3f}s")
+    print(f"  metrics          : {t_met:.3f}s  ({overhead:+.1%})")
+    print(f"  metrics + trace  : {t_trc:.3f}s  ({t_trc / t_off - 1.0:+.1%})")
+    print(f"  profiler         : {t_prf:.3f}s  ({prof_overhead:+.1%})")
     assert overhead < MAX_METRICS_OVERHEAD, (
         f"metrics-mode overhead {overhead:.1%} exceeds "
         f"{MAX_METRICS_OVERHEAD:.0%} — check the no-op fast path"

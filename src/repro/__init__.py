@@ -54,23 +54,6 @@ from .workloads import BuiltProgram, Workload, get_workload, workload_names
 
 __version__ = "1.0.0"
 
-
-def describe_registries() -> dict[str, list[str]]:
-    """Names in every experiment-axis registry."""
-    from .config import MACHINES, MSHR_MODELS
-    from .harness.schemes import SCHEME_REGISTRY
-    from .prefetch.engines import ENGINES
-    from .workloads.registry import WORKLOADS
-
-    return {
-        "machines": MACHINES.names(),
-        "schemes": SCHEME_REGISTRY.names(),
-        "engines": ENGINES.names(),
-        "mshr_models": list(MSHR_MODELS),
-        "workloads": WORKLOADS.names(sort=True),
-    }
-
-
 __all__ = [
     "AssemblyError",
     "Assembler",
@@ -98,7 +81,6 @@ __all__ = [
     "WorkloadError",
     "__version__",
     "bench_config",
-    "describe_registries",
     "get_machine",
     "get_workload",
     "machine_names",

@@ -51,7 +51,7 @@ from .audit import (
     differential_check,
     regressions,
 )
-from .audit.gate import AUDIT_INTERVAL, DEFAULT_GOLDEN
+from .audit.gate import AUDIT_INTERVAL
 from .config import get_machine, machine_names
 from .errors import ReproError
 from .harness import (
@@ -76,7 +76,6 @@ from .harness import (
 from .harness.spec import assemble_rows
 from .obs import (
     EventTrace,
-    MetricRegistry,
     Telemetry,
     artifact,
     cpi_stack_rows,
@@ -296,15 +295,10 @@ def cmd_run(args) -> int:
 
 
 def _build_executor(args) -> SweepExecutor:
-    """--jobs/--cache plumbing shared by the sweep commands.  One
-    obs registry spans the cache and the executor so a single dump shows
-    the whole sweep's behaviour."""
-    registry = MetricRegistry()
+    """--jobs/--cache plumbing shared by the sweep commands."""
     executor = SweepExecutor(
         jobs=args.jobs,
-        cache=(None if args.no_cache
-               else ResultCache(args.cache_dir, registry=registry)),
-        registry=registry,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
     )
     # Gate on the resolved worker count, so --jobs 0 auto-detection
     # narrates whenever it picks more than one worker.
@@ -365,8 +359,9 @@ def cmd_run_spec(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    """Invariant sweep + differential validation; ``--set`` applies to
-    the sweep and the differential stats sample."""
+    """Invariant sweep + differential validation; ``--workloads`` selects
+    both, ``--schemes`` the sweep, and ``--set`` applies to the sweep and
+    the differential stats sample."""
     failures = 0
     machine = args.machine or "small"
     overrides = _key_values(args.set, "--set")
@@ -388,24 +383,22 @@ def cmd_audit(args) -> int:
                 print(f"  VIOLATION: {cell.benchmark}/{cell.scheme} "
                       f"{v.describe()}", file=sys.stderr)
 
-    if not DEFAULT_GOLDEN.exists():
-        print(f"  (no golden file at {DEFAULT_GOLDEN}; skipping differential "
-              f"check)", file=sys.stderr)
-    else:
-        diff_rows = differential_check(machine=machine, overrides=overrides)
-        print()
-        print(format_table(
-            [{k: row[k] for k in ("cell", "variant", "mode", "ok",
-                                  "divergence")}
-             for row in diff_rows],
-            "Differential validation — fast vs reference interpreter",
-        ))
-        for row in diff_rows:
-            if not row["ok"]:
-                failures += 1
-                for line in row["stat_diffs"]:
-                    print(f"  STAT DIFF: {row['cell']}: {line}",
-                          file=sys.stderr)
+    diff_rows = differential_check(machine=machine,
+                                   workloads=args.workloads or None,
+                                   overrides=overrides)
+    print()
+    print(format_table(
+        [{k: row[k] for k in ("workload", "variant", "mode", "ok",
+                              "divergence")}
+         for row in diff_rows],
+        "Differential validation — fast vs reference interpreter",
+    ))
+    for row in diff_rows:
+        if not row["ok"]:
+            failures += 1
+            for line in row["stat_diffs"]:
+                print(f"  STAT DIFF: {row['workload']}/{row['variant']}: "
+                      f"{line}", file=sys.stderr)
 
     if failures:
         print(f"\naudit FAILED: {failures} problem(s)", file=sys.stderr)
@@ -556,13 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
         "audit", parents=[machine_opts],
         help="run the simulation auditor: invariant sweep over the "
              "workload/scheme matrix and differential fast-vs-reference "
-             "interpreter validation over the golden-pinned programs "
-             "(--set applies to the sweep and the differential stats "
-             "sample)",
+             "interpreter validation over every variant of the selected "
+             "workloads (--set applies to the sweep and the differential "
+             "stats sample)",
     )
     audit.add_argument("--workloads", nargs="+", default=None,
                        choices=workload_names(), metavar="WORKLOAD",
-                       help="restrict the invariant sweep (default: all)")
+                       help="restrict the invariant sweep and the "
+                            "differential check (default: all)")
     audit.add_argument("--schemes", nargs="+", default=None, choices=scheme_names(),
                        metavar="SCHEME",
                        help="restrict the invariant sweep (default: every "

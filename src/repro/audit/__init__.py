@@ -11,8 +11,8 @@ Layers usable separately; the ``repro audit`` CLI drives the first three:
   field-by-field stats diffing against the decode-table fast path.
 * :mod:`repro.audit.gate` — the ``repro audit`` entry points: the
   invariant sweep over the workload/scheme matrix and the differential
-  check over the golden-pinned programs.
-* :mod:`repro.audit.paper_targets` — the paper's headline numbers as
+  check over every variant of the selected workloads.
+* :mod:`repro.audit.paper_targets` — the paper's Figure-5 averages as
   machine-readable targets with tolerance bands.
 * :mod:`repro.audit.bench` — the ``repro bench-diff`` comparator:
   signed per-metric drift between two ``BENCH_LAYERS.json``
@@ -39,7 +39,6 @@ from .gate import (
     AuditCell,
     audit_workloads,
     differential_check,
-    load_golden,
 )
 from .invariants import (
     AuditError,
@@ -48,12 +47,9 @@ from .invariants import (
 )
 from .paper_targets import (
     FIGURE5_TARGETS,
-    TABLE1_TARGETS,
     PaperTarget,
-    all_targets,
     evaluate_targets,
     figure5_observations,
-    table1_observations,
 )
 
 __all__ = [
@@ -68,8 +64,6 @@ __all__ = [
     "FIGURE5_TARGETS",
     "PaperTarget",
     "ReferenceInterpreter",
-    "TABLE1_TARGETS",
-    "all_targets",
     "audit_workloads",
     "compare_benchmarks",
     "diff_commit_streams",
@@ -78,8 +72,6 @@ __all__ = [
     "evaluate_targets",
     "figure5_observations",
     "flatten_report",
-    "load_golden",
     "reference_simulate",
     "regressions",
-    "table1_observations",
 ]

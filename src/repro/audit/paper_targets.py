@@ -9,14 +9,11 @@ Figure-5 workload reports it as ``paper.err_pp`` and ``paper.misses``.
 
 Bands are deliberately wide: the repro runs scaled-down machine models
 and workload sizes (see DESIGN.md), so the claim being gated is "same
-regime and ordering as the paper", not digit-for-digit equality.
+regime as the paper", not digit-for-digit equality.
 
-* **Figure 5** (Section 4.2): average memory-stall reduction over the
-  memory-bound benchmarks — 72% software, 83% cooperative, 55% hardware
-  — and average speedups of 15%, 20% and 22%.
-* **Table 1** (Section 4.1): the memory-bound benchmarks spend an
-  appreciable fraction of their time in memory stalls and most of their
-  L1 data-load misses come from linked-data-structure loads.
+The targets are Figure 5's (Section 4.2): average memory-stall
+reduction over the memory-bound benchmarks — 72% software, 83%
+cooperative, 55% hardware — and average speedups of 15%, 20% and 22%.
 """
 
 from __future__ import annotations
@@ -25,16 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..harness.experiments import MEMORY_BOUND
-
 __all__ = [
     "PaperTarget",
     "FIGURE5_TARGETS",
-    "TABLE1_TARGETS",
-    "all_targets",
     "evaluate_targets",
     "figure5_observations",
-    "table1_observations",
 ]
 
 
@@ -110,29 +102,6 @@ FIGURE5_TARGETS: tuple[PaperTarget, ...] = (
     ),
 )
 
-#: Table 1 qualitative characterization of the memory-bound set:
-#: memory stalls are an appreciable share of execution time, and LDS
-#: loads cause most L1 data-load misses.
-TABLE1_TARGETS: tuple[PaperTarget, ...] = tuple(
-    PaperTarget(
-        f"table1.memory_fraction.{bench}",
-        f"{bench}: memory share of execution time",
-        35.0, 10.0, 95.0, source="Section 4.1, Table 1",
-    )
-    for bench in MEMORY_BOUND
-) + tuple(
-    PaperTarget(
-        f"table1.lds_miss_fraction.{bench}",
-        f"{bench}: share of L1 load misses from LDS loads",
-        80.0, 40.0, 100.0, source="Section 4.1, Table 1",
-    )
-    for bench in MEMORY_BOUND
-)
-
-
-def all_targets() -> tuple[PaperTarget, ...]:
-    return FIGURE5_TARGETS + TABLE1_TARGETS
-
 
 def figure5_observations(
     summary_rows: list[Mapping],
@@ -152,40 +121,19 @@ def figure5_observations(
     return obs
 
 
-def table1_observations(rows: list[Mapping]) -> dict[str, float]:
-    """Map Table-1 characterization rows onto target keys.
-
-    Accepts the rows of ``examples/specs/table1.toml`` (``benchmark``,
-    ``mem frac%``, ``%misses lds`` columns, percentages — see their
-    :data:`repro.harness.spec.METRICS` entries).
-    """
-    obs: dict[str, float] = {}
-    for row in rows:
-        bench = row.get("benchmark")
-        if bench not in MEMORY_BOUND:
-            continue
-        for col, key in (
-            ("mem frac%", "memory_fraction"),
-            ("%misses lds", "lds_miss_fraction"),
-        ):
-            if col in row and row[col] is not None:
-                obs[f"table1.{key}.{bench}"] = float(row[col])
-    return obs
-
-
 def evaluate_targets(
     observations: Mapping[str, float],
-    targets: tuple[PaperTarget, ...] | None = None,
+    targets: tuple[PaperTarget, ...],
     skip_missing: bool = True,
 ) -> list[dict]:
     """Per-target drift rows for every target with an observation.
 
     With ``skip_missing=False``, targets lacking an observation produce a
-    row with ``ok=False`` (the full-fidelity CI mode); by default they
-    are skipped so partial sweeps can still be scored.
+    row with ``ok=False`` (how the benchmark scores a sweep); by default
+    they are skipped so partial sweeps can still be scored.
     """
     rows = []
-    for target in targets if targets is not None else all_targets():
+    for target in targets:
         if target.key not in observations and skip_missing:
             continue
         rows.append(target.drift_row(observations.get(target.key)))

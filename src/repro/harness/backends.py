@@ -138,7 +138,7 @@ class SerialBackend(WorkerBackend):
         total: int,
     ) -> int:
         for spec in todo:
-            sched._c_executed.inc()
+            sched.executed += 1
             done = sched._record(spec, run_cell(spec), results, done, total)
         return done
 
@@ -186,7 +186,7 @@ class ProcessPoolBackend(WorkerBackend):
                     # beside it, not a backlog parked in the pool's queue.
                     while queue and not broken and len(running) < max_inflight:
                         spec = queue.popleft()
-                        sched._c_executed.inc()
+                        sched.executed += 1
                         running[pool.submit(_pool_run_job, spec)] = spec
 
                 refill()
@@ -205,7 +205,7 @@ class ProcessPoolBackend(WorkerBackend):
                             # indistinguishable, so each becomes an error
                             # cell.  Rebuild the pool afterwards.
                             if not broken:
-                                sched._c_pool_breaks.inc()
+                                sched.pool_breaks += 1
                                 broken = True
                             out = ("error", "BrokenProcessPool",
                                    traceback.format_exc())

@@ -21,11 +21,10 @@ The value is the ``repro.sim_result/1`` artifact (``SimResult.to_dict``),
 written atomically and durably; a hit deserializes back to a
 ``SimResult`` that compares equal to the cold run's.  Because every cell
 is cached, rerunning an interrupted sweep against the same cache
-executes only the cells it had not stored.  Hit/miss/write counters are
-registered in a :class:`~repro.obs.metrics.MetricRegistry`, so sweeps
-can report cache effectiveness alongside simulation metrics; so are the
-entries that could not be read (``cache.read_errors``, recomputed) or
-written (``cache.write_errors``, the sweep keeps the result).
+executes only the cells it had not stored.  The cache counts its hits,
+misses and writes, so sweeps can report cache effectiveness, and the
+entries that could not be read (``read_errors``, recomputed) or written
+(``write_errors``, the sweep keeps the result).
 
 Cache location: ``$REPRO_CACHE_DIR`` when set, else ``.repro_cache/``
 under the current working directory.
@@ -42,7 +41,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ..cpu.stats import SimResult
-from ..obs import MetricRegistry, artifact, schema_kind
+from ..obs import artifact, schema_kind
 
 if TYPE_CHECKING:  # pragma: no cover
     from .executor import RunSpec
@@ -150,39 +149,26 @@ def _write_durably(path: Path, doc: dict[str, Any]) -> None:
 
 
 class ResultCache:
-    """On-disk ``key -> cell result`` store with obs-registry counters."""
+    """On-disk ``key -> cell result`` store with hit/miss counters."""
 
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        registry: MetricRegistry | None = None,
-    ) -> None:
+    def __init__(self, root: str | os.PathLike | None = None) -> None:
         self.root = Path(
             root or os.environ.get("REPRO_CACHE_DIR") or ".repro_cache"
         )
-        self.registry = registry or MetricRegistry()
-        self._hits = self.registry.counter(
-            "cache.hits", help="sweep cells served from the result cache"
-        )
-        self._misses = self.registry.counter(
-            "cache.misses", help="sweep cells not found in the result cache"
-        )
-        self._writes = self.registry.counter(
-            "cache.writes", help="cell results stored into the cache"
-        )
-        self._invalid = self.registry.counter(
-            "cache.invalid", help="unreadable/incompatible cache entries skipped"
-        )
-        self._read_errors = self.registry.counter(
-            "cache.read_errors",
-            help="cache entries that existed but could not be read "
-                 "(I/O error or corruption, recomputed cold)",
-        )
-        self._write_errors = self.registry.counter(
-            "cache.write_errors",
-            help="cell results that could not be stored (I/O error; "
-                 "the sweep keeps the result)",
-        )
+        #: sweep cells served from the result cache
+        self.hits = 0
+        #: sweep cells not found in the result cache
+        self.misses = 0
+        #: cell results stored into the cache
+        self.writes = 0
+        #: incompatible cache entries skipped
+        self.invalid = 0
+        #: cache entries that existed but could not be read (I/O error
+        #: or corruption, recomputed cold)
+        self.read_errors = 0
+        #: cell results that could not be stored (I/O error; the sweep
+        #: keeps the result)
+        self.write_errors = 0
 
     # ------------------------------------------------------------------
 
@@ -198,7 +184,7 @@ class ResultCache:
         A missing entry is the normal cold miss.  An entry that *exists*
         but cannot be read — permission failure, I/O error, truncated or
         corrupt JSON — is also served as a miss (the sweep recomputes and
-        overwrites), but counted on ``cache.read_errors`` and logged with
+        overwrites), but counted on ``read_errors`` and logged with
         its path, so silent cache-corruption never masquerades as a cold
         cache (the corruption drill asserts on the counter)."""
         path = self.path(self.key(spec))
@@ -206,15 +192,15 @@ class ResultCache:
             with open(path) as f:
                 doc = json.load(f)
         except FileNotFoundError:
-            self._misses.inc()
+            self.misses += 1
             return None
         except (OSError, json.JSONDecodeError) as exc:
             logger.warning(
                 "cache entry %s unreadable (%s: %s); recomputing",
                 path, type(exc).__name__, exc,
             )
-            self._read_errors.inc()
-            self._misses.inc()
+            self.read_errors += 1
+            self.misses += 1
             return None
         try:
             if schema_kind(doc) != "sim_result":
@@ -223,17 +209,17 @@ class ResultCache:
         except (KeyError, TypeError, ValueError):
             # Incompatible or corrupt entry: treat as a miss and let the
             # fresh result overwrite it.
-            self._invalid.inc()
-            self._misses.inc()
+            self.invalid += 1
+            self.misses += 1
             return None
-        self._hits.inc()
+        self.hits += 1
         return result
 
     def put(self, spec: "RunSpec", result: SimResult) -> Path:
         """Store ``result`` under ``spec``'s key (atomic + durable rename).
 
-        Counts the write on ``cache.writes``; an ``OSError`` (unwritable
-        root, full disk) is counted on ``cache.write_errors`` and
+        Counts the write on ``writes``; an ``OSError`` (unwritable
+        root, full disk) is counted on ``write_errors`` and
         re-raised for the caller to decide."""
         canonical = canonical_spec(spec)
         path = self.path(_digest(canonical))
@@ -243,41 +229,21 @@ class ResultCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_durably(path, doc)
         except OSError:
-            self._write_errors.inc()
+            self.write_errors += 1
             raise
-        self._writes.inc()
+        self.writes += 1
         return path
 
     # ------------------------------------------------------------------
 
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def writes(self) -> int:
-        return self._writes.value
-
-    @property
-    def read_errors(self) -> int:
-        return self._read_errors.value
-
-    @property
-    def write_errors(self) -> int:
-        return self._write_errors.value
-
     def stats(self) -> dict[str, int]:
         return {
-            "hits": self._hits.value,
-            "misses": self._misses.value,
-            "writes": self._writes.value,
-            "invalid": self._invalid.value,
-            "read_errors": self._read_errors.value,
-            "write_errors": self._write_errors.value,
+            "hits": self.hits,
+            "misses": self.misses,
+            "writes": self.writes,
+            "invalid": self.invalid,
+            "read_errors": self.read_errors,
+            "write_errors": self.write_errors,
         }
 
     def describe(self) -> str:

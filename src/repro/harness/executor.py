@@ -42,7 +42,6 @@ from typing import Any, Callable, Iterable
 
 from ..config import MachineConfig
 from ..cpu.stats import SimResult
-from ..obs import MetricRegistry
 from ..workloads import get_workload
 from .backends import (
     ProcessPoolBackend,
@@ -81,29 +80,18 @@ class SweepExecutor:
         cache: ResultCache | None = None,
         progress: Progress | None = None,
         *,
-        registry: MetricRegistry | None = None,
         backend: WorkerBackend | None = None,
     ) -> None:
         self.jobs = detect_cpus() if jobs == 0 else max(1, jobs)
         self.cache = cache
         self.progress = progress
         self.backend = backend
-        self.registry = (
-            registry
-            or (cache.registry if cache is not None else None)
-            or MetricRegistry()
-        )
-        reg = self.registry
-        self._c_failures = reg.counter(
-            "sweep.failures", help="cells that finished as errors"
-        )
-        self._c_pool_breaks = reg.counter(
-            "sweep.pool_breaks",
-            help="worker pools abandoned after a worker crash",
-        )
-        self._c_executed = reg.counter(
-            "sweep.executed", help="cells computed by a worker this sweep"
-        )
+        #: cells computed by a worker this sweep
+        self.executed = 0
+        #: cells that finished as errors
+        self.failures = 0
+        #: worker pools abandoned after a worker crash
+        self.pool_breaks = 0
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -163,7 +151,7 @@ class SweepExecutor:
         total: int,
     ) -> int:
         """Record ``spec``'s final error cell; returns the new ``done``."""
-        self._c_failures.inc()
+        self.failures += 1
         done += 1
         results[spec] = self._finish(
             CellResult(spec, None, error=tb, error_kind=kind), done, total,
@@ -229,9 +217,9 @@ class SweepExecutor:
 
     def stats(self) -> dict[str, int]:
         return {
-            "executed": self._c_executed.value,
-            "failures": self._c_failures.value,
-            "pool_breaks": self._c_pool_breaks.value,
+            "executed": self.executed,
+            "failures": self.failures,
+            "pool_breaks": self.pool_breaks,
         }
 
     def describe(self) -> str:

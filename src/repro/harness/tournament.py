@@ -26,9 +26,6 @@ from typing import Any, Mapping, Sequence
 
 from ..obs.outcomes import OUTCOMES
 
-#: Row columns the summary aggregates (must be present in the spec).
-REQUIRED_COLUMNS = ("scheme", "normalized", "issued", *OUTCOMES)
-
 #: Columns of the ranked summary table, in print order.
 SUMMARY_COLUMNS = (
     "rank", "scheme", "geomean", "best", "worst", "cells", "errors",
@@ -114,7 +111,6 @@ def is_tournament_spec(spec) -> bool:
 
 
 __all__ = [
-    "REQUIRED_COLUMNS",
     "SUMMARY_COLUMNS",
     "is_tournament_spec",
     "tournament_summary",

@@ -106,7 +106,6 @@ BRANCH_OPS = frozenset({Op.BEQ, Op.BNE, Op.BLT, Op.BGE})
 JUMP_OPS = frozenset({Op.J, Op.JAL, Op.JR})
 CONTROL_OPS = BRANCH_OPS | JUMP_OPS
 MEM_OPS = frozenset({Op.LW, Op.SW, Op.PF, Op.JPF})
-PREFETCH_OPS = frozenset({Op.PF, Op.JPF})
 
 
 #: Functional-unit class executing each opcode.

@@ -11,13 +11,15 @@
   and used at recurrent-load issue (Section 3.3).  Implements chain jumping
   (queue jumping falls out automatically on backbone-only structures).
 
-All three submit prefetches through
-:meth:`~repro.mem.hierarchy.MemoryHierarchy.prefetch_request`, so their
-interaction with the MSHR model is uniform: under ``blocking`` a
-prefetch to an in-flight line is dropped as redundant, while under the
-non-blocking models it coalesces into the line's demand MSHR (counted
-``prefetches_coalesced``, joining the entry's target list) instead of
-burning a prefetch-request-queue slot's bus walk.
+All three submit prefetches through :meth:`PrefetchEngine.request
+<repro.prefetch.base.PrefetchEngine.request>`, which generates no request
+for a line already cached, buffered or in flight
+(:meth:`~repro.mem.hierarchy.MemoryHierarchy.probe_cached`).  Only a line
+found in none of those reaches
+:meth:`~repro.mem.hierarchy.MemoryHierarchy.prefetch_request`, so under
+every MSHR model an engine prefetch is never counted redundant and never
+coalesces into an in-flight MSHR; only software ``PF`` instructions reach
+those branches.
 """
 
 from __future__ import annotations

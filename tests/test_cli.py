@@ -334,11 +334,9 @@ def test_removed_prefetch_knob_is_clean_error(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_audit_set_reaches_the_sweep(monkeypatch, tmp_path, capsys):
+def test_audit_set_reaches_the_sweep(monkeypatch, capsys):
     # --set reaches every invariant-sweep cell and the differential
-    # check's full-stats sample (on a one-pin golden file).
-    import json
-
+    # check's full-stats sample (on treeadd's variants).
     seen = []
     simulate_cell, simulate = gate.simulate_cell, gate.simulate
 
@@ -350,15 +348,41 @@ def test_audit_set_reaches_the_sweep(monkeypatch, tmp_path, capsys):
         seen.append(("diff", cfg.mshr_model))
         return simulate(program, cfg, **kwargs)
 
-    pins = tmp_path / "golden.json"
-    pins.write_text(json.dumps({"treeadd": gate.load_golden()["treeadd"]}))
-    monkeypatch.setattr(gate, "DEFAULT_GOLDEN", pins)
     monkeypatch.setattr(gate, "simulate_cell", spy_cell)
     monkeypatch.setattr(gate, "simulate", spy_simulate)
     assert main(["audit", "--workloads", "treeadd", "--schemes", "base",
                  "dbp", "--set", "mshr_model=coalescing"]) == 0
     assert sorted(set(seen)) == [("diff", "coalescing"), ("sweep", "coalescing")]
     assert "audit OK" in capsys.readouterr().out
+
+
+def test_audit_runs_from_the_package_alone(tmp_path):
+    # The audit plans both of its checks from the workload registry, so a
+    # copy of the package with nothing beside it still diffs every
+    # variant of the selected workloads.
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    shutil.copytree(Path(repro.__file__).parent, tmp_path / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "audit", "--workloads", "treeadd",
+         "--schemes", "base"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    diff_table = proc.stdout.split("Differential validation")[1]
+    rows = [line.split() for line in diff_table.splitlines()
+            if line.startswith("treeadd ")]
+    assert [row[1] for row in rows] == ["baseline", "sw:queue", "coop:queue"]
+    assert all(row[3] == "True" for row in rows)
+    assert proc.stdout.rstrip().endswith("audit OK")
 
 
 def test_audit_on_table2_is_clean():

@@ -17,8 +17,8 @@ root-jumping variant instead of the workload's default), and may carry
 ``small`` machine (e.g. ``em3d@mshr-full`` sets ``{"mshr_model":
 "full"}`` to run the same cell under the fully non-blocking
 hierarchy).  Each pin runs
-as a one-workload experiment spec (:func:`repro.audit.gate.golden_spec`)
-through :func:`golden_drift`; this file is the pins' only runner.
+as a one-workload experiment spec (:func:`golden_spec`) through
+:func:`golden_drift`; this file is the pins' only runner.
 """
 
 import copy
@@ -29,14 +29,41 @@ from typing import Any
 
 import pytest
 
-from repro.audit.gate import GOLDEN_METRICS, golden_spec
-from repro.harness import SweepError, compile_spec, run_spec, spec_key
+from repro.harness import (
+    ExperimentSpec,
+    SweepError,
+    WorkloadSel,
+    compile_spec,
+    run_spec,
+    spec_key,
+)
 
 from tests.conftest import shipped_spec
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_cycles.json").read_text()
 )
+
+#: Metrics a golden pin fixes per cell.
+GOLDEN_METRICS = ("cycles", "compute", "instructions")
+
+
+def golden_spec(
+    label: str, entry: dict[str, Any], machine: str = "small"
+) -> ExperimentSpec:
+    """One golden pin as a one-workload experiment spec, its ``idiom``
+    and ``overrides`` included, so it runs the same cells as
+    ``run-spec``."""
+    return ExperimentSpec(
+        name=f"golden-{label}",
+        machine=machine,
+        overrides=dict(entry.get("overrides", {})),
+        workloads=(WorkloadSel(entry.get("workload", label),
+                               params=dict(entry["params"]),
+                               idiom=entry.get("idiom")),),
+        schemes=tuple(sorted(entry["schemes"])),
+        columns=("scheme",) + GOLDEN_METRICS,
+    )
 
 
 def golden_drift(label: str, entry: dict[str, Any]) -> list[dict[str, Any]]:

@@ -1,6 +1,6 @@
 """The MSHR model axis: coalescing, hit-under-miss, write-back contention.
 
-Four layers of pinning for ``MachineConfig.mshr_model``:
+Five layers of pinning for ``MachineConfig.mshr_model``:
 
 * unit tests against a bare :class:`MemoryHierarchy` — secondary misses
   join the in-flight entry (no new MSHR, no bus re-walk), demand joins
@@ -11,6 +11,8 @@ Four layers of pinning for ``MachineConfig.mshr_model``:
   and stays silent under ``blocking`` (where the entry table is inert),
   plus the fault-injection drill (:func:`corrupt_mshr_tracker` on a
   simulated run);
+* the prefetch-request law — every prefetch an engine counts reaches the
+  hierarchy once, for every scheme under every model;
 * Hypothesis engine-equivalence — random list-walk programs × the table
   and reference sim engines × all three models: identical commit streams
   and field-identical SimResults;
@@ -28,6 +30,8 @@ from repro.audit import Auditor
 from repro.audit.diff import diff_commit_streams, diff_results, reference_simulate
 from repro.config import CacheConfig, small_config
 from repro.cpu.simulator import simulate
+from repro.harness import ExperimentSpec, WorkloadSel, compile_spec, simulate_cell
+from repro.harness.schemes import scheme_names
 from repro.isa.registers import A0, T2, V0
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs import Telemetry
@@ -270,6 +274,33 @@ class TestMshrLaws:
         simulate(static_walk_program(24, pad=6), small_config(),
                  audit=auditor)
         assert auditor.ok  # the nb laws are gated off
+
+
+class TestPrefetchRequestLaw:
+    """Every prefetch an engine counts reaches the hierarchy once, under
+    every MSHR model: the hierarchy's ``prefetches_requested`` equals the
+    engine's software + jump + chained counts (a request the PRQ drops
+    is counted by neither)."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_counted_prefetches_reach_the_hierarchy(self, model, scheme):
+        spec = ExperimentSpec(
+            name="request-law",
+            machine="small",
+            overrides={"mshr_model": model},
+            workloads=tuple(WorkloadSel(n) for n in
+                            ("health", "em3d", "treeadd", "mst")),
+            schemes=(scheme,),
+            columns=("scheme",),
+        ).small()
+        for row in compile_spec(spec).rows:
+            cell = row.run.timing
+            result = simulate_cell(cell)
+            e = result.engine
+            assert result.hierarchy.prefetches_requested == (
+                e.sw_prefetches + e.jump_prefetches + e.chained_prefetches
+            ), f"{cell.benchmark}/{cell.variant}/{cell.engine}"
 
 
 # ----------------------------------------------------------------------

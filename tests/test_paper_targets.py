@@ -1,24 +1,17 @@
-"""Machine-readable paper targets, the golden file and the differential
-check over its programs."""
+"""Machine-readable paper targets and the differential check over the
+workload registry's programs."""
 
-import json
 import math
 
 import pytest
 
 from repro.audit import (
     FIGURE5_TARGETS,
-    TABLE1_TARGETS,
     PaperTarget,
-    all_targets,
     differential_check,
     evaluate_targets,
     figure5_observations,
-    load_golden,
-    table1_observations,
 )
-from repro.audit.gate import DEFAULT_GOLDEN
-from repro.harness.experiments import MEMORY_BOUND
 
 
 class TestPaperTarget:
@@ -40,12 +33,11 @@ class TestPaperTarget:
         assert not missing["ok"] and missing["observed"] is None
 
     def test_registry_shape(self):
-        keys = [t.key for t in all_targets()]
+        keys = [t.key for t in FIGURE5_TARGETS]
         assert len(keys) == len(set(keys))  # no duplicate target keys
         assert len(FIGURE5_TARGETS) == 6
-        assert len(TABLE1_TARGETS) == 2 * len(MEMORY_BOUND)
         # every target quotes its section of the paper
-        assert all(t.source for t in all_targets())
+        assert all(t.source for t in FIGURE5_TARGETS)
 
 
 class TestObservationMapping:
@@ -59,17 +51,6 @@ class TestObservationMapping:
         assert obs == {
             "figure5.speedup.software": 14.0,
             "figure5.mem_stall_cut.software": 68.0,
-        }
-
-    def test_table1_rows_map_to_keys(self):
-        rows = [
-            {"benchmark": "health", "mem frac%": 55.0, "%misses lds": 92.0},
-            {"benchmark": "power", "mem frac%": 5.0},  # not memory-bound
-        ]
-        obs = table1_observations(rows)
-        assert obs == {
-            "table1.memory_fraction.health": 55.0,
-            "table1.lds_miss_fraction.health": 92.0,
         }
 
     def test_evaluate_skips_or_flags_missing(self):
@@ -88,17 +69,12 @@ class TestObservationMapping:
 
 
 class TestGoldenGate:
-    def test_golden_file_loads(self):
-        golden = load_golden()
-        assert DEFAULT_GOLDEN.exists() and golden
-
-    def test_differential_check_sampled(self, tmp_path):
-        # One golden entry, full-stats sample on: both paths must agree.
-        golden = load_golden()
-        label = "treeadd"
-        subset = {label: golden[label]}
-        path = tmp_path / "golden.json"
-        path.write_text(json.dumps(subset))
-        rows = differential_check(path, full_stats_sample=1)
-        assert rows and all(r["ok"] for r in rows)
-        assert any(r["mode"] == "stream+stats" for r in rows)
+    def test_differential_check_sampled(self):
+        # One workload, full-stats sample on: both paths must agree on
+        # every variant, and exactly the first is stats-diffed too.
+        rows = differential_check(workloads=["treeadd"], full_stats_sample=1)
+        assert [r["variant"] for r in rows] == ["baseline", "sw:queue",
+                                                "coop:queue"]
+        assert all(r["ok"] and r["workload"] == "treeadd" for r in rows)
+        assert [r["mode"] for r in rows] == ["stream+stats", "stream",
+                                             "stream"]

@@ -5,17 +5,21 @@ instruction's commit-front advance lands in exactly one CPI-stack
 bucket, so the buckets sum *exactly* to total cycles — checked here
 directly, across random machine configs (hypothesis), and through the
 auditor's invariant sweep.  Profiling must also be a pure observer:
-cycle counts with and without a profiler attached are bit-identical.
+cycle counts with and without a profiler attached are bit-identical,
+and so is every counter of a run with telemetry or an event trace.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import simulate, small_config
+from repro import get_workload, simulate, small_config
 from repro.audit import Auditor
 from repro.cpu.stats import SimResult
+from repro.harness import ExperimentSpec, WorkloadSel, compile_spec
+from repro.harness.schemes import scheme_names
 from repro.obs import (
     BUCKETS,
     EventTrace,
@@ -119,6 +123,36 @@ class TestObserverPurity:
             bare = simulate(program, cfg, engine=engine)
             __, profiled = _profiled(program, cfg, engine=engine)
             assert profiled.cycles == bare.cycles, engine
+
+    @pytest.mark.parametrize("observe", [
+        lambda: {"profile": Profiler()},
+        lambda: {"telemetry": Telemetry()},
+        lambda: {"telemetry": Telemetry(trace=EventTrace())},
+    ], ids=["profile", "telemetry", "trace"])
+    def test_observers_never_change_a_run(self, observe):
+        # Every scheme on three workloads: a profiled, telemetered or
+        # traced run has the bare run's cycles, instructions and
+        # hierarchy, engine and branch stats.
+        spec = ExperimentSpec(
+            name="observer-purity",
+            machine="small",
+            workloads=tuple(WorkloadSel(n) for n in
+                            ("health", "em3d", "treeadd")),
+            schemes=tuple(scheme_names()),
+            columns=("scheme",),
+        ).small()
+        for row in compile_spec(spec).rows:
+            cell = row.run.timing
+            workload = get_workload(cell.benchmark, **dict(cell.params))
+            program = workload.build(cell.variant).program
+            bare = simulate(program, cell.cfg, engine=cell.engine)
+            seen = simulate(program, cell.cfg, engine=cell.engine,
+                            **observe())
+            where = f"{cell.benchmark}/{cell.variant}/{cell.engine}"
+            for field in ("cycles", "instructions", "hierarchy", "engine",
+                          "branch"):
+                assert getattr(seen, field) == getattr(bare, field), (
+                    where, field)
 
     def test_unprofiled_result_has_no_profile(self, cfg):
         program, __ = assemble_list_walk(8)

@@ -4,7 +4,6 @@ between ``runner.SCHEMES`` and the scheme registry."""
 
 import pytest
 
-from repro import describe_registries
 from repro.errors import ReproError, WorkloadError
 from repro.harness.runner import SCHEMES
 from repro.harness.schemes import (
@@ -118,16 +117,3 @@ class TestSchemeRegistry:
         finally:
             SCHEME_REGISTRY.unregister("test-hw2")
         assert "test-hw2" not in SCHEME_REGISTRY
-
-
-class TestDescribeRegistries:
-    def test_covers_every_axis(self):
-        desc = describe_registries()
-        assert set(desc) == {"machines", "schemes", "engines",
-                             "mshr_models", "workloads"}
-        assert desc["machines"] == ["table2", "bench", "small"]
-        assert desc["schemes"] == scheme_names()  # full registry, zoo too
-        assert "software" in desc["engines"]
-        assert desc["mshr_models"] == ["blocking", "coalescing", "full"]
-        assert desc["workloads"] == sorted(desc["workloads"])
-        assert "health" in desc["workloads"]

@@ -150,7 +150,7 @@ class _ReplayBackend(WorkerBackend):
         arrival = [todo[i] for i in self.order if i < len(todo)]
         arrival += [spec for spec in todo if spec not in arrival]
         for spec in arrival:
-            sched._c_executed.inc()
+            sched.executed += 1
             out = self.outs[spec]
             done += 1
             results[spec] = sched._finish(

@@ -20,7 +20,6 @@ from repro.harness import (
     spec_key,
 )
 from repro.harness.cache import _FINGERPRINT_MODULES, _FINGERPRINT_PACKAGES
-from repro.obs import MetricRegistry
 from repro.workloads import workload_class
 from tests.conftest import InterruptAfter, shipped_spec
 
@@ -189,18 +188,6 @@ class TestRobustness:
         assert cache.read_errors == 0
         assert cache.misses == 1
 
-    def test_read_error_counter_in_registry(self, cfg, tmp_path):
-        registry = MetricRegistry()
-        cache = ResultCache(tmp_path, registry=registry)
-        spec = RunSpec.make("treeadd", "baseline", "none", cfg, TREEADD)
-        path = cache.path(cache.key(spec))
-        path.parent.mkdir(parents=True)
-        path.write_text("not even close")
-        assert cache.get(spec) is None
-        dump = registry.to_dict()
-        assert dump["cache.read_errors"]["value"] == 1
-        assert dump["cache.misses"]["value"] == 1
-
     def test_wrong_schema_is_invalid(self, cfg, cache):
         spec = RunSpec.make("treeadd", "baseline", "none", cfg, TREEADD)
         path = cache.path(cache.key(spec))
@@ -209,20 +196,11 @@ class TestRobustness:
         assert cache.get(spec) is None
         assert cache.stats()["invalid"] == 1
 
-    def test_counters_in_registry(self, cfg, tmp_path):
-        registry = MetricRegistry()
-        cache = ResultCache(tmp_path, registry=registry)
-        spec = RunSpec.make("treeadd", "baseline", "none", cfg, TREEADD)
-        assert cache.get(spec) is None
-        dump = registry.to_dict()
-        assert dump["cache.misses"]["value"] == 1
-        assert dump["cache.hits"]["value"] == 0
-
 
 class TestCorruptCacheEntry:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_corrupt_entry_recomputes(self, cfg, tmp_path, jobs):
-        cache = ResultCache(tmp_path / "cache", registry=MetricRegistry())
+        cache = ResultCache(tmp_path / "cache")
         clean = figure5_pair(cfg, SweepExecutor(cache=cache))
         writes_before = cache.writes
         assert writes_before == PAIR_CELLS
@@ -236,7 +214,7 @@ class TestCorruptCacheEntry:
         path.write_text(
             '{"schema": "repro.sim_result/1", "result": {"corrupt": true}}'
         )
-        ex = SweepExecutor(jobs=jobs, cache=cache, registry=MetricRegistry())
+        ex = SweepExecutor(jobs=jobs, cache=cache)
         assert figure5_pair(cfg, ex) == clean
         stats = cache.stats()
         assert stats["invalid"] == 1                  # clobber detected
@@ -303,7 +281,7 @@ class TestCacheDurability:
             return real_fsync(fd)
 
         monkeypatch.setattr("repro.harness.cache.os.fsync", recording_fsync)
-        cache = ResultCache(tmp_path / "cache", registry=MetricRegistry())
+        cache = ResultCache(tmp_path / "cache")
         spec, result = self._spec_and_result(cfg)
         path = cache.put(spec, result)
         assert path.exists()
@@ -327,7 +305,7 @@ class TestCacheDurability:
             return real_fsync(fd)
 
         monkeypatch.setattr("repro.harness.cache.os.fsync", picky_fsync)
-        cache = ResultCache(tmp_path / "cache", registry=MetricRegistry())
+        cache = ResultCache(tmp_path / "cache")
         spec, result = self._spec_and_result(cfg)
         assert cache.put(spec, result).exists()
         assert cache.get(spec) is not None
@@ -338,7 +316,7 @@ class TestCacheDurability:
             raise OSError("disk full")
 
         monkeypatch.setattr("repro.harness.cache.os.replace", boom)
-        cache = ResultCache(tmp_path / "cache", registry=MetricRegistry())
+        cache = ResultCache(tmp_path / "cache")
         spec, result = self._spec_and_result(cfg)
         with pytest.raises(OSError):
             cache.put(spec, result)
