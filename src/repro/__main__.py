@@ -33,24 +33,16 @@ Examples::
     python -m repro run-spec examples/specs/tournament.toml --machine small -o t.json
     python -m repro audit --machine small        # invariant sweep + differential check
     python -m repro audit --set mshr_model=coalescing
-    python -m repro bench-diff BENCH_LAYERS.json layers.json --tolerance 1.5
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from . import workload_names
-from .audit import (
-    Auditor,
-    audit_workloads,
-    compare_benchmarks,
-    differential_check,
-    regressions,
-)
+from .audit import Auditor, audit_workloads, differential_check
 from .audit.gate import AUDIT_INTERVAL
 from .config import get_machine, machine_names
 from .errors import ReproError
@@ -77,7 +69,6 @@ from .harness.spec import assemble_rows
 from .obs import (
     EventTrace,
     Telemetry,
-    artifact,
     cpi_stack_rows,
     dump_json,
     hot_site_rows,
@@ -407,48 +398,6 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _load_report(path: str) -> dict:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {path}: {exc}") from None
-
-
-def cmd_bench_diff(args) -> int:
-    """Signed per-metric drift between two layer-budget reports."""
-    baseline = _load_report(args.baseline)
-    current = _load_report(args.current)
-    rows = compare_benchmarks(baseline, current, tolerance=args.tolerance)
-    print(format_table(
-        rows, f"bench-diff — {args.baseline} vs {args.current}"
-    ))
-    bad = regressions(rows)
-    if args.output:
-        doc = artifact(
-            "bench_diff",
-            {
-                "baseline": str(args.baseline),
-                "current": args.current,
-                "tolerance": args.tolerance,
-                "rows": rows,
-                "regressions": len(bad),
-            },
-        )
-        dump_json(doc, args.output)
-        print(f"wrote {args.output}")
-    if bad:
-        for row in bad:
-            print(f"  REGRESSION: {row['metric']} ({row['mode']} {row['band']}): "
-                  f"{row['baseline']} -> {row['current']}", file=sys.stderr)
-        print(f"\nbench-diff FAILED: {len(bad)} regression(s) "
-              f"(tolerance {args.tolerance})", file=sys.stderr)
-        return 1
-    print(f"\nbench-diff OK: {len(rows)} metrics within tolerance "
-          f"{args.tolerance}")
-    return 0
-
-
 def _bounded(kind: type, low: int):
     """argparse type: ``kind(text)`` that must be >= ``low``."""
 
@@ -562,21 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict the invariant sweep (default: every "
                             "registered scheme, paper and zoo)")
 
-    bd = sub.add_parser(
-        "bench-diff",
-        help="signed per-metric drift between two layer-budget "
-             "reports (BENCH_LAYERS.json); exits non-zero on regression "
-             "(the CI perf gate)",
-    )
-    bd.add_argument("baseline", help="baseline report, e.g. BENCH_LAYERS.json")
-    bd.add_argument("current", help="current report, e.g. a fresh "
-                                    "benchmarks/layer_budget.py output")
-    bd.add_argument("--tolerance", type=float, default=0.25, metavar="T",
-                    help="relative band for wall-clock (lower) rules; "
-                         "exact rules always require bit-identical "
-                         "values (default: 0.25)")
-    bd.add_argument("-o", "--output", default=None, metavar="FILE",
-                    help="write the repro.bench_diff/1 JSON artifact")
     return parser
 
 
@@ -592,9 +526,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(args)
         if args.command == "run-spec":
             return cmd_run_spec(args)
-        if args.command == "audit":
-            return cmd_audit(args)
-        return cmd_bench_diff(args)
+        return cmd_audit(args)
     except ReproError as exc:
         # A bad spec, workload, scheme or --set value is a usage error,
         # not a crash.

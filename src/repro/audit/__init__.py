@@ -14,19 +14,8 @@ Layers usable separately; the ``repro audit`` CLI drives the first three:
   check over every variant of the selected workloads.
 * :mod:`repro.audit.paper_targets` — the paper's Figure-5 averages as
   machine-readable targets with tolerance bands.
-* :mod:`repro.audit.bench` — the ``repro bench-diff`` comparator:
-  signed per-metric drift between two ``BENCH_LAYERS.json``
-  layer-budget reports under exact/lower/info tolerance rules (the CI
-  perf-regression gate).
 """
 
-from .bench import (
-    BenchRule,
-    DEFAULT_RULES,
-    compare_benchmarks,
-    flatten_report,
-    regressions,
-)
 from .diff import (
     Divergence,
     FieldDiff,
@@ -57,21 +46,16 @@ __all__ = [
     "AuditError",
     "Auditor",
     "AuditViolation",
-    "BenchRule",
-    "DEFAULT_RULES",
     "Divergence",
     "FieldDiff",
     "FIGURE5_TARGETS",
     "PaperTarget",
     "ReferenceInterpreter",
     "audit_workloads",
-    "compare_benchmarks",
     "diff_commit_streams",
     "diff_results",
     "differential_check",
     "evaluate_targets",
     "figure5_observations",
-    "flatten_report",
     "reference_simulate",
-    "regressions",
 ]

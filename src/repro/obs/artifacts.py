@@ -13,7 +13,6 @@ Schema tags currently in use:
   ``run-spec -o``: report rows plus the spec that reruns them;
   ``run`` adds each scheme's :meth:`SchemeRun.to_dict` (telemetry and
   profile included) under ``meta.runs``
-* ``repro.bench_diff/1``  — ``python -m repro bench-diff`` drift rows
 
 Chrome trace files (``run --trace``) are plain ``trace_event`` JSON, not
 artifacts.

@@ -5,7 +5,8 @@ full size) and checked against the orderings the paper reports.
 Slow-marked: run with ``pytest -m slow`` (add ``-s`` to see the tables).
 Every spec runs through one module-wide executor and result cache, so
 the figures share the cells they have in common and each cell is
-simulated once.
+simulated once.  The bench-scale cycle pins are Figure 5 cells read
+back from that cache.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro.config import get_machine
 from repro.harness import (
     MEMORY_BOUND,
     ResultCache,
+    RunSpec,
     SweepExecutor,
     WorkloadSel,
+    compile_spec,
     figure5_summary,
     format_table,
     load_spec,
@@ -36,12 +40,17 @@ def shipped(name: str):
 
 
 @pytest.fixture(scope="module")
-def run(tmp_path_factory):
-    """``run(spec, title)``: the spec's rows, printed as a table, from
-    one executor (a worker per CPU) over one cache for the module."""
-    executor = SweepExecutor(
+def executor(tmp_path_factory):
+    """One executor (a worker per CPU) over one cache for the module."""
+    return SweepExecutor(
         jobs=0, cache=ResultCache(tmp_path_factory.mktemp("paper-shapes"))
     )
+
+
+@pytest.fixture(scope="module")
+def run(executor):
+    """``run(spec, title)``: the spec's rows, printed as a table, from
+    the module's executor."""
 
     def run_and_print(spec, title: str) -> list[dict]:
         rows = run_spec(spec, executor)
@@ -150,6 +159,51 @@ def test_figure5(run):
     assert by_scheme["dbp"]["avg mem stall cut%"] <= min(
         by_scheme[s]["avg mem stall cut%"] for s in ("software", "cooperative")
     )
+
+
+#: Full-size pins on the bench machine for five kernels' baseline
+#: program: committed instructions, then cycles with perfect data memory,
+#: with the real hierarchy and no prefetching (``base``) and under
+#: hardware JPP.  em3d/hardware read 610559 before DBP's re-chase table
+#: was pruned by window (EXPERIMENTS.md, "Bench-scale cycle pins").
+BENCH_PINS = {
+    "bisort": (262429, 116069, 291647, 211465),
+    "em3d": (174192, 66629, 695183, 610560),
+    "health": (314064, 197214, 718168, 563314),
+    "treeadd": (213955, 75588, 298553, 197519),
+    "tsp": (171767, 109672, 112259, 112259),
+}
+
+
+def test_bench_scale_pins(executor):
+    """Exact instruction and cycle counts of fifteen Figure 5 cells.
+
+    Every pinned cell is one ``figure5.toml`` plans, so after
+    ``test_figure5`` reading them back from the module's cache executes
+    no cell."""
+    cfg = get_machine("bench")
+    cells = {
+        name: (RunSpec.make(name, "baseline", "none", cfg.perfect()),
+               RunSpec.make(name, "baseline", "none", cfg),
+               RunSpec.make(name, "baseline", "hardware", cfg))
+        for name in BENCH_PINS
+    }
+    pinned = [spec for specs in cells.values() for spec in specs]
+    figure5 = compile_spec(shipped("figure5"))
+    assert set(pinned) <= set(figure5.plan.cells())
+
+    figure5.execute(executor)  # served from the cache after test_figure5
+    executed = executor.executed
+    results = executor.execute(pinned)
+    assert executor.executed == executed
+
+    measured = {}
+    for name, specs in cells.items():
+        runs = [results[spec].result for spec in specs]
+        insts = {r.instructions for r in runs}
+        assert len(insts) == 1, (name, insts)
+        measured[name] = (insts.pop(), *(r.cycles for r in runs))
+    assert measured == BENCH_PINS
 
 
 def test_figure6(run):
